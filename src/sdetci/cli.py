@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -169,7 +170,9 @@ def _cmd_tci(cfg):
     if cfg.get("thresholds", True) and model.kind == "singular":
         kappas = dict(r=model.r, kappa1=model.kappa1, kappa3=model.kappa3,
                       kappa4=model.kappa4)
-        ts = tci_mod.threshold_set(model.tag, 1.0, model.T, **kappas)
+        # sigma sigma* <= c0 is the model's declared ellipticity bound
+        ts = tci_mod.threshold_set(model.tag, math.sqrt(model.c0), model.T,
+                                   **kappas)
         report.add("thresholds", {
             "tag": ts.tag, "lambda_max": ts.lambda_max,
             "lambda_strict": ts.lambda_strict, "delta_max": ts.delta_max,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -204,7 +204,10 @@ class DiniModelSpec:
     ``B``, ``b`` map ``(t, x)`` with ``x`` of shape ``(n, d)`` to ``(n, d)``;
     ``sigma`` maps to ``(n, d, d)``.  ``bounds`` declares the finite constants
     the assumptions require: keys ``grad_B``, ``sigma``, ``grad_sigma``,
-    ``grad2_sigma``, ``inv_a``.
+    ``grad2_sigma``, ``inv_a``.  ``time_dependent`` declares that ``B`` or
+    ``sigma`` varies in t: the parabolic solver then factors one reference
+    operator per time node; otherwise it factors one, taken at t = 0, and
+    reuses it for every step.
     """
 
     d: int

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import BlowupError, GridMismatch
+from .errors import BlowupError
 
 _MASK = (1 << 64) - 1
 _BLOWUP_LIMIT = 1e10
@@ -88,10 +88,6 @@ def _increment_block(seed, grid, d, ids):
     return out
 
 
-def _sim_functions(model, grid):
-    return model.sim_functions(grid)
-
-
 def _fingerprint(model):
     fp = getattr(model, "fingerprint", None)
     return fp() if callable(fp) else str(fp)
@@ -135,7 +131,7 @@ def _chunk_size(grid, d, chunk):
 
 def simulate_with_increments(model, x0, grid, increments, scheme="em", seed_id=0):
     """One path from externally supplied increments (mesh-coupling studies)."""
-    drift, sigma = _sim_functions(model, grid)
+    drift, sigma = model.sim_functions(grid)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     states = _evolve(
         drift, sigma, x0[None], grid, increments[None], scheme == "tamed", True
@@ -183,7 +179,7 @@ def simulate_pair_independent(model, y0, grid, seed, pair_id=0, scheme="em"):
 def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0,
                       chunk=16384):
     """Full-path ensemble; use the reducers below for large runs."""
-    drift, sigma = _sim_functions(model, grid)
+    drift, sigma = model.sim_functions(grid)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
     ids = np.arange(path_id0, path_id0 + n_paths, dtype=np.int64)
@@ -202,7 +198,7 @@ def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0,
 def ensemble_reduce(model, x0, grid, seed, n_paths, fn, scheme="em", path_id0=0,
                     chunk=16384):
     """Apply ``fn(states_chunk) -> (n,) values`` per chunk, memory-bounded."""
-    drift, sigma = _sim_functions(model, grid)
+    drift, sigma = model.sim_functions(grid)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
     chunk = _chunk_size(grid, d, chunk)
@@ -230,7 +226,7 @@ def time_integrals(model, x0, grid, seed, n_paths, power=2.0, scheme="em",
 
 def pair_sup_distances(model, y0, grid, seed, n_pairs, scheme="em", chunk=8192):
     """sup_t |Y1 - Y2| for independent same-start pairs, streamed."""
-    drift, sigma = _sim_functions(model, grid)
+    drift, sigma = model.sim_functions(grid)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     d = len(y0)
     chunk = _chunk_size(grid, d, 2 * chunk) // 2
@@ -268,8 +264,8 @@ def coupled_sup_distances(model_a, model_b, x0a, x0b, grid, seed, n_paths,
     The two recursions may use different models (e.g. a drift-shifted twin)
     but share the same increments path by path.
     """
-    drift_a, sigma_a = _sim_functions(model_a, grid)
-    drift_b, sigma_b = _sim_functions(model_b, grid)
+    drift_a, sigma_a = model_a.sim_functions(grid)
+    drift_b, sigma_b = model_b.sim_functions(grid)
     x0a = np.atleast_1d(np.asarray(x0a, dtype=float))
     x0b = np.atleast_1d(np.asarray(x0b, dtype=float))
     d = len(x0a)
@@ -328,7 +324,7 @@ def with_drift_shift(model, shift):
             self.d = base.d
 
         def sim_functions(self, grid):
-            drift, sigma = base_fns = self.base.sim_functions(grid)
+            drift, sigma = self.base.sim_functions(grid)
 
             def new_drift(t, x):
                 return drift(t, x) + shift(t, x)

@@ -11,15 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigError, InconclusiveEstimate
 from .simulate import (
-    CallableModel,
-    TimeGrid,
     coupled_sup_distances,
     ensemble_reduce,
     simulate_ensemble,

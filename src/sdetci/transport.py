@@ -9,7 +9,6 @@ exact value always lies inside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -137,8 +136,14 @@ def brute_force_wp(mu, nu, p=2.0, metric=None):
 
 
 def _round_plan(pi, mu_w, nu_w):
-    # Rescale rows then columns to the target marginals, dump the residual
-    # into a rank-one correction; the result is exactly feasible.
+    """Round an approximate plan onto the exact marginals.
+
+    Rescale rows then columns to the target marginals, dump the residual
+    into a rank-one correction; the result is exactly feasible.  This is
+    the rounding of Altschuler, Weed & Rigollet, "Near-linear time
+    approximation algorithms for optimal transport via Sinkhorn
+    iteration" (NeurIPS 2017).
+    """
     r = pi.sum(axis=1)
     scale = np.minimum(1.0, mu_w / np.maximum(r, 1e-300))
     pi = pi * scale[:, None]

@@ -10,8 +10,7 @@ certifies the bi-Lipschitz sandwich used downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -31,7 +30,6 @@ from .simulate import (
     TimeGrid,
     brownian_increments,
     path_rng,
-    simulate_with_increments,
 )
 
 DINI_GRAD_THRESHOLD = 0.5
@@ -251,10 +249,6 @@ def build_phi(u, lam=0.0, threshold=DINI_GRAD_THRESHOLD):
     return Homeomorphism(u=u, grad_bound=g, lam=lam, threshold=threshold)
 
 
-def invert_phi(phi, y, t=None, tol=1e-10):
-    return phi.phi_inv(y, t=t, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # sparse generators
 # ---------------------------------------------------------------------------
@@ -264,82 +258,42 @@ def _operator_matrix(grid, a_vals, b_vals, neumann):
     """Sparse discretization of 1/2 a : grad^2 + b . grad on the box.
 
     ``a_vals``: (M, d, d) diffusion matrices per node; ``b_vals``: (M, d) or
-    None.  Neumann (zero-gradient) or homogeneous Dirichlet boundary.
+    None.  Central differences, with the mixed term by cross differences in
+    2-D.  Each stencil offset carries a coefficient array over all nodes;
+    out-of-box neighbours are dropped (homogeneous Dirichlet) or mirrored
+    across the boundary node (reflecting Neumann, zero normal gradient).
     """
     m, d, dx = grid.m, grid.d, grid.dx
     M = m**d
+    eye = np.eye(d, dtype=int)
+    diag = [0.5 * a_vals[:, i, i] / dx**2 for i in range(d)]
+    stencil = [((0,) * d, sum(-2 * a for a in diag))]
+    # duplicate entries are summed in order: listing the drift first lets a
+    # mirrored -b/+b pair cancel exactly before the diffusion weight is added
+    if b_vals is not None:
+        for i in range(d):
+            bi = b_vals[:, i] / (2 * dx)
+            stencil += [(-eye[i], -bi), (eye[i], bi)]
+    for i in range(d):
+        stencil += [(-eye[i], diag[i]), (eye[i], diag[i])]
+    if d == 2:
+        axy = 0.5 * (a_vals[:, 0, 1] + a_vals[:, 1, 0]) / (4 * dx**2)
+        stencil += [((1, 1), axy), ((-1, -1), axy), ((1, -1), -axy),
+                    ((-1, 1), -axy)]
+    nodes = np.indices(grid.shape).reshape(d, M)
     rows, cols, data = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        data.append(v)
-
-    if d == 1:
-        for i in range(M):
-            a = 0.5 * a_vals[i, 0, 0] / dx**2
-            bx = 0.0 if b_vals is None else b_vals[i, 0] / (2 * dx)
-            left, right = i - 1, i + 1
-            if i == 0:
-                if neumann:
-                    add(i, i, -2 * a)
-                    add(i, right, 2 * a)
-                else:
-                    add(i, i, -2 * a)
-                    add(i, right, a)
-                    add(i, right, bx)
-                    # dropped neighbor = Dirichlet zero
-            elif i == M - 1:
-                if neumann:
-                    add(i, i, -2 * a)
-                    add(i, left, 2 * a)
-                else:
-                    add(i, i, -2 * a)
-                    add(i, left, a)
-                    add(i, left, -bx)
-            else:
-                add(i, i, -2 * a)
-                add(i, left, a - bx)
-                add(i, right, a + bx)
-        return sparse.csc_matrix((data, (rows, cols)), shape=(M, M))
-
-    # d == 2, 5/9-point stencil with mixed term by central cross differences
-    def idx(i, j):
-        return i * m + j
-
-    for i in range(m):
-        for j in range(m):
-            k = idx(i, j)
-            a = a_vals[k]
-            axx = 0.5 * a[0, 0] / dx**2
-            ayy = 0.5 * a[1, 1] / dx**2
-            axy = 0.5 * (a[0, 1] + a[1, 0]) / (4 * dx**2)
-            bx = 0.0 if b_vals is None else b_vals[k, 0] / (2 * dx)
-            by = 0.0 if b_vals is None else b_vals[k, 1] / (2 * dx)
-
-            def nb(ii, jj):
-                if 0 <= ii < m and 0 <= jj < m:
-                    return idx(ii, jj)
-                if neumann:  # mirror
-                    ii = min(max(ii, 0), m - 1) if not 0 <= ii < m else ii
-                    jj = min(max(jj, 0), m - 1) if not 0 <= jj < m else jj
-                    return idx(ii, jj)
-                return None
-
-            add(k, k, -2 * axx - 2 * ayy)
-            for tgt, v in (
-                (nb(i - 1, j), axx - bx),
-                (nb(i + 1, j), axx + bx),
-                (nb(i, j - 1), ayy - by),
-                (nb(i, j + 1), ayy + by),
-                (nb(i + 1, j + 1), axy),
-                (nb(i - 1, j - 1), axy),
-                (nb(i + 1, j - 1), -axy),
-                (nb(i - 1, j + 1), -axy),
-            ):
-                if tgt is not None:
-                    add(k, tgt, v)
-    return sparse.csc_matrix((data, (rows, cols)), shape=(M, M))
+    for offset, coef in stencil:
+        nb = nodes + np.asarray(offset)[:, None]
+        if neumann:
+            nb = (m - 1) - np.abs((m - 1) - np.abs(nb))
+        keep = ((nb >= 0) & (nb < m)).all(axis=0)
+        rows.append(np.flatnonzero(keep))
+        cols.append(np.ravel_multi_index(tuple(nb[:, keep]), grid.shape))
+        data.append(coef[keep])
+    return sparse.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(M, M),
+    )
 
 
 def _diffusion_values(sigma_fn, pts, t=None):
@@ -352,56 +306,66 @@ def _diffusion_values(sigma_fn, pts, t=None):
 # ---------------------------------------------------------------------------
 
 
-def solve_u_parabolic(model, lam, sgrid, n_time=64, tol=1e-8, max_iter=60):
-    """Fixed point of the resolvent integral map for the time-dependent model.
+def _parabolic_map(model, lam, sgrid, times):
+    """The resolvent integral map u -> M(u) on the space-time grid.
 
-    Each iteration performs one backward Crank-Nicolson sweep of the
-    reference semigroup with source grad_b u + b, using exact exponential
-    weights for the resolvent factor.  Returns ``(u, history)`` where
-    ``history`` lists ``(sup_change, ratio)`` per iteration.  Raises
-    NotContractive when the ratio stays >= 1 for three iterations.
+    One backward Crank-Nicolson sweep of the reference semigroup with
+    source grad_b u + b, using exact exponential weights for the resolvent
+    factor.  The operators are factored once: one per time node when the
+    model declares ``time_dependent``, else one shared by every step.
+    ``u`` and ``M(u)`` have shape ``(len(times), M, d)``.
     """
     pts = sgrid.points()
-    M, d = len(pts), sgrid.d
-    T = model.T
-    times = np.linspace(0.0, T, n_time + 1)
-    h = T / n_time
+    M = len(pts)
+    n_time = len(times) - 1
+    h = model.T / n_time
     ehl = math.exp(-lam * h)
     # trapezoid-in-the-source with exact resolvent weights
     i0 = (1.0 - ehl) / lam
     i1 = (1.0 - ehl * (1.0 + lam * h)) / lam**2
     w0 = i0 - i1 / h
     w1 = i1 / h
-
-    autonomous = not model.time_dependent
-    lus = {}
+    eye = sparse.eye(M, format="csc")
 
     def stepper(t):
-        key = 0.0 if autonomous else round(t, 12)
-        if key not in lus:
-            a_vals = _diffusion_values(model.sigma, pts, t)
-            b_vals = model.B(t, pts)
-            L = _operator_matrix(sgrid, a_vals, b_vals, neumann=True)
-            eye = sparse.eye(M, format="csc")
-            lus[key] = (splu((eye - 0.5 * h * L).tocsc()),
-                        (eye + 0.5 * h * L).tocsr())
-        return lus[key]
+        a_vals = _diffusion_values(model.sigma, pts, t)
+        L = _operator_matrix(sgrid, a_vals, model.B(t, pts), neumann=True)
+        return splu((eye - 0.5 * h * L).tocsc()), (eye + 0.5 * h * L).tocsr()
 
-    b_grid = np.stack([model.b(t, pts) for t in times])  # (n_t+1, M, d)
-    u = np.zeros((n_time + 1, M, d))
+    if model.time_dependent:
+        steps = [stepper(t) for t in times[:-1]]
+    else:
+        steps = [stepper(times[0])] * n_time
+    b_grid = np.stack([model.b(t, pts) for t in times])
+
+    def apply(u):
+        G = b_grid + _grad_b_u(u, b_grid, sgrid)
+        out = np.zeros_like(u)
+        for j in range(n_time - 1, -1, -1):
+            lu, expl = steps[j]
+            rhs = ehl * out[j + 1] + w1 * G[j + 1]
+            out[j] = lu.solve(expl @ rhs) + w0 * G[j]
+        return out
+
+    return apply
+
+
+def solve_u_parabolic(model, lam, sgrid, n_time=64, tol=1e-8, max_iter=60):
+    """Fixed point of the resolvent integral map for the time-dependent model.
+
+    Picard iteration of ``_parabolic_map``.  Returns ``(u, history)`` where
+    ``history`` lists ``(sup_change, ratio)`` per iteration.  Raises
+    NotContractive when the ratio stays >= 1 for three iterations.
+    """
+    d = sgrid.d
+    times = np.linspace(0.0, model.T, n_time + 1)
+    step = _parabolic_map(model, lam, sgrid, times)
+    u = np.zeros((n_time + 1, sgrid.m**d, d))
     history = []
     prev_change = None
     bad = 0
     for it in range(max_iter):
-        G = _source_term(u, b_grid, sgrid)
-        new_u = np.zeros_like(u)
-        for j in range(n_time - 1, -1, -1):
-            lu, expl = stepper(times[j])
-            rhs = ehl * new_u[j + 1] + w1 * G[j + 1]
-            propagated = np.stack(
-                [lu.solve(expl @ rhs[:, c]) for c in range(d)], axis=1
-            )
-            new_u[j] = propagated + w0 * G[j]
+        new_u = step(u)
         change = float(np.abs(new_u - u).max())
         ratio = None if prev_change in (None, 0.0) else change / prev_change
         history.append((change, ratio))
@@ -421,46 +385,12 @@ def solve_u_parabolic(model, lam, sgrid, n_time=64, tol=1e-8, max_iter=60):
     return GridFunction(sgrid, values, times), history
 
 
-def _source_term(u, b_grid, sgrid):
-    """grad_b u + b on the grid, central differences in space."""
-    n_t1, M, d = u.shape
-    dx = sgrid.dx
-    shaped = u.reshape(n_t1, *sgrid.shape, d)
-    G = b_grid.copy()
-    for ax in range(sgrid.d):
-        du = np.gradient(shaped, dx, axis=1 + ax).reshape(n_t1, M, d)
-        G = G + b_grid[:, :, ax : ax + 1] * du
-    return G
-
-
-def apply_parabolic_map(model, lam, u_fn, n_time=None):
+def apply_parabolic_map(model, lam, u_fn):
     """One application of the integral map to a computed fixed point (residual)."""
     sgrid = u_fn.grid
-    nt = len(u_fn.times) - 1 if n_time is None else n_time
-    pts = sgrid.points()
-    M, d = len(pts), sgrid.d
-    b_grid = np.stack([model.b(t, pts) for t in u_fn.times])
-    u = u_fn.values.reshape(nt + 1, M, d)
-    T = model.T
-    h = T / nt
-    ehl = math.exp(-lam * h)
-    i0 = (1.0 - ehl) / lam
-    i1 = (1.0 - ehl * (1.0 + lam * h)) / lam**2
-    w0, w1 = i0 - i1 / h, i1 / h
-    a_vals = _diffusion_values(model.sigma, pts, 0.0)
-    b_ref = model.B(0.0, pts)
-    L = _operator_matrix(sgrid, a_vals, b_ref, neumann=True)
-    eye = sparse.eye(M, format="csc")
-    lu = splu((eye - 0.5 * h * L).tocsc())
-    expl = (eye + 0.5 * h * L).tocsr()
-    G = _source_term(u, b_grid, sgrid)
-    out = np.zeros_like(u)
-    for j in range(nt - 1, -1, -1):
-        rhs = ehl * out[j + 1] + w1 * G[j + 1]
-        out[j] = np.stack(
-            [lu.solve(expl @ rhs[:, c]) for c in range(d)], axis=1
-        ) + w0 * G[j]
-    return float(np.abs(out - u).max())
+    u = u_fn.values.reshape(len(u_fn.times), -1, sgrid.d)
+    step = _parabolic_map(model, lam, sgrid, u_fn.times)
+    return float(np.abs(step(u) - u).max())
 
 
 def solve_u_parabolic_auto(model, sgrid, n_time=64, tol=1e-8, lam0=8.0,
@@ -505,8 +435,7 @@ def solve_u_elliptic(model, lam, sgrid, tol=1e-10, max_iter=100):
     b1 = model.b1(pts)
     u = np.zeros((M, d))
     for it in range(max_iter):
-        rhs = b1 - _grad_b_u(u, b1, sgrid)
-        new_u = np.stack([lu.solve(rhs[:, c]) for c in range(d)], axis=1)
+        new_u = lu.solve(b1 - _grad_b_u(u, b1, sgrid))
         if not np.isfinite(new_u).all():
             raise EllipticSolverError("elliptic iterate became non-finite")
         change = float(np.abs(new_u - u).max())
@@ -519,13 +448,17 @@ def solve_u_elliptic(model, lam, sgrid, tol=1e-10, max_iter=100):
 
 
 def _grad_b_u(u, b_vals, sgrid):
-    M, d = u.shape
-    dx = sgrid.dx
-    shaped = u.reshape(*sgrid.shape, d)
+    """grad_b u = sum_i b_i d_i u by central differences in space.
+
+    ``u`` has shape ``(..., M, d)`` and ``b_vals`` broadcasts against it;
+    leading (time) axes pass through.
+    """
+    lead = u.shape[:-2]
+    shaped = u.reshape(*lead, *sgrid.shape, u.shape[-1])
     out = np.zeros_like(u)
     for ax in range(sgrid.d):
-        du = np.gradient(shaped, dx, axis=ax).reshape(M, d)
-        out += b_vals[:, ax : ax + 1] * du
+        du = np.gradient(shaped, sgrid.dx, axis=len(lead) + ax).reshape(u.shape)
+        out += b_vals[..., ax : ax + 1] * du
     return out
 
 
@@ -641,7 +574,7 @@ def _fd_stderr(model, f, gap, x, e, n, seed, n_steps):
     diff = (np.asarray(f(zp), dtype=float) - np.asarray(f(zm), dtype=float)) / (
         2 * np.linalg.norm(e)
     )
-    return float(diff.std(ddof=1) / math.sqrt(n))
+    return float(diff.std(ddof=1) / math.sqrt(size))
 
 
 # ---------------------------------------------------------------------------

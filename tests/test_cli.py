@@ -5,6 +5,7 @@ import sys
 import pytest
 import yaml
 
+from sdetci import ou_singular_config
 from sdetci.cli import main
 
 
@@ -113,6 +114,17 @@ class TestPipelines:
         assert data["sections"]["gaussian_tail"]["stable"]
         assert data["sections"]["t1"]["transformed_constant"] == 5.0
         assert data["sections"]["thresholds"]["lambda_max"] == 0.5
+
+    def test_tci_thresholds_use_declared_sigma_bound(self, tmp_path, capsys):
+        # sigma = 2 with c0 = 4: thresholds scale with sigma_sup = sqrt(c0)
+        model = ou_singular_config(kappa=1.0)
+        model["sigma"]["value"] = [[2.0]]
+        model["c0"] = 4.0
+        cfg = _write(tmp_path, "t.yaml", {"model": model, "seed": 0})
+        assert main(["tci", cfg]) == 0
+        ts = json.loads(capsys.readouterr().out)["sections"]["thresholds"]
+        assert ts["lambda_max"] == 0.125
+        assert ts["delta_max"] == 0.015625
 
     def test_invariance_command(self, tmp_path, capsys):
         cfg = _write(tmp_path, "i.yaml", {"seed": 1, "n_trials": 15})

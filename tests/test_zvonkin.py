@@ -26,6 +26,9 @@ from sdetci import (
 from sdetci.errors import FitFailure, OutOfDomain
 from sdetci.models import DiniModelSpec, ModulusSpec
 from sdetci.zvonkin import (
+    _diffusion_values,
+    _fd_stderr,
+    _operator_matrix,
     apply_parabolic_map,
     elliptic_lambda_sweep,
     identity_transform,
@@ -138,6 +141,30 @@ class TestHomeomorphism:
         np.testing.assert_array_equal(jac[0], np.eye(1))
 
 
+class TestGenerator:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_manufactured_solution_second_order_everywhere(self, d):
+        # f = prod cos(x_i) has zero normal gradient on [-pi, pi]^d, so the
+        # reflecting-Neumann stencil must be O(dx^2) on boundary nodes too
+        a = np.array([[1.0, 0.3], [0.3, 0.8]])[:d, :d]
+        b = np.array([0.7, -0.4])[:d]
+        errs = []
+        for m in (41, 81, 161):
+            sg = SpaceGrid(math.pi, m, d)
+            x = sg.points()
+            c, s = np.cos(x), np.sin(x)
+            f = c.prod(axis=1)
+            grad = -s if d == 1 else -s * c[:, ::-1]
+            hess = -f[:, None, None] * np.eye(d)
+            if d == 2:
+                hess[:, 0, 1] = hess[:, 1, 0] = s.prod(axis=1)
+            exact = 0.5 * np.einsum("ij,nij->n", a, hess) + grad @ b
+            L = _operator_matrix(sg, np.broadcast_to(a, (len(x), d, d)),
+                                 np.broadcast_to(b, (len(x), d)), neumann=True)
+            errs.append(float(np.abs(L @ f - exact).max()))
+        assert errs[1] <= 0.3 * errs[0] and errs[2] <= 0.3 * errs[1], errs
+
+
 class TestParabolicSolver:
     def test_benchmark_contracts(self):
         model = model_from_config(dini_benchmark_config(sup=1.0))
@@ -151,6 +178,25 @@ class TestParabolicSolver:
         model = model_from_config(dini_benchmark_config(sup=1.0))
         sg = SpaceGrid(8.0, 129, 1)
         u, _ = solve_u_parabolic(model, 8.0, sg, n_time=32, tol=1e-9)
+        assert apply_parabolic_map(model, 8.0, u) <= 2e-9
+
+    def test_residual_time_dependent_reference_drift(self):
+        # the residual must apply the solver's B(t, .), not B(0, .)
+        base = model_from_config(dini_benchmark_config(sup=1.0))
+        model = DiniModelSpec(
+            d=1, T=1.0, B=lambda t, x: -(1.0 + 2.0 * t) * x, b=base.b,
+            sigma=base.sigma, modulus=base.modulus, b_sup=1.0,
+            bounds=base.bounds, time_dependent=True,
+        )
+        sg = SpaceGrid(8.0, 129, 1)
+        u, _ = solve_u_parabolic(model, 8.0, sg, n_time=32, tol=1e-10)
+        assert apply_parabolic_map(model, 8.0, u) <= 2e-10
+
+    def test_benchmark_2d_contracts(self):
+        model = model_from_config(dini_benchmark_config(sup=1.0, d=2))
+        sg = SpaceGrid(8.0, 41, 2)
+        u, hist = solve_u_parabolic(model, 8.0, sg, n_time=16, tol=1e-9)
+        assert max(r for _, r in hist if r is not None) < 1.0
         assert apply_parabolic_map(model, 8.0, u) <= 2e-9
 
     def test_large_drift_small_lambda_not_contractive(self):
@@ -205,6 +251,31 @@ class TestEllipticSolver:
             uu = new
         assert np.abs(uu - u.values[:, 0]).max() < 1e-9
 
+    def test_matches_dense_solve_2d(self):
+        cfg = ou_singular_config(kappa=1.0, d=2)
+        cfg["b1"] = {"family": "radial_singularity", "c": 0.3, "gamma": 0.4}
+        model = model_from_config(cfg)
+        sg = SpaceGrid(3.0, 21, 2)
+        u = solve_u_elliptic(model, 4.0, sg, tol=1e-12)
+        pts = sg.points()
+        A = _operator_matrix(
+            sg, _diffusion_values(model.sigma, pts), None, neumann=False
+        ).toarray()
+        op = A - 4.0 * np.eye(len(pts))
+        b1 = model.b1(pts)
+        uu = np.zeros_like(b1)
+        for _ in range(100):
+            grid_u = uu.reshape(21, 21, 2)
+            du = [np.gradient(grid_u, sg.dx, axis=ax).reshape(-1, 2)
+                  for ax in range(2)]
+            rhs = b1 - b1[:, :1] * du[0] - b1[:, 1:] * du[1]
+            new = np.linalg.solve(op, rhs)
+            if np.abs(new - uu).max() < 1e-12:
+                uu = new
+                break
+            uu = new
+        assert np.abs(uu - u.values.reshape(-1, 2)).max() < 1e-9
+
     def test_lambda_sweep_decays(self):
         model = self._model()
         sg = SpaceGrid(10.0, 401, 1)
@@ -246,6 +317,15 @@ class TestSemigroupMonteCarlo:
             exact = 2.0 / math.sqrt(2 * math.pi * gap)
             assert grad == pytest.approx(exact, rel=0.08)
         assert res["exponent"] == pytest.approx(-0.5, abs=0.15)
+
+    def test_fd_stderr_counts_drawn_paths(self):
+        # at most 65536 paths are drawn, so any larger n gives the same value
+        bm = self._bm()
+        f = lambda x: np.sign(x[:, 0])
+        e = np.array([0.05])
+        big = _fd_stderr(bm, f, 0.2, np.zeros(1), e, 100000, 5, 8)
+        drawn = _fd_stderr(bm, f, 0.2, np.zeros(1), e, 65536, 5, 8)
+        assert big == drawn
 
 
 class TestTransformedModel:
