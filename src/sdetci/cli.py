@@ -170,7 +170,14 @@ def _cmd_tci(cfg):
     if cfg.get("thresholds", True) and model.kind == "singular":
         kappas = dict(r=model.r, kappa1=model.kappa1, kappa3=model.kappa3,
                       kappa4=model.kappa4)
-        # sigma sigma* <= c0 is the model's declared ellipticity bound
+        # the declared ellipticity bound sigma sigma* <= c0 gives
+        # sigma_sup = sqrt(c0); a model whose sampled sigma breaks it is refused
+        rep = validate_model(model)
+        if rep.margin("ellipticity_upper") < -rep.tol:
+            raise ConfigError(
+                f"sigma sigma* exceeds c0 = {model.c0}; raise c0 to bound sigma",
+                "model.c0",
+            )
         ts = tci_mod.threshold_set(model.tag, math.sqrt(model.c0), model.T,
                                    **kappas)
         report.add("thresholds", {

@@ -268,8 +268,9 @@ def _operator_matrix(grid, a_vals, b_vals, neumann):
     eye = np.eye(d, dtype=int)
     diag = [0.5 * a_vals[:, i, i] / dx**2 for i in range(d)]
     stencil = [((0,) * d, sum(-2 * a for a in diag))]
-    # duplicate entries are summed in order: listing the drift first lets a
-    # mirrored -b/+b pair cancel exactly before the diffusion weight is added
+    # the drift is listed first only so that the 1-D matrices reproduce the
+    # former loop assembly bit for bit; that relies on scipy summing the
+    # duplicates of these short rows in input order, which it does not promise
     if b_vals is not None:
         for i in range(d):
             bi = b_vals[:, i] / (2 * dx)
@@ -574,7 +575,9 @@ def _fd_stderr(model, f, gap, x, e, n, seed, n_steps):
     diff = (np.asarray(f(zp), dtype=float) - np.asarray(f(zm), dtype=float)) / (
         2 * np.linalg.norm(e)
     )
-    return float(diff.std(ddof=1) / math.sqrt(size))
+    # std from the first min(n, 65536) paths, scaled to the n-path CRN
+    # difference that check_gradient_estimate takes from estimate_P0
+    return float(diff.std(ddof=1) / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,15 @@ class TestPipelines:
         assert ts["lambda_max"] == 0.125
         assert ts["delta_max"] == 0.015625
 
+    def test_tci_rejects_sigma_above_declared_bound(self, tmp_path, capsys):
+        # sigma = 2 with c0 left at its default 1 breaks sigma sigma* <= c0
+        model = ou_singular_config(kappa=1.0)
+        model["sigma"]["value"] = [[2.0]]
+        model.pop("c0", None)
+        cfg = _write(tmp_path, "t.yaml", {"model": model, "seed": 0})
+        assert main(["tci", cfg]) == 2
+        assert "c0" in capsys.readouterr().err
+
     def test_invariance_command(self, tmp_path, capsys):
         cfg = _write(tmp_path, "i.yaml", {"seed": 1, "n_trials": 15})
         assert main(["invariance", cfg]) == 0
