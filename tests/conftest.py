@@ -3,8 +3,14 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 import sdetci
+
+# Property tests draw the same examples on every run and take no deadline:
+# tier-1 stays reproducible, and a slow host does not fail an example.
+settings.register_profile("sdetci", derandomize=True, deadline=None)
+settings.load_profile("sdetci")
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdetci import (
     CallableModel,
@@ -27,6 +30,7 @@ from sdetci.errors import FitFailure, OutOfDomain
 from sdetci.models import DiniModelSpec, ModulusSpec
 from sdetci.zvonkin import (
     _diffusion_values,
+    SINGULAR_GRAD_THRESHOLD,
     _fd_stderr,
     _operator_matrix,
     apply_parabolic_map,
@@ -83,6 +87,16 @@ class TestGridFunction:
         u = GridFunction(sg, np.zeros((11, 1)))
         with pytest.raises(OutOfDomain):
             u(np.array([[5.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_out_of_domain(self, bad):
+        sg = SpaceGrid(1.0, 11, 1)
+        u = GridFunction(sg, np.zeros((11, 1)))
+        with pytest.raises(OutOfDomain):
+            u(np.array([[0.5], [bad]]))
+        phi = Homeomorphism(u, 0.0, 0.0, 0.5)
+        with pytest.raises(OutOfDomain):
+            phi.phi_inv(np.array([[0.5], [bad]]))
 
     def test_save_load_round_trip(self, tmp_path):
         sg = SpaceGrid(2.0, 17, 1)
@@ -365,6 +379,128 @@ class TestTransformedModel:
         sg = SpaceGrid(6.0, 101, 1)
         tm = identity_transform(model, sg)
         assert tm.sigma_sup() == pytest.approx(1.0, abs=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _transform_case(name):
+    """(phi, model, lam) of the 1-D Dini, 2-D singular or time-dependent case."""
+    if name == "dini":
+        return _sin_phi(), _synthetic_dini(), 2.0
+    if name == "dini_t":
+        # u_t(x) = 0.05 (1 + t) sin x, so the preimage moves with t
+        sg = SpaceGrid(10.0, 1025, 1)
+        times = np.linspace(0.0, 1.0, 5)
+        u = GridFunction(sg, 0.05 * (1.0 + times)[:, None, None]
+                         * np.sin(sg.axes[0])[None, :, None], times)
+        return Homeomorphism(u, u.grad_bound(), 2.0, 0.5), _synthetic_dini(), 2.0
+    cfg = ou_singular_config(kappa=1.0, d=2)
+    cfg["b1"] = {"family": "radial_singularity", "c": 0.5, "gamma": 0.25}
+    model = model_from_config(cfg)
+    u = solve_u_elliptic(model, 8.0, SpaceGrid(4.0, 41, 2))
+    return build_phi(u, lam=8.0, threshold=SINGULAR_GRAD_THRESHOLD), model, 8.0
+
+
+def _reference_coefficients(phi, model, lam, t, y):
+    # the image coefficients with their own inversion, no shared preimage
+    tt = t if phi.time_dependent else None
+    x = phi.phi_inv(y, tt)
+    jac = phi.jacobian(x, tt)
+    if model.kind == "dini":
+        drift = lam * phi.u(x, tt) + model.B(t, x)
+        sig = model.sigma(t, x)
+    else:
+        drift = lam * phi.u(x, tt) + np.einsum("nij,nj->ni", jac, model.b2(x))
+        sig = model.sigma(x)
+    return drift, np.einsum("nij,njk->nik", jac, sig)
+
+
+class TestSharedInversion:
+    @pytest.mark.parametrize("name", ["dini", "singular"])
+    def test_reused_model_matches_fresh_instance(self, name):
+        phi, model, lam = _transform_case(name)
+        tm = transformed_model(phi, model, lam)
+        rng = np.random.default_rng(4)
+        R = 0.8 * phi.u.grid.R
+        a, b = (rng.uniform(-R, R, size=(6, model.d)) for _ in range(2))
+        for t, y in [(0.0, a), (0.0, a), (0.25, b), (0.5, a)]:
+            np.testing.assert_array_equal(
+                tm.sigma(t, y), transformed_model(phi, model, lam).sigma(t, y)
+            )
+            np.testing.assert_array_equal(
+                tm.drift(t, y), transformed_model(phi, model, lam).drift(t, y)
+            )
+
+    def test_in_place_edit_gives_new_preimage(self):
+        phi, model, lam = _transform_case("dini")
+        tm = transformed_model(phi, model, lam)
+        y = np.array([[0.3], [-1.2], [2.5]])
+        before = tm.drift(0.0, y)
+        y += 0.1
+        after = tm.drift(0.0, y)
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(
+            after, transformed_model(phi, model, lam).drift(0.0, y)
+        )
+        np.testing.assert_array_equal(tm._preimage(None, y), phi.phi_inv(y))
+
+    def test_time_dependent_preimage_follows_t(self):
+        phi, model, lam = _transform_case("dini_t")
+        tm = transformed_model(phi, model, lam)
+        y = np.array([[0.7], [-2.1]])
+        x0 = tm._preimage(0.0, y)
+        x1 = tm._preimage(1.0, y)
+        assert not np.array_equal(x0, x1)
+        np.testing.assert_array_equal(x1, phi.phi_inv(y, 1.0))
+        np.testing.assert_array_equal(
+            tm.drift(0.0, y), _reference_coefficients(phi, model, lam, 0.0, y)[0]
+        )
+
+    def test_pathwise_consistency_inverts_once_per_step(self, monkeypatch):
+        phi, model, lam = _transform_case("dini")
+        calls = []
+        inverse = Homeomorphism.phi_inv
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return inverse(self, *args, **kwargs)
+
+        monkeypatch.setattr(Homeomorphism, "phi_inv", counted)
+        pathwise_consistency(model, phi, lam, [0.3], [16, 32], seed=3, n_paths=8)
+        assert len(calls) == 16 + 32
+
+    @settings(max_examples=30)
+    @given(
+        name=st.sampled_from(["dini", "singular", "dini_t"]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        steps=st.lists(
+            st.tuples(st.sampled_from(["new", "repeat", "edit"]),
+                      st.sampled_from([0.0, 0.4, 1.0]), st.booleans()),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_shared_preimage_matches_reference(self, name, seed, n, steps):
+        phi, model, lam = _transform_case(name)
+        tm = transformed_model(phi, model, lam)
+        rng = np.random.default_rng(seed)
+        R = 0.8 * phi.u.grid.R
+        y = rng.uniform(-R, R, size=(n, model.d))
+        for op, t, drift_first in steps:
+            if op == "new":
+                y = rng.uniform(-R, R, size=(n, model.d))
+            elif op == "edit":
+                np.clip(y + rng.uniform(-0.1, 0.1, size=y.shape), -R, R, out=y)
+            tt = t if phi.time_dependent else None
+            np.testing.assert_allclose(
+                phi.phi(phi.phi_inv(y, tt), tt), y, rtol=0, atol=1e-9
+            )
+            if drift_first:
+                drift, sig = tm.drift(t, y), tm.sigma(t, y)
+            else:
+                sig, drift = tm.sigma(t, y), tm.drift(t, y)
+            ref_drift, ref_sig = _reference_coefficients(phi, model, lam, t, y)
+            np.testing.assert_array_equal(drift, ref_drift)
+            np.testing.assert_array_equal(sig, ref_sig)
 
 
 class TestPathwiseConsistency:
