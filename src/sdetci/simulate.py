@@ -1,9 +1,18 @@
 """Seed-stable Monte Carlo path generation.
 
-Noise is drawn from counter-based Philox streams keyed by
-``(master seed, path id)``, so any path is reproducible in isolation and
-ensembles are identical for every worker partition.  Large ensembles are
-processed in chunks; reducers avoid materializing full path arrays.
+Every SDE recursion of the package runs through ``run_em``, one
+Euler-Maruyama (or tamed) driver for one or more coupled states.
+
+``brownian_increments``, ``simulate_em``, ``simulate_tamed``,
+``simulate_ensemble``, ``ensemble_reduce``, ``time_integrals``,
+``coupled_sup_distances`` and ``pair_sup_distances`` draw noise from
+counter-based Philox streams keyed by ``(master seed, path id)``: any path
+is reproducible in isolation, a run of n paths is a prefix of a longer run,
+and results do not depend on how paths are chunked.  ``zvonkin.estimate_P0``
+and ``zvonkin._fd_stderr`` are keyed by block instead, one stream per
+``zvonkin.P0_BLOCK`` paths: their samples are fixed by ``(seed, n)``, but a
+path's noise depends on n.  Large ensembles are processed in chunks;
+reducers avoid materializing full path arrays.
 """
 
 from __future__ import annotations
@@ -93,35 +102,34 @@ def _fingerprint(model):
     return fp() if callable(fp) else str(fp)
 
 
-def _evolve(drift, sigma, x0s, grid, increments, tamed, store):
-    """Euler-Maruyama recursion over one chunk.
+def run_em(fns, x0s, grid, dws, tamed=False, t0=0.0, on_step=None):
+    """Euler-Maruyama (or tamed) recursion of coupled states over one chunk.
 
-    ``store=True`` returns the full (n, n_steps+1, d) array, otherwise only
-    the terminal states.  Raises BlowupError when any path leaves the finite
-    range (only plain EM is expected to do so).
+    State ``i`` starts at ``x0s[i]`` (n, d), steps with ``fns[i] = (drift,
+    sigma)`` and takes the increments ``dws[i]`` of shape (n, n_steps, d);
+    passing one array for several states couples them synchronously.
+    After step k, ``on_step(k, t, xs)`` sees the states at time t.  Raises
+    BlowupError when any state leaves the finite range (only plain EM is
+    expected to).  Returns the terminal states.
     """
-    n, d = x0s.shape
     h = grid.h
-    x = x0s.copy()
-    states = None
-    if store:
-        states = np.empty((n, grid.n_steps + 1, d))
-        states[:, 0] = x
-    t = 0.0
+    xs = [np.array(x0, dtype=float) for x0 in x0s]
+    t = t0
     for k in range(grid.n_steps):
-        mu = drift(t, x)
-        incr = mu * h
-        if tamed:
-            norm = np.linalg.norm(mu, axis=1, keepdims=True)
-            incr = incr / (1.0 + h * norm)
-        sig = sigma(t, x)
-        x = x + incr + np.einsum("nij,nj->ni", sig, increments[:, k])
-        if not np.isfinite(x).all() or np.abs(x).max() > _BLOWUP_LIMIT:
-            raise BlowupError(k + 1)
-        if store:
-            states[:, k + 1] = x
+        for i, (drift, sigma) in enumerate(fns):
+            x = xs[i]
+            mu = drift(t, x)
+            incr = mu * h
+            if tamed:
+                incr = incr / (1.0 + h * np.linalg.norm(mu, axis=1, keepdims=True))
+            x = x + incr + np.einsum("nij,nj->ni", sigma(t, x), dws[i][:, k])
+            if not np.abs(x).max() <= _BLOWUP_LIMIT:  # also catches NaN
+                raise BlowupError(k + 1)
+            xs[i] = x
         t += h
-    return states if store else x
+        if on_step is not None:
+            on_step(k, t, xs)
+    return xs
 
 
 def _chunk_size(grid, d, chunk):
@@ -129,67 +137,39 @@ def _chunk_size(grid, d, chunk):
     return max(1, min(chunk, budget))
 
 
-def simulate_with_increments(model, x0, grid, increments, scheme="em", seed_id=0):
-    """One path from externally supplied increments (mesh-coupling studies)."""
-    drift, sigma = model.sim_functions(grid)
+def _state_chunks(model, x0, grid, seed, n_paths, scheme, path_id0, chunk):
+    """Yield the full (n, n_steps+1, d) states of consecutive path-id chunks."""
+    fns = [model.sim_functions(grid)]
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    states = _evolve(
-        drift, sigma, x0[None], grid, increments[None], scheme == "tamed", True
-    )
-    return PathSample(grid, states[0], seed_id)
+    d = len(x0)
+    chunk = _chunk_size(grid, d, chunk)
+    for lo in range(0, n_paths, chunk):
+        ids = np.arange(path_id0 + lo, path_id0 + min(lo + chunk, n_paths))
+        states = np.empty((len(ids), grid.n_steps + 1, d))
+        states[:, 0] = x0
+
+        def store(k, t, xs):
+            states[:, k + 1] = xs[0]
+
+        dw = _increment_block(seed, grid, d, ids)
+        run_em(fns, [states[:, 0]], grid, [dw], scheme == "tamed", on_step=store)
+        yield states
 
 
 def simulate_em(model, x0, grid, seed, path_id=0):
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    dw = brownian_increments(seed, grid, len(x0), path_id)
-    return simulate_with_increments(model, x0, grid, dw, "em", path_id)
+    return simulate_ensemble(model, x0, grid, seed, 1, "em", path_id).path(0)
 
 
 def simulate_tamed(model, x0, grid, seed, path_id=0):
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    dw = brownian_increments(seed, grid, len(x0), path_id)
-    return simulate_with_increments(model, x0, grid, dw, "tamed", path_id)
-
-
-def simulate_coupled(model, x0, y0, grid, seed, path_id=0, scheme="em"):
-    """Two paths driven by the same Brownian increments."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    dw = brownian_increments(seed, grid, len(x0), path_id)
-    a = simulate_with_increments(model, x0, grid, dw, scheme, path_id)
-    b = simulate_with_increments(model, y0, grid, dw, scheme, path_id)
-    return a, b
-
-
-def simulate_pair_independent(model, y0, grid, seed, pair_id=0, scheme="em"):
-    """Two paths from the same start with disjoint noise streams."""
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    a = simulate_with_increments(
-        model, y0, grid,
-        brownian_increments(seed, grid, len(y0), 2 * pair_id), scheme, 2 * pair_id,
-    )
-    b = simulate_with_increments(
-        model, y0, grid,
-        brownian_increments(seed, grid, len(y0), 2 * pair_id + 1), scheme,
-        2 * pair_id + 1,
-    )
-    return a, b
+    return simulate_ensemble(model, x0, grid, seed, 1, "tamed", path_id).path(0)
 
 
 def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0,
                       chunk=16384):
     """Full-path ensemble; use the reducers below for large runs."""
-    drift, sigma = model.sim_functions(grid)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = len(x0)
+    blocks = list(_state_chunks(model, x0, grid, seed, n_paths, scheme, path_id0,
+                                chunk))
     ids = np.arange(path_id0, path_id0 + n_paths, dtype=np.int64)
-    chunk = _chunk_size(grid, d, chunk)
-    blocks = []
-    for lo in range(0, n_paths, chunk):
-        sub = ids[lo : lo + chunk]
-        dw = _increment_block(seed, grid, d, sub)
-        x0s = np.broadcast_to(x0, (len(sub), d)).copy()
-        blocks.append(_evolve(drift, sigma, x0s, grid, dw, scheme == "tamed", True))
     return PathEnsemble(
         grid, np.concatenate(blocks, axis=0), ids, _fingerprint(model), scheme
     )
@@ -198,18 +178,10 @@ def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0,
 def ensemble_reduce(model, x0, grid, seed, n_paths, fn, scheme="em", path_id0=0,
                     chunk=16384):
     """Apply ``fn(states_chunk) -> (n,) values`` per chunk, memory-bounded."""
-    drift, sigma = model.sim_functions(grid)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = len(x0)
-    chunk = _chunk_size(grid, d, chunk)
-    out = []
-    for lo in range(0, n_paths, chunk):
-        ids = np.arange(path_id0 + lo, path_id0 + min(lo + chunk, n_paths))
-        dw = _increment_block(seed, grid, d, ids)
-        x0s = np.broadcast_to(x0, (len(ids), d)).copy()
-        states = _evolve(drift, sigma, x0s, grid, dw, scheme == "tamed", True)
-        out.append(np.asarray(fn(states)))
-    return np.concatenate(out)
+    return np.concatenate([
+        np.asarray(fn(states)) for states in
+        _state_chunks(model, x0, grid, seed, n_paths, scheme, path_id0, chunk)
+    ])
 
 
 def time_integrals(model, x0, grid, seed, n_paths, power=2.0, scheme="em",
@@ -224,37 +196,42 @@ def time_integrals(model, x0, grid, seed, n_paths, power=2.0, scheme="em",
     return ensemble_reduce(model, x0, grid, seed, n_paths, fn, scheme, path_id0, chunk)
 
 
-def pair_sup_distances(model, y0, grid, seed, n_pairs, scheme="em", chunk=8192):
-    """sup_t |Y1 - Y2| for independent same-start pairs, streamed."""
-    drift, sigma = model.sim_functions(grid)
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    d = len(y0)
-    chunk = _chunk_size(grid, d, 2 * chunk) // 2
-    h = grid.h
-    out = np.empty(n_pairs)
-    for lo in range(0, n_pairs, chunk):
-        hi = min(lo + chunk, n_pairs)
-        ids_a = 2 * np.arange(lo, hi, dtype=np.int64)
-        dwa = _increment_block(seed, grid, d, ids_a)
-        dwb = _increment_block(seed, grid, d, ids_a + 1)
-        n = hi - lo
-        xa = np.broadcast_to(y0, (n, d)).copy()
-        xb = xa.copy()
-        sup = np.zeros(n)
-        t = 0.0
-        tamed = scheme == "tamed"
-        for k in range(grid.n_steps):
-            for x, dw in ((xa, dwa), (xb, dwb)):
-                mu = drift(t, x)
-                incr = mu * h
-                if tamed:
-                    incr = incr / (1.0 + h * np.linalg.norm(mu, axis=1, keepdims=True))
-                sig = sigma(t, x)
-                x += incr + np.einsum("nij,nj->ni", sig, dw[:, k])
-            np.maximum(sup, np.linalg.norm(xa - xb, axis=1), out=sup)
-            t += h
-        out[lo:hi] = sup
+def _sup_distances(fns, x0a, x0b, grid, seed, ids, scheme, chunk, split=False):
+    """sup_t |X^a - X^b| of two recursions on path ids ``ids``, streamed.
+
+    Both draw from stream ``ids[j]`` (synchronous coupling), or with
+    ``split`` ``a`` from ``ids[j]`` and ``b`` from ``ids[j] + 1``.
+    """
+    x0a = np.atleast_1d(np.asarray(x0a, dtype=float))
+    x0b = np.atleast_1d(np.asarray(x0b, dtype=float))
+    d = len(x0a)
+    blocks = 2 if split else 1  # increment arrays held per chunk
+    chunk = _chunk_size(grid, d, blocks * chunk) // blocks
+    out = np.empty(len(ids))
+    for lo in range(0, len(ids), chunk):
+        sub = ids[lo : lo + chunk]
+        dwa = _increment_block(seed, grid, d, sub)
+        dwb = _increment_block(seed, grid, d, sub + 1) if split else dwa
+        n = len(sub)
+        xa, xb = np.broadcast_to(x0a, (n, d)), np.broadcast_to(x0b, (n, d))
+        sup = np.linalg.norm(xa - xb, axis=1)
+
+        def track(k, t, xs):
+            np.maximum(sup, np.linalg.norm(xs[0] - xs[1], axis=1), out=sup)
+
+        run_em(fns, [xa, xb], grid, [dwa, dwb], scheme == "tamed", on_step=track)
+        out[lo : lo + n] = sup
     return out
+
+
+def pair_sup_distances(model, y0, grid, seed, n_pairs, scheme="em", chunk=8192):
+    """sup_t |Y1 - Y2| for independent same-start pairs, streamed.
+
+    Pair ``j`` runs on the disjoint streams ``2j`` and ``2j + 1``.
+    """
+    fns = [model.sim_functions(grid)] * 2
+    ids = 2 * np.arange(n_pairs, dtype=np.int64)
+    return _sup_distances(fns, y0, y0, grid, seed, ids, scheme, chunk, split=True)
 
 
 def coupled_sup_distances(model_a, model_b, x0a, x0b, grid, seed, n_paths,
@@ -264,35 +241,9 @@ def coupled_sup_distances(model_a, model_b, x0a, x0b, grid, seed, n_paths,
     The two recursions may use different models (e.g. a drift-shifted twin)
     but share the same increments path by path.
     """
-    drift_a, sigma_a = model_a.sim_functions(grid)
-    drift_b, sigma_b = model_b.sim_functions(grid)
-    x0a = np.atleast_1d(np.asarray(x0a, dtype=float))
-    x0b = np.atleast_1d(np.asarray(x0b, dtype=float))
-    d = len(x0a)
-    chunk = _chunk_size(grid, d, chunk)
-    h = grid.h
-    tamed = scheme == "tamed"
-    out = np.empty(n_paths)
-    for lo in range(0, n_paths, chunk):
-        ids = np.arange(path_id0 + lo, path_id0 + min(lo + chunk, n_paths))
-        dw = _increment_block(seed, grid, d, ids)
-        n = len(ids)
-        xa = np.broadcast_to(x0a, (n, d)).copy()
-        xb = np.broadcast_to(x0b, (n, d)).copy()
-        sup = np.linalg.norm(xa - xb, axis=1)
-        t = 0.0
-        for k in range(grid.n_steps):
-            for x, drift, sigma in ((xa, drift_a, sigma_a), (xb, drift_b, sigma_b)):
-                mu = drift(t, x)
-                incr = mu * h
-                if tamed:
-                    incr = incr / (1.0 + h * np.linalg.norm(mu, axis=1, keepdims=True))
-                sig = sigma(t, x)
-                x += incr + np.einsum("nij,nj->ni", sig, dw[:, k])
-            np.maximum(sup, np.linalg.norm(xa - xb, axis=1), out=sup)
-            t += h
-        out[lo : lo + n] = sup
-    return out
+    fns = [model_a.sim_functions(grid), model_b.sim_functions(grid)]
+    ids = np.arange(path_id0, path_id0 + n_paths, dtype=np.int64)
+    return _sup_distances(fns, x0a, x0b, grid, seed, ids, scheme, chunk)
 
 
 @dataclass

@@ -28,8 +28,9 @@ from .errors import (
 )
 from .simulate import (
     TimeGrid,
-    brownian_increments,
+    _increment_block,
     path_rng,
+    run_em,
 )
 
 DINI_GRAD_THRESHOLD = 0.5
@@ -184,18 +185,28 @@ class Homeomorphism:
         return x + self.u(x, t)
 
     def phi_inv(self, y, t=None, tol=1e-10, max_iter=200, history=None):
-        """Fixed-point inversion x_{k+1} = y - u(x_k); geometric convergence."""
+        """Fixed-point inversion x_{k+1} = y - u(x_k); geometric convergence.
+
+        Each point keeps the first iterate whose own step is below ``tol``,
+        so its preimage does not depend on the rest of the batch.
+        ``history`` gets the ratio of successive largest steps among the
+        points still iterating.
+        """
         y = np.atleast_2d(np.asarray(y, dtype=float))
         x = y.copy()
+        done = np.zeros(len(y), dtype=bool)
         prev = np.inf
         for _ in range(max_iter):
             x_new = y - self.u(x, t)
-            step = float(np.abs(x_new - x).max())
-            if history is not None and np.isfinite(prev):
-                history.append(step / max(prev, 1e-300))
-            prev = step
-            x = x_new
-            if step < tol:
+            steps = np.abs(x_new - x).max(axis=1)
+            if history is not None:
+                step = float(np.where(done, 0.0, steps).max())
+                if np.isfinite(prev):
+                    history.append(step / max(prev, 1e-300))
+                prev = step
+            x = np.where(done[:, None], x, x_new)
+            done |= steps < tol
+            if done.all():
                 return x
         raise OutOfDomain("inversion did not converge inside the grid box")
 
@@ -488,33 +499,37 @@ def elliptic_lambda_sweep(model, lams, sgrid, tol=1e-10):
 P0_BLOCK = 65536
 
 
+def _block_increments(seed, lo, size, grid, d):
+    """Increments of the block starting at path ``lo``, shape (size, n_steps, d).
+
+    One ``path_rng(seed, lo)`` stream, drawn step-major: step k takes the
+    next ``size * d`` normals, as a per-step draw would.
+    """
+    dw = path_rng(seed, lo).standard_normal((grid.n_steps, size, d))
+    dw *= math.sqrt(grid.h)
+    return dw.transpose(1, 0, 2)
+
+
 def estimate_P0(model, f, s, t, x, n=10000, seed=0, n_steps=64):
     """Monte Carlo value of the reference semigroup applied to f at (s, t, x)."""
     if not t > s:
         raise ValueError("need t > s")
-    drift, sigma = model.reference_sim_functions(None)
+    fns = [model.reference_sim_functions(None)]
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = len(x)
     grid = TimeGrid(t - s, n_steps)
-    h = grid.h
-    total, total2, count = 0.0, 0.0, 0
+    total, total2 = 0.0, 0.0
     for lo in range(0, n, P0_BLOCK):
         size = min(P0_BLOCK, n - lo)
-        rng = path_rng(seed, lo)
-        z = np.broadcast_to(x, (size, d)).copy()
-        tt = s
-        for k in range(n_steps):
-            dw = rng.standard_normal((size, d)) * math.sqrt(h)
-            sig = sigma(tt, z)
-            z = z + drift(tt, z) * h + np.einsum("nij,nj->ni", sig, dw)
-            tt += h
+        dw = _block_increments(seed, lo, size, grid, d)
+        z0 = np.broadcast_to(x, (size, d))
+        (z,) = run_em(fns, [z0], grid, [dw], t0=s)
         vals = np.asarray(f(z), dtype=float)
         total += vals.sum()
         total2 += (vals**2).sum()
-        count += size
-    mean = total / count
-    var = max(total2 / count - mean**2, 0.0)
-    stderr = math.sqrt(var / count)
+    mean = total / n
+    var = max(total2 / n - mean**2, 0.0)
+    stderr = math.sqrt(var / n)
     return mean, stderr
 
 
@@ -562,20 +577,13 @@ def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, fd_scale=0.2,
 
 
 def _fd_stderr(model, f, gap, x, e, n, seed, n_steps):
-    drift, sigma = model.reference_sim_functions(None)
+    fns = [model.reference_sim_functions(None)] * 2
     d = len(x)
-    h = gap / n_steps
-    rng = path_rng(seed, 0)
+    grid = TimeGrid(gap, n_steps)
     size = min(n, P0_BLOCK)
-    zp = np.broadcast_to(x + e, (size, d)).copy()
-    zm = np.broadcast_to(x - e, (size, d)).copy()
-    tt = 0.0
-    for k in range(n_steps):
-        dw = rng.standard_normal((size, d)) * math.sqrt(h)
-        for z in (zp, zm):
-            sig = sigma(tt, z)
-            z += drift(tt, z) * h + np.einsum("nij,nj->ni", sig, dw)
-        tt += h
+    dw = _block_increments(seed, 0, size, grid, d)
+    starts = [np.broadcast_to(x + e, (size, d)), np.broadcast_to(x - e, (size, d))]
+    zp, zm = run_em(fns, starts, grid, [dw, dw])
     diff = (np.asarray(f(zp), dtype=float) - np.asarray(f(zm), dtype=float)) / (
         2 * np.linalg.norm(e)
     )
@@ -725,8 +733,7 @@ def pathwise_consistency(model, phi, lam, x0, n_steps_list, seed=0, n_paths=512,
     rows = []
     for n_steps in n_steps_list:
         grid = TimeGrid(T, n_steps)
-        drift_x, sigma_x = model.sim_functions(grid)
-        drift_y, sigma_y = tm.sim_functions(grid)
+        fns = [model.sim_functions(grid), tm.sim_functions(grid)]
         errs = np.empty(n_paths)
         t0 = 0.0 if phi.time_dependent else None
         y_start = phi.phi(x0[None], t0)[0]
@@ -734,27 +741,19 @@ def pathwise_consistency(model, phi, lam, x0, n_steps_list, seed=0, n_paths=512,
         for lo in range(0, n_paths, chunk):
             ids = range(lo, min(lo + chunk, n_paths))
             n = len(ids)
-            dw = np.stack(
-                [brownian_increments(seed, grid, d, pid) for pid in ids]
-            )
-            x = np.broadcast_to(x0, (n, d)).copy()
-            y = np.broadcast_to(y_start, (n, d)).copy()
+            dw = _increment_block(seed, grid, d, ids)
+            x = np.broadcast_to(x0, (n, d))
+            y = np.broadcast_to(y_start, (n, d))
             sup = np.linalg.norm(phi.phi(x, t0) - y, axis=1)
-            t = 0.0
-            for k in range(n_steps):
-                sigx = sigma_x(t, x)
-                x = x + drift_x(t, x) * grid.h + np.einsum(
-                    "nij,nj->ni", sigx, dw[:, k]
-                )
-                sigy = sigma_y(t, y)
-                y = y + drift_y(t, y) * grid.h + np.einsum(
-                    "nij,nj->ni", sigy, dw[:, k]
-                )
-                t += grid.h
+
+            def track(k, t, xs):
                 tt = t if phi.time_dependent else None
                 np.maximum(
-                    sup, np.linalg.norm(phi.phi(x, tt) - y, axis=1), out=sup
+                    sup, np.linalg.norm(phi.phi(xs[0], tt) - xs[1], axis=1),
+                    out=sup,
                 )
+
+            run_em(fns, [x, y], grid, [dw, dw], on_step=track)
             errs[lo : lo + n] = sup
         rows.append((n_steps, float(errs.mean())))
     errors = np.array([e for _, e in rows])

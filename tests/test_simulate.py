@@ -2,32 +2,45 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdetci import (
     BlowupError,
     CallableModel,
+    GridFunction,
+    SpaceGrid,
     TimeGrid,
     brownian_increments,
+    build_phi,
     coupled_sup_distances,
+    ensemble_reduce,
     model_from_config,
     ou_singular_config,
     pair_sup_distances,
     simulate_em,
     simulate_ensemble,
     simulate_tamed,
+    transformed_model,
     with_drift_shift,
 )
 from sdetci.simulate import (
     ensemble_from_csv,
     ensemble_to_csv,
-    simulate_coupled,
-    simulate_pair_independent,
+    run_em,
     time_integrals,
 )
 
 
 def _ou(kappa=1.0):
     return model_from_config(ou_singular_config(kappa=kappa))
+
+
+def _sin_transformed(model):
+    # image of the model under Phi = id + 0.2 sin, inverted by fixed point
+    sg = SpaceGrid(6.0, 121, 1)
+    u = GridFunction(sg, 0.2 * np.sin(sg.axes[0])[:, None])
+    return transformed_model(build_phi(u, lam=2.0), model, 2.0)
 
 
 def _cubic():
@@ -61,15 +74,37 @@ class TestRngDiscipline:
     def test_chunk_partition_invariance(self):
         model = _ou()
         g = TimeGrid(1.0, 32)
-        a = simulate_ensemble(model, [0.5], g, 3, 100, chunk=7)
-        b = simulate_ensemble(model, [0.5], g, 3, 100, chunk=100)
-        np.testing.assert_array_equal(a.states, b.states)
+        for m in (model, _sin_transformed(model)):
+            a = simulate_ensemble(m, [0.5], g, 3, 100, chunk=7)
+            b = simulate_ensemble(m, [0.5], g, 3, 100, chunk=100)
+            np.testing.assert_array_equal(a.states, b.states)
 
     def test_numpy_int_path_ids(self):
         g = TimeGrid(1.0, 8)
         a = brownian_increments(1, g, 1, path_id=np.int64(3))
         b = brownian_increments(1, g, 1, path_id=3)
         np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=25)
+    @given(n=st.integers(1, 24), chunk=st.integers(1, 24),
+           scheme=st.sampled_from(["em", "tamed"]))
+    def test_path_keyed_prefix_and_partition(self, n, chunk, scheme):
+        model = model_from_config(ou_singular_config(kappa=0.7, d=2))
+        shifted = with_drift_shift(model, lambda t, x: 0.5 * np.ones_like(x))
+        g = TimeGrid(1.0, 16)
+        x0 = [0.2, -0.1]
+        runs = [
+            lambda k, c: ensemble_reduce(
+                model, x0, g, 5, k, lambda s: s[:, :, 0].max(axis=1) + s[:, -1, 1],
+                scheme, 3, c),
+            lambda k, c: coupled_sup_distances(
+                model, shifted, x0, [0.0, 0.0], g, 5, k, scheme, 3, c),
+            lambda k, c: pair_sup_distances(model, x0, g, 5, k, scheme, c),
+        ]
+        for run in runs:
+            whole = run(n, n)
+            np.testing.assert_array_equal(run(n, chunk), whole)
+            np.testing.assert_array_equal(run(2 * n, 2 * n)[:n], whole)
 
 
 class TestSchemes:
@@ -89,6 +124,17 @@ class TestSchemes:
         with pytest.raises(BlowupError):
             simulate_em(_cubic(), [20.0], g, 0)
 
+    def test_blowup_detected_in_sup_reducers(self):
+        model = _cubic()
+        g = TimeGrid(1.0, 100)
+        for run in (
+            lambda: coupled_sup_distances(model, model, [20.0], [20.0], g, 0, 4),
+            lambda: pair_sup_distances(model, [20.0], g, 0, 4),
+        ):
+            with pytest.raises(BlowupError) as err:
+                run()
+            assert err.value.step == 4
+
     def test_tamed_survives_superlinear_drift(self):
         g = TimeGrid(1.0, 100)
         path = simulate_tamed(_cubic(), [20.0], g, 0)
@@ -98,17 +144,24 @@ class TestSchemes:
     def test_coupled_paths_share_noise(self):
         model = _ou()
         g = TimeGrid(1.0, 128)
-        a, b = simulate_coupled(model, [0.0], [2.0], g, 9)
-        gap = np.abs(a.states - b.states).max(axis=1)
+        dw = brownian_increments(9, g, 1)[None]
+        states = [[np.array([[0.0]]), np.array([[2.0]])]]
+        run_em([model.sim_functions(g)] * 2, states[0], g, [dw, dw],
+               on_step=lambda k, t, xs: states.append(list(xs)))
+        a, b = (np.concatenate([s[i] for s in states]) for i in (0, 1))
+        gap = np.abs(a - b).max(axis=1)
         # synchronous coupling of a contracting drift: gap shrinks
         assert gap[-1] < gap[0]
 
     def test_independent_pair_uses_disjoint_streams(self):
         model = _ou()
         g = TimeGrid(1.0, 32)
-        a, b = simulate_pair_independent(model, [0.0], g, 9, pair_id=3)
+        a, b = (simulate_em(model, [0.0], g, 9, path_id=pid) for pid in (6, 7))
         assert a.seed_id == 6 and b.seed_id == 7
         assert np.abs(a.states - b.states).max() > 0
+        # pair 3 of the streamed reducer runs on exactly these two streams
+        sup = pair_sup_distances(model, [0.0], g, 9, 4)
+        assert sup[3] == np.linalg.norm(a.states - b.states, axis=1).max()
 
 
 class TestReducers:

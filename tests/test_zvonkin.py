@@ -128,6 +128,12 @@ class TestHomeomorphism:
         x = phi.phi_inv(y, tol=1e-12)
         np.testing.assert_allclose(phi.phi(x), y, atol=1e-10)
 
+    def test_inverse_does_not_depend_on_batch(self):
+        phi = _sin_phi(a=0.3)
+        y = np.random.default_rng(2).uniform(-3.0, 3.0, size=(64, 1))
+        alone = np.concatenate([phi.phi_inv(y[i : i + 1]) for i in range(len(y))])
+        np.testing.assert_array_equal(phi.phi_inv(y), alone)
+
     def test_inverse_contracts_geometrically(self):
         phi = _sin_phi(a=0.3)
         hist = []
