@@ -68,7 +68,6 @@ from .zvonkin import (
     solve_u_elliptic,
     solve_u_parabolic,
     solve_u_parabolic_auto,
-    transformed_model,
     verify_tilde_conditions,
 )
 from .tci import (

@@ -7,7 +7,8 @@ Two SDE families are supported:
 * an autonomous family ``dX = (b1 + b2) dt + sigma dW`` with an L^p singular
   part ``b1`` and a dissipative or linear-growth part ``b2``.
 
-Coefficients are vectorized callables acting on ``(n, d)`` state arrays.
+Every coefficient of both families is a vectorized callable ``f(t, x)`` on
+``(n, d)`` state arrays; an autonomous one ignores ``t``.
 Validation is sampled, not proved: margins are reported for each assumption
 on finite grids.
 """
@@ -75,11 +76,6 @@ class ModulusSpec:
         if self.family == "lipschitz":
             return ModulusSpec("holder", alpha=_HOLDER_CAP, L=self.L, scale=self.scale)
         return self
-
-    def dini_integral(self, eps):
-        """Quadrature of phi(s)/s over [eps, 1]."""
-        s = np.geomspace(eps, 1.0, 4096)
-        return float(np.trapezoid(self(s) / s, s))
 
     def at_log(self, t):
         """phi(e^{-t}) without forming e^{-t} (which underflows)."""
@@ -204,10 +200,9 @@ class DiniModelSpec:
     ``B``, ``b`` map ``(t, x)`` with ``x`` of shape ``(n, d)`` to ``(n, d)``;
     ``sigma`` maps to ``(n, d, d)``.  ``bounds`` declares the finite constants
     the assumptions require: keys ``grad_B``, ``sigma``, ``grad_sigma``,
-    ``grad2_sigma``, ``inv_a``.  ``time_dependent`` declares that ``B`` or
-    ``sigma`` varies in t: the parabolic solver then factors one reference
-    operator per time node; otherwise it factors one, taken at t = 0, and
-    reuses it for every step.
+    ``grad2_sigma``, ``inv_a``.  Time dependence is read from the values:
+    the parabolic solver factors a new reference operator only at the time
+    nodes where ``sigma sigma*`` or ``B`` changes.
     """
 
     d: int
@@ -218,7 +213,6 @@ class DiniModelSpec:
     modulus: ModulusSpec
     b_sup: float
     bounds: dict
-    time_dependent: bool = False
     config: Optional[dict] = None
 
     kind = "dini"
@@ -241,9 +235,11 @@ class DiniModelSpec:
 class SingularModelSpec:
     """Coefficients of the autonomous model with an L^p singular drift part.
 
-    ``b1``, ``b2`` map ``(n, d)`` to ``(n, d)``; ``sigma`` maps to
-    ``(n, d, d)``.  ``tag`` is ``dissipative`` (with ``r``, ``kappa1..3``) or
-    ``linear_growth`` (with ``kappa4``).
+    ``b1``, ``b2`` map ``(t, x)`` with ``x`` of shape ``(n, d)`` to ``(n, d)``;
+    ``sigma`` maps to ``(n, d, d)``.  The family is autonomous: the
+    coefficients take ``t`` like the Dini ones, and ignore it.  ``tag`` is
+    ``dissipative`` (with ``r``, ``kappa1..3``) or ``linear_growth`` (with
+    ``kappa4``).
     """
 
     d: int
@@ -266,8 +262,8 @@ class SingularModelSpec:
     kind = "singular"
 
     def capped_b1(self, cap):
-        def f(x):
-            v = self.b1(x)
+        def f(t, x):
+            v = self.b1(t, x)
             norm = np.linalg.norm(v, axis=-1, keepdims=True)
             with np.errstate(invalid="ignore", divide="ignore"):
                 shrink = np.where(norm > cap, cap / np.maximum(norm, 1e-300), 1.0)
@@ -281,12 +277,9 @@ class SingularModelSpec:
         b1c = self.capped_b1(cap)
 
         def drift(t, x):
-            return b1c(x) + self.b2(x)
+            return b1c(t, x) + self.b2(t, x)
 
-        def sig(t, x):
-            return self.sigma(x)
-
-        return drift, sig
+        return drift, self.sigma
 
     def fingerprint(self):
         return _fingerprint(self.config, fallback=("singular", self.d, self.T))
@@ -324,7 +317,7 @@ def validate_model(spec, n_grid=512, radius=5.0, tol=1e-7, seed=0):
     pts = rng.uniform(-radius, radius, size=(n_grid, d))
 
     if spec.kind == "singular":
-        b2 = spec.b2(pts)
+        b2 = spec.b2(0.0, pts)
         _check_finite("b2", b2, pts)
         norm_x = np.linalg.norm(pts, axis=1)
         norm_b2 = np.linalg.norm(b2, axis=1)
@@ -343,7 +336,7 @@ def validate_model(spec, n_grid=512, radius=5.0, tol=1e-7, seed=0):
         else:
             raise ConfigError(f"unknown b2 tag {spec.tag!r}")
 
-        sig = spec.sigma(pts)
+        sig = spec.sigma(0.0, pts)
         _check_finite("sigma", sig, pts)
         xi = rng.standard_normal((n_grid, d))
         xi /= np.linalg.norm(xi, axis=1, keepdims=True)
@@ -356,7 +349,7 @@ def validate_model(spec, n_grid=512, radius=5.0, tol=1e-7, seed=0):
         i = int(np.argmin(upper))
         checks.append(CheckResult("ellipticity_upper", float(upper[i]), pts[i]))
 
-        b1v = spec.b1(pts)
+        b1v = spec.b1(0.0, pts)
         _check_finite("b1", b1v, pts)
         if spec.p <= d:
             checks.append(CheckResult("b1_integrability_exponent", spec.p - d - 1.0))
@@ -503,8 +496,8 @@ def _as_matrix(value, d):
     return m
 
 
-def _field_from_config(cfg, d, time_arg):
-    """Build a vectorized vector field from a family config dict."""
+def _field_from_config(cfg, d):
+    """Build a vectorized vector field ``(t, x) -> (n, d)`` from a family config."""
     fam = cfg.get("family")
     params = {k: v for k, v in cfg.items() if k != "family"}
 
@@ -546,12 +539,10 @@ def _field_from_config(cfg, d, time_arg):
     else:
         raise ConfigError(f"unknown field family {fam!r}", "family")
 
-    if time_arg:
-        return lambda t, x: fn(np.asarray(x, dtype=float))
-    return lambda x: fn(np.asarray(x, dtype=float))
+    return lambda t, x: fn(np.asarray(x, dtype=float))
 
 
-def _sigma_from_config(cfg, d, time_arg):
+def _sigma_from_config(cfg, d):
     fam = cfg.get("family")
     if fam == "constant":
         m = _as_matrix(cfg.get("value", 1.0), d)
@@ -570,9 +561,7 @@ def _sigma_from_config(cfg, d, time_arg):
     else:
         raise ConfigError(f"unknown sigma family {fam!r}", "family")
 
-    if time_arg:
-        return lambda t, x: fn(np.asarray(x, dtype=float))
-    return lambda x: fn(np.asarray(x, dtype=float))
+    return lambda t, x: fn(np.asarray(x, dtype=float))
 
 
 def modulus_from_config(cfg):
@@ -603,9 +592,9 @@ def model_from_config(cfg):
         return DiniModelSpec(
             d=d,
             T=T,
-            B=_field_from_config(cfg.get("B", {"family": "zero"}), d, True),
-            b=_field_from_config(b_cfg, d, True),
-            sigma=_sigma_from_config(cfg.get("sigma", {"family": "constant"}), d, True),
+            B=_field_from_config(cfg.get("B", {"family": "zero"}), d),
+            b=_field_from_config(b_cfg, d),
+            sigma=_sigma_from_config(cfg.get("sigma", {"family": "constant"}), d),
             modulus=mod,
             b_sup=float(cfg.get("b_sup", 1.0)),
             bounds=dict(
@@ -623,11 +612,9 @@ def model_from_config(cfg):
         return SingularModelSpec(
             d=d,
             T=T,
-            b1=_field_from_config(cfg.get("b1", {"family": "zero"}), d, False),
-            b2=_field_from_config(b2_cfg, d, False),
-            sigma=_sigma_from_config(
-                cfg.get("sigma", {"family": "constant"}), d, False
-            ),
+            b1=_field_from_config(cfg.get("b1", {"family": "zero"}), d),
+            b2=_field_from_config(b2_cfg, d),
+            sigma=_sigma_from_config(cfg.get("sigma", {"family": "constant"}), d),
             p=float(cfg.get("p", 4.0)),
             c0=float(cfg.get("c0", 1.0)),
             beta=float(cfg.get("beta", 0.5)),

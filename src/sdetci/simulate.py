@@ -9,10 +9,10 @@ Euler-Maruyama (or tamed) driver for one or more coupled states.
 counter-based Philox streams keyed by ``(master seed, path id)``: any path
 is reproducible in isolation, a run of n paths is a prefix of a longer run,
 and results do not depend on how paths are chunked.  ``zvonkin.estimate_P0``
-and ``zvonkin._fd_stderr`` are keyed by block instead, one stream per
-``zvonkin.P0_BLOCK`` paths: their samples are fixed by ``(seed, n)``, but a
-path's noise depends on n.  Large ensembles are processed in chunks;
-reducers avoid materializing full path arrays.
+and ``zvonkin.check_gradient_estimate`` are keyed by block instead, one
+stream per ``zvonkin.P0_BLOCK`` paths: their samples are fixed by
+``(seed, n)``, but a path's noise depends on n.  Large ensembles are
+processed in chunks; reducers avoid materializing full path arrays.
 """
 
 from __future__ import annotations

@@ -278,9 +278,7 @@ def coupling_lipschitz_check(phi, states_a, states_b, t_nodes=None, slack=1e-9):
     lo_m, hi_m = np.inf, np.inf
     n, k1, d = states_a.shape
     for j in range(k1):
-        t = None if not phi.time_dependent else (
-            0.0 if t_nodes is None else t_nodes[j]
-        )
+        t = 0.0 if t_nodes is None else t_nodes[j]
         da = np.linalg.norm(states_a[:, j] - states_b[:, j], axis=1)
         dp = np.linalg.norm(
             phi.phi(states_a[:, j], t) - phi.phi(states_b[:, j], t), axis=1

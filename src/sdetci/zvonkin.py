@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -80,7 +81,8 @@ class GridFunction:
     """Vector field known on a space(-time) grid, with multilinear interp.
 
     ``values`` has shape ``(n_t, *grid.shape, d)`` when a time axis is
-    present, else ``(*grid.shape, d)``.
+    present, else ``(*grid.shape, d)``.  Called as ``f(x, t)``; without a
+    time axis ``t`` is ignored, so callers pass it either way.
     """
 
     def __init__(self, grid, values, times=None):
@@ -90,17 +92,6 @@ class GridFunction:
         if not np.isfinite(self.values).all():
             raise ValueError("grid function values must be finite")
         self._interp = None
-
-    @classmethod
-    def from_callable(cls, grid, fn, times=None):
-        pts = grid.points()
-        if times is None:
-            vals = np.asarray(fn(pts)).reshape(*grid.shape, grid.d)
-            return cls(grid, vals)
-        vals = np.stack(
-            [np.asarray(fn(t, pts)).reshape(*grid.shape, grid.d) for t in times]
-        )
-        return cls(grid, vals, times)
 
     def _interpolator(self):
         if self._interp is None:
@@ -176,10 +167,6 @@ class Homeomorphism:
     lam: float
     threshold: float
 
-    @property
-    def time_dependent(self):
-        return self.u.times is not None
-
     def phi(self, x, t=None):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return x + self.u(x, t)
@@ -212,31 +199,15 @@ class Homeomorphism:
 
     def jacobian(self, x, t=None):
         """I + grad u at given points, interpolated from the grid Jacobians."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        jac = self._grad_interp()(self._query(x, t))
+        jac = self._grad_u(x, t)
         d = self.u.grid.d
-        return np.eye(d)[None] + jac.reshape(len(x), d, d).transpose(0, 2, 1)
+        return np.eye(d)[None] + jac.reshape(len(jac), d, d).transpose(0, 2, 1)
 
-    def _query(self, x, t):
-        R = self.u.grid.R
-        x = np.clip(x, -R, R)
-        if not self.time_dependent:
-            return x
-        t = float(np.clip(t, self.u.times[0], self.u.times[-1]))
-        return np.concatenate([np.full((len(x), 1), t), x], axis=1)
-
-    def _grad_interp(self):
-        if not hasattr(self, "_jac_cache"):
-            jac = self.u.gradient_values()
-            pts = self.u.grid.axes if not self.time_dependent else (
-                [self.u.times] + self.u.grid.axes
-            )
-            shape = jac.shape[: -2] + (self.u.grid.d**2,)
-            self._jac_cache = RegularGridInterpolator(
-                pts, jac.reshape(shape), method="linear", bounds_error=False,
-                fill_value=None,
-            )
-        return self._jac_cache
+    @cached_property
+    def _grad_u(self):
+        jac = self.u.gradient_values()
+        flat = jac.reshape(jac.shape[:-2] + (self.u.grid.d**2,))
+        return GridFunction(self.u.grid, flat, self.u.times)
 
     def lipschitz_ratios(self, n_pairs=256, seed=0, t=0.0):
         rng = np.random.default_rng(seed)
@@ -245,8 +216,7 @@ class Homeomorphism:
         x = rng.uniform(-0.9 * R, 0.9 * R, size=(n_pairs, d))
         y = x + rng.uniform(-0.5, 0.5, size=(n_pairs, d))
         y = np.clip(y, -0.9 * R, 0.9 * R)
-        tt = t if self.time_dependent else None
-        num = np.linalg.norm(self.phi(x, tt) - self.phi(y, tt), axis=1)
+        num = np.linalg.norm(self.phi(x, t) - self.phi(y, t), axis=1)
         den = np.linalg.norm(x - y, axis=1)
         keep = den > 1e-12
         return num[keep] / den[keep]
@@ -308,8 +278,8 @@ def _operator_matrix(grid, a_vals, b_vals, neumann):
     )
 
 
-def _diffusion_values(sigma_fn, pts, t=None):
-    sig = sigma_fn(pts) if t is None else sigma_fn(t, pts)
+def _diffusion_values(sigma_fn, pts, t=0.0):
+    sig = sigma_fn(t, pts)
     return np.einsum("nij,nkj->nik", sig, sig)
 
 
@@ -323,9 +293,10 @@ def _parabolic_map(model, lam, sgrid, times):
 
     One backward Crank-Nicolson sweep of the reference semigroup with
     source grad_b u + b, using exact exponential weights for the resolvent
-    factor.  The operators are factored once: one per time node when the
-    model declares ``time_dependent``, else one shared by every step.
-    ``u`` and ``M(u)`` have shape ``(len(times), M, d)``.
+    factor.  A time node reuses the previous node's factored operators while
+    ``sigma sigma*`` and ``B`` take the same values there, so an autonomous
+    reference equation is factored once.  ``u`` and ``M(u)`` have shape
+    ``(len(times), M, d)``.
     """
     pts = sgrid.points()
     M = len(pts)
@@ -338,16 +309,15 @@ def _parabolic_map(model, lam, sgrid, times):
     w0 = i0 - i1 / h
     w1 = i1 / h
     eye = sparse.eye(M, format="csc")
-
-    def stepper(t):
-        a_vals = _diffusion_values(model.sigma, pts, t)
-        L = _operator_matrix(sgrid, a_vals, model.B(t, pts), neumann=True)
-        return splu((eye - 0.5 * h * L).tocsc()), (eye + 0.5 * h * L).tocsr()
-
-    if model.time_dependent:
-        steps = [stepper(t) for t in times[:-1]]
-    else:
-        steps = [stepper(times[0])] * n_time
+    steps, coeffs = [], None
+    for t in times[:-1]:
+        a_vals, B_vals = _diffusion_values(model.sigma, pts, t), model.B(t, pts)
+        if coeffs is None or not (np.array_equal(a_vals, coeffs[0])
+                                  and np.array_equal(B_vals, coeffs[1])):
+            L = _operator_matrix(sgrid, a_vals, B_vals, neumann=True)
+            step = splu((eye - 0.5 * h * L).tocsc()), (eye + 0.5 * h * L).tocsr()
+            coeffs = a_vals, B_vals
+        steps.append(step)
     b_grid = np.stack([model.b(t, pts) for t in times])
 
     def apply(u):
@@ -444,7 +414,7 @@ def solve_u_elliptic(model, lam, sgrid, tol=1e-10, max_iter=100):
         lu = splu(op)
     except RuntimeError as e:  # pragma: no cover
         raise EllipticSolverError(str(e)) from e
-    b1 = model.b1(pts)
+    b1 = model.b1(0.0, pts)
     u = np.zeros((M, d))
     for it in range(max_iter):
         new_u = lu.solve(b1 - _grad_b_u(u, b1, sgrid))
@@ -510,36 +480,52 @@ def _block_increments(seed, lo, size, grid, d):
     return dw.transpose(1, 0, 2)
 
 
-def estimate_P0(model, f, s, t, x, n=10000, seed=0, n_steps=64):
-    """Monte Carlo value of the reference semigroup applied to f at (s, t, x)."""
+def _P0_blocks(model, f, s, t, starts, n, seed, n_steps):
+    """f at the reference equation's time-t states, one P0_BLOCK at a time.
+
+    Every start in ``starts`` runs on the same n paths (common random
+    numbers); each block yields one ``(size,)`` array of f per start.
+    """
     if not t > s:
         raise ValueError("need t > s")
-    fns = [model.reference_sim_functions(None)]
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = len(x)
+    fns = [model.reference_sim_functions(None)] * len(starts)
+    d = len(starts[0])
     grid = TimeGrid(t - s, n_steps)
-    total, total2 = 0.0, 0.0
     for lo in range(0, n, P0_BLOCK):
         size = min(P0_BLOCK, n - lo)
         dw = _block_increments(seed, lo, size, grid, d)
-        z0 = np.broadcast_to(x, (size, d))
-        (z,) = run_em(fns, [z0], grid, [dw], t0=s)
-        vals = np.asarray(f(z), dtype=float)
+        z0s = [np.broadcast_to(x, (size, d)) for x in starts]
+        zs = run_em(fns, z0s, grid, [dw] * len(starts), t0=s)
+        yield [np.asarray(f(z), dtype=float) for z in zs]
+
+
+def _mean_stderr(blocks, n):
+    """Mean of n per-path values given in blocks, and its standard error."""
+    total, total2 = 0.0, 0.0
+    for vals in blocks:
         total += vals.sum()
         total2 += (vals**2).sum()
     mean = total / n
     var = max(total2 / n - mean**2, 0.0)
-    stderr = math.sqrt(var / n)
-    return mean, stderr
+    return mean, math.sqrt(var / n)
+
+
+def estimate_P0(model, f, s, t, x, n=10000, seed=0, n_steps=64):
+    """Monte Carlo value of the reference semigroup applied to f at (s, t, x)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    blocks = _P0_blocks(model, f, s, t, [x], n, seed, n_steps)
+    return _mean_stderr((vals for (vals,) in blocks), n)
 
 
 def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, fd_scale=0.2,
                             n_steps=32):
     """Finite-difference semigroup gradients across a (t - s) sweep.
 
-    Uses common random numbers for the +/- shifts, fits the log-log growth
-    exponent of |grad P0 f| in the gap and reports the implied constant of a
-    c / sqrt(gap) law.  Raises InconclusiveEstimate when noise dominates.
+    The +/- shifts run as two coupled states on the same n paths (common
+    random numbers); each component and its stderr come from the per-path
+    difference.  Fits the log-log growth exponent of |grad P0 f| in the gap
+    and reports the implied constant of a c / sqrt(gap) law.  Raises
+    InconclusiveEstimate when noise dominates.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = len(x)
@@ -551,13 +537,10 @@ def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, fd_scale=0.2,
         for c in range(d):
             e = np.zeros(d)
             e[c] = eps
-            vp, _ = estimate_P0(model, f, 0.0, gap, x + e, n, seed + 7919 * gi,
-                                n_steps)
-            vm, _ = estimate_P0(model, f, 0.0, gap, x - e, n, seed + 7919 * gi,
-                                n_steps)
-            comps[c] = (vp - vm) / (2 * eps)
-            # CRN stderr of the difference, measured directly
-            errs[c] = _fd_stderr(model, f, gap, x, e, n, seed + 7919 * gi, n_steps)
+            blocks = _P0_blocks(model, f, 0.0, gap, [x + e, x - e], n,
+                                seed + 7919 * gi, n_steps)
+            diffs = ((vp - vm) / (2 * eps) for vp, vm in blocks)
+            comps[c], errs[c] = _mean_stderr(diffs, n)
         grads.append(float(np.linalg.norm(comps)))
         stderrs.append(float(np.linalg.norm(errs)))
     grads_a, stderrs_a = np.array(grads), np.array(stderrs)
@@ -574,22 +557,6 @@ def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, fd_scale=0.2,
         "exponent": exponent,
         "c_hat": c_hat,
     }
-
-
-def _fd_stderr(model, f, gap, x, e, n, seed, n_steps):
-    fns = [model.reference_sim_functions(None)] * 2
-    d = len(x)
-    grid = TimeGrid(gap, n_steps)
-    size = min(n, P0_BLOCK)
-    dw = _block_increments(seed, 0, size, grid, d)
-    starts = [np.broadcast_to(x + e, (size, d)), np.broadcast_to(x - e, (size, d))]
-    zp, zm = run_em(fns, starts, grid, [dw, dw])
-    diff = (np.asarray(f(zp), dtype=float) - np.asarray(f(zm), dtype=float)) / (
-        2 * np.linalg.norm(e)
-    )
-    # std from the first block of estimate_P0, scaled to the n-path CRN
-    # difference that check_gradient_estimate takes from estimate_P0
-    return float(diff.std(ddof=1) / math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -618,32 +585,29 @@ class TransformedModel:
         self.kind = model.kind
         self._last_inv = None
 
-    def _preimage(self, tt, y):
+    def _preimage(self, t, y):
         # keyed on the values of y: simulation drivers update states in place
         last = self._last_inv
-        if last is not None and last[0] == tt and np.array_equal(y, last[1]):
+        if last is not None and last[0] == t and np.array_equal(y, last[1]):
             return last[2]
-        x = self.phi.phi_inv(y, tt)
-        self._last_inv = (tt, y.copy(), x)
+        x = self.phi.phi_inv(y, t)
+        self._last_inv = (t, y.copy(), x)
         return x
 
     def drift(self, t, y):
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        tt = t if self.phi.time_dependent else None
-        x = self._preimage(tt, y)
+        x = self._preimage(t, y)
         if self.kind == "dini":
-            return self.lam * self.phi.u(x, tt) + self.model.B(t, x)
-        jac = self.phi.jacobian(x, tt)
-        b2 = self.model.b2(x)
-        return self.lam * self.phi.u(x, tt) + np.einsum("nij,nj->ni", jac, b2)
+            return self.lam * self.phi.u(x, t) + self.model.B(t, x)
+        jac = self.phi.jacobian(x, t)
+        b2 = self.model.b2(t, x)
+        return self.lam * self.phi.u(x, t) + np.einsum("nij,nj->ni", jac, b2)
 
     def sigma(self, t, y):
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        tt = t if self.phi.time_dependent else None
-        x = self._preimage(tt, y)
-        jac = self.phi.jacobian(x, tt)
-        sig = self.model.sigma(x) if self.kind == "singular" else self.model.sigma(t, x)
-        return np.einsum("nij,njk->nik", jac, sig)
+        x = self._preimage(t, y)
+        jac = self.phi.jacobian(x, t)
+        return np.einsum("nij,njk->nik", jac, self.model.sigma(t, x))
 
     def sim_functions(self, grid):
         return self.drift, self.sigma
@@ -657,10 +621,6 @@ class TransformedModel:
         y = rng.uniform(-R, R, size=(n, self.d))
         sig = self.sigma(t, y)
         return float(np.linalg.norm(sig, ord=2, axis=(1, 2)).max())
-
-
-def transformed_model(phi, model, lam):
-    return TransformedModel(phi, model, lam)
 
 
 def identity_transform(model, sgrid, times=None):
@@ -727,7 +687,7 @@ def pathwise_consistency(model, phi, lam, x0, n_steps_list, seed=0, n_paths=512,
     refinements fail to decrease.
     """
     T = model.T if T is None else T
-    tm = transformed_model(phi, model, lam)
+    tm = TransformedModel(phi, model, lam)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
     rows = []
@@ -735,8 +695,7 @@ def pathwise_consistency(model, phi, lam, x0, n_steps_list, seed=0, n_paths=512,
         grid = TimeGrid(T, n_steps)
         fns = [model.sim_functions(grid), tm.sim_functions(grid)]
         errs = np.empty(n_paths)
-        t0 = 0.0 if phi.time_dependent else None
-        y_start = phi.phi(x0[None], t0)[0]
+        y_start = phi.phi(x0[None], 0.0)[0]
         chunk = max(1, int(2e6 // max(n_steps, 1)))
         for lo in range(0, n_paths, chunk):
             ids = range(lo, min(lo + chunk, n_paths))
@@ -744,12 +703,11 @@ def pathwise_consistency(model, phi, lam, x0, n_steps_list, seed=0, n_paths=512,
             dw = _increment_block(seed, grid, d, ids)
             x = np.broadcast_to(x0, (n, d))
             y = np.broadcast_to(y_start, (n, d))
-            sup = np.linalg.norm(phi.phi(x, t0) - y, axis=1)
+            sup = np.linalg.norm(phi.phi(x, 0.0) - y, axis=1)
 
             def track(k, t, xs):
-                tt = t if phi.time_dependent else None
                 np.maximum(
-                    sup, np.linalg.norm(phi.phi(xs[0], tt) - xs[1], axis=1),
+                    sup, np.linalg.norm(phi.phi(xs[0], t) - xs[1], axis=1),
                     out=sup,
                 )
 

@@ -108,7 +108,7 @@ class TestValidateModel:
 
     def test_nonfinite_coefficient_raises(self):
         model = model_from_config(ou_singular_config())
-        model.b2 = lambda x: x * np.nan
+        model.b2 = lambda t, x: x * np.nan
         with pytest.raises(InvalidCoefficient):
             validate_model(model)
 
@@ -198,7 +198,7 @@ class TestCappedSingularPart:
         model = model_from_config(cfg)
         capped = model.capped_b1(10.0)
         x = np.array([[1e-8], [0.5], [2.0]])
-        v = capped(x)
+        v = capped(0.0, x)
         assert np.linalg.norm(v, axis=1).max() <= 10.0 + 1e-12
         # far from the singularity the cap is inactive
-        assert v[1, 0] == pytest.approx(model.b1(x)[1, 0])
+        assert v[1, 0] == pytest.approx(model.b1(0.0, x)[1, 0])

@@ -11,6 +11,7 @@ from sdetci import (
     GridFunction,
     SpaceGrid,
     TimeGrid,
+    TransformedModel,
     brownian_increments,
     build_phi,
     coupled_sup_distances,
@@ -21,7 +22,6 @@ from sdetci import (
     simulate_em,
     simulate_ensemble,
     simulate_tamed,
-    transformed_model,
     with_drift_shift,
 )
 from sdetci.simulate import (
@@ -40,7 +40,7 @@ def _sin_transformed(model):
     # image of the model under Phi = id + 0.2 sin, inverted by fixed point
     sg = SpaceGrid(6.0, 121, 1)
     u = GridFunction(sg, 0.2 * np.sin(sg.axes[0])[:, None])
-    return transformed_model(build_phi(u, lam=2.0), model, 2.0)
+    return TransformedModel(build_phi(u, lam=2.0), model, 2.0)
 
 
 def _cubic():

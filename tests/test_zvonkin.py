@@ -13,6 +13,7 @@ from sdetci import (
     Homeomorphism,
     NotContractive,
     SpaceGrid,
+    TransformedModel,
     build_phi,
     check_gradient_estimate,
     dini_benchmark_config,
@@ -23,15 +24,14 @@ from sdetci import (
     solve_u_elliptic,
     solve_u_parabolic,
     solve_u_parabolic_auto,
-    transformed_model,
     verify_tilde_conditions,
 )
+from sdetci import zvonkin
 from sdetci.errors import FitFailure, OutOfDomain
 from sdetci.models import DiniModelSpec, ModulusSpec
 from sdetci.zvonkin import (
     _diffusion_values,
     SINGULAR_GRAD_THRESHOLD,
-    _fd_stderr,
     _operator_matrix,
     apply_parabolic_map,
     elliptic_lambda_sweep,
@@ -201,16 +201,39 @@ class TestParabolicSolver:
         assert apply_parabolic_map(model, 8.0, u) <= 2e-9
 
     def test_residual_time_dependent_reference_drift(self):
-        # the residual must apply the solver's B(t, .), not B(0, .)
+        # the solver and its residual must apply B(t, .), not B(0, .), and
+        # read that B moves in t from its values
         base = model_from_config(dini_benchmark_config(sup=1.0))
-        model = DiniModelSpec(
-            d=1, T=1.0, B=lambda t, x: -(1.0 + 2.0 * t) * x, b=base.b,
-            sigma=base.sigma, modulus=base.modulus, b_sup=1.0,
-            bounds=base.bounds, time_dependent=True,
-        )
         sg = SpaceGrid(8.0, 129, 1)
-        u, _ = solve_u_parabolic(model, 8.0, sg, n_time=32, tol=1e-10)
-        assert apply_parabolic_map(model, 8.0, u) <= 2e-10
+        us = []
+        for B in (lambda t, x: -(1.0 + 2.0 * t) * x, lambda t, x: -x):
+            model = DiniModelSpec(
+                d=1, T=1.0, B=B, b=base.b, sigma=base.sigma,
+                modulus=base.modulus, b_sup=1.0, bounds=base.bounds,
+            )
+            u, _ = solve_u_parabolic(model, 8.0, sg, n_time=32, tol=1e-10)
+            assert apply_parabolic_map(model, 8.0, u) <= 2e-10
+            us.append(u.values)
+        assert np.abs(us[0] - us[1]).max() > 1e-4
+
+    def test_operators_factored_only_where_coefficients_change(self, monkeypatch):
+        base = model_from_config(dini_benchmark_config(sup=1.0))
+        moving = DiniModelSpec(
+            d=1, T=1.0, B=lambda t, x: -np.minimum(t, 0.5) * x, b=base.b,
+            sigma=base.sigma, modulus=base.modulus, b_sup=1.0,
+            bounds=base.bounds,
+        )
+        factor = zvonkin.splu
+        calls = []
+        monkeypatch.setattr(zvonkin, "splu",
+                            lambda A: calls.append(1) or factor(A))
+        times = np.linspace(0.0, 1.0, 9)
+        sg = SpaceGrid(4.0, 33, 1)
+        zvonkin._parabolic_map(base, 8.0, sg, times)
+        assert len(calls) == 1
+        # B changes at the nodes t = 0, ..., 0.5 and is frozen after
+        zvonkin._parabolic_map(moving, 8.0, sg, times)
+        assert len(calls) == 1 + 5
 
     def test_benchmark_2d_contracts(self):
         model = model_from_config(dini_benchmark_config(sup=1.0, d=2))
@@ -255,7 +278,7 @@ class TestEllipticSolver:
             sg, _diffusion_values(model.sigma, pts), None, neumann=False
         ).toarray()
         op = A - lam * np.eye(len(pts))
-        b1 = model.b1(pts)
+        b1 = model.b1(0.0, pts)
         d = sg.d
         uu = np.zeros_like(b1)
         for _ in range(100):
@@ -330,15 +353,37 @@ class TestSemigroupMonteCarlo:
             assert grad == pytest.approx(exact, rel=0.08)
         assert res["exponent"] == pytest.approx(-0.5, abs=0.15)
 
-    def test_fd_stderr_scales_to_estimator_paths(self):
-        # n = 100000 and n = 65536 measure the std on the same 65536 paths;
-        # the stderr is that of the n-path estimate, so it falls as 1/sqrt(n)
-        bm = self._bm()
-        f = lambda x: np.sign(x[:, 0])
-        e = np.array([0.05])
-        big = _fd_stderr(bm, f, 0.2, np.zeros(1), e, 100000, 5, 8)
-        drawn = _fd_stderr(bm, f, 0.2, np.zeros(1), e, 65536, 5, 8)
-        assert big / drawn == pytest.approx(math.sqrt(65536 / 100000), rel=1e-12)
+    def test_gradient_simulates_each_path_once(self, monkeypatch):
+        # x + e and x - e are two coupled states of one run per block, so a
+        # component at one gap steps 2n states, across two blocks here
+        states = []
+        run = zvonkin.run_em
+
+        def counted(fns, x0s, *args, **kwargs):
+            states.append(sum(len(x0) for x0 in x0s))
+            return run(fns, x0s, *args, **kwargs)
+
+        monkeypatch.setattr(zvonkin, "run_em", counted)
+        n = zvonkin.P0_BLOCK + 1000
+        gaps = [0.1, 0.2]
+        check_gradient_estimate(self._bm(), lambda x: np.sign(x[:, 0]), [0.0],
+                                gaps, n=n, seed=5, n_steps=4)
+        assert sum(states) == 2 * n * len(gaps)
+
+    def test_gradient_stderr_is_the_crn_difference_stderr(self):
+        # for f = sign at x = 0 the per-path difference is 1/eps on
+        # {|W_gap| < eps} and 0 elsewhere, a scaled Bernoulli(p)
+        from scipy.stats import norm
+
+        n, gaps, fd_scale = 40000, [0.1, 0.2, 0.4], 0.2
+        res = check_gradient_estimate(
+            self._bm(), lambda x: np.sign(x[:, 0]), [0.0], gaps, n=n, seed=11,
+            fd_scale=fd_scale,
+        )
+        for gap, se in zip(gaps, res["stderrs"]):
+            eps = fd_scale * math.sqrt(gap)
+            p = 2.0 * norm.cdf(eps / math.sqrt(gap)) - 1.0
+            assert se == pytest.approx(math.sqrt(p * (1 - p) / n) / eps, rel=0.03)
 
 
 class TestTransformedModel:
@@ -408,15 +453,13 @@ def _transform_case(name):
 
 def _reference_coefficients(phi, model, lam, t, y):
     # the image coefficients with their own inversion, no shared preimage
-    tt = t if phi.time_dependent else None
-    x = phi.phi_inv(y, tt)
-    jac = phi.jacobian(x, tt)
+    x = phi.phi_inv(y, t)
+    jac = phi.jacobian(x, t)
     if model.kind == "dini":
-        drift = lam * phi.u(x, tt) + model.B(t, x)
-        sig = model.sigma(t, x)
+        drift = lam * phi.u(x, t) + model.B(t, x)
     else:
-        drift = lam * phi.u(x, tt) + np.einsum("nij,nj->ni", jac, model.b2(x))
-        sig = model.sigma(x)
+        drift = lam * phi.u(x, t) + np.einsum("nij,nj->ni", jac, model.b2(t, x))
+    sig = model.sigma(t, x)
     return drift, np.einsum("nij,njk->nik", jac, sig)
 
 
@@ -424,34 +467,34 @@ class TestSharedInversion:
     @pytest.mark.parametrize("name", ["dini", "singular"])
     def test_reused_model_matches_fresh_instance(self, name):
         phi, model, lam = _transform_case(name)
-        tm = transformed_model(phi, model, lam)
+        tm = TransformedModel(phi, model, lam)
         rng = np.random.default_rng(4)
         R = 0.8 * phi.u.grid.R
         a, b = (rng.uniform(-R, R, size=(6, model.d)) for _ in range(2))
         for t, y in [(0.0, a), (0.0, a), (0.25, b), (0.5, a)]:
             np.testing.assert_array_equal(
-                tm.sigma(t, y), transformed_model(phi, model, lam).sigma(t, y)
+                tm.sigma(t, y), TransformedModel(phi, model, lam).sigma(t, y)
             )
             np.testing.assert_array_equal(
-                tm.drift(t, y), transformed_model(phi, model, lam).drift(t, y)
+                tm.drift(t, y), TransformedModel(phi, model, lam).drift(t, y)
             )
 
     def test_in_place_edit_gives_new_preimage(self):
         phi, model, lam = _transform_case("dini")
-        tm = transformed_model(phi, model, lam)
+        tm = TransformedModel(phi, model, lam)
         y = np.array([[0.3], [-1.2], [2.5]])
         before = tm.drift(0.0, y)
         y += 0.1
         after = tm.drift(0.0, y)
         assert not np.array_equal(before, after)
         np.testing.assert_array_equal(
-            after, transformed_model(phi, model, lam).drift(0.0, y)
+            after, TransformedModel(phi, model, lam).drift(0.0, y)
         )
-        np.testing.assert_array_equal(tm._preimage(None, y), phi.phi_inv(y))
+        np.testing.assert_array_equal(tm._preimage(0.0, y), phi.phi_inv(y))
 
     def test_time_dependent_preimage_follows_t(self):
         phi, model, lam = _transform_case("dini_t")
-        tm = transformed_model(phi, model, lam)
+        tm = TransformedModel(phi, model, lam)
         y = np.array([[0.7], [-2.1]])
         x0 = tm._preimage(0.0, y)
         x1 = tm._preimage(1.0, y)
@@ -487,7 +530,7 @@ class TestSharedInversion:
     )
     def test_shared_preimage_matches_reference(self, name, seed, n, steps):
         phi, model, lam = _transform_case(name)
-        tm = transformed_model(phi, model, lam)
+        tm = TransformedModel(phi, model, lam)
         rng = np.random.default_rng(seed)
         R = 0.8 * phi.u.grid.R
         y = rng.uniform(-R, R, size=(n, model.d))
@@ -496,9 +539,8 @@ class TestSharedInversion:
                 y = rng.uniform(-R, R, size=(n, model.d))
             elif op == "edit":
                 np.clip(y + rng.uniform(-0.1, 0.1, size=y.shape), -R, R, out=y)
-            tt = t if phi.time_dependent else None
             np.testing.assert_allclose(
-                phi.phi(phi.phi_inv(y, tt), tt), y, rtol=0, atol=1e-9
+                phi.phi(phi.phi_inv(y, t), t), y, rtol=0, atol=1e-9
             )
             if drift_first:
                 drift, sig = tm.drift(t, y), tm.sigma(t, y)
