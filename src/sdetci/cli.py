@@ -3,8 +3,8 @@
 Subcommands: validate, simulate, zvonkin, tci, invariance.  Each reads a
 YAML config, runs the corresponding pipeline and writes a deterministic JSON
 report (sorted keys, no timestamps) tagged with the config hash and seed.
-Exit codes: 0 success, 1 a check failed, 2 usage/config error, 3 numerical
-failure.
+Exit codes: 0 success, 1 a check failed, 2 usage/config error (also a value
+out of range, such as ``n_paths: 0``), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -75,6 +75,15 @@ def _emit(report, cfg):
         sys.stdout.write(report.to_json() + "\n")
 
 
+def _path_setup(cfg):
+    """Model, time grid and start point ``x0`` of a path-space command."""
+    model = model_from_config(cfg["model"])
+    x0 = np.atleast_1d(np.asarray(cfg.get("x0", [0.0] * model.d), dtype=float))
+    if x0.shape != (model.d,):
+        raise ConfigError(f"need {model.d} coordinates, got shape {x0.shape}", "x0")
+    return model, TimeGrid(model.T, int(cfg.get("n_steps", 256))), x0
+
+
 def _cmd_validate(cfg):
     model = model_from_config(cfg["model"])
     rep = validate_model(
@@ -91,9 +100,7 @@ def _cmd_validate(cfg):
 
 
 def _cmd_simulate(cfg):
-    model = model_from_config(cfg["model"])
-    grid = TimeGrid(model.T, int(cfg.get("n_steps", 256)))
-    x0 = np.atleast_1d(np.asarray(cfg.get("x0", [0.0] * model.d), dtype=float))
+    model, grid, x0 = _path_setup(cfg)
     ens = simulate_ensemble(
         model, x0, grid, int(cfg.get("seed", 0)),
         int(cfg.get("n_paths", 128)), cfg.get("scheme", "em"),
@@ -161,9 +168,7 @@ def _cmd_zvonkin(cfg):
 
 
 def _cmd_tci(cfg):
-    model = model_from_config(cfg["model"])
-    grid = TimeGrid(model.T, int(cfg.get("n_steps", 256)))
-    x0 = np.atleast_1d(np.asarray(cfg.get("x0", [0.0] * model.d), dtype=float))
+    model, grid, x0 = _path_setup(cfg)
     seed = int(cfg.get("seed", 0))
     report = TCIReport(meta=_meta(cfg))
     failed = False

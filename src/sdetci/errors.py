@@ -78,8 +78,8 @@ class UseSinkhorn(SdetciError):
     """Instance too large for the exact transport solver."""
 
 
-class ConfigError(SdetciError):
-    """Configuration file is malformed."""
+class ConfigError(SdetciError, ValueError):
+    """A configuration or argument value is malformed or out of range."""
 
     def __init__(self, message, key_path=""):
         self.key_path = key_path

@@ -11,23 +11,26 @@ is reproducible in isolation, a run of n paths is a prefix of a longer run,
 and results do not depend on how paths are chunked.  ``zvonkin.estimate_P0``
 and ``zvonkin.check_gradient_estimate`` are keyed by block instead, one
 stream per ``zvonkin.P0_BLOCK`` paths: their samples are fixed by
-``(seed, n)``, but a path's noise depends on n.  Large ensembles are
-processed in chunks; reducers avoid materializing full path arrays.
+``(seed, n)``, but a path's noise depends on n.  Paths run in chunks
+through one loop, ``_path_chunks``.  One memory budget, ``_CHUNK_BUDGET``,
+sets every chunk size, so no function takes a ``chunk`` argument.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import BlowupError
+from .errors import BlowupError, ConfigError
 
 _MASK = (1 << 64) - 1
 _BLOWUP_LIMIT = 1e10
+_CHUNK_BUDGET = 1 << 23  # floats held by one chunk's path arrays (64 MiB)
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.n_steps < 1 or self.T <= 0:
-            raise ValueError("need T > 0 and n_steps >= 1")
+        if self.n_steps < 1 or not self.T > 0:
+            raise ConfigError(f"need n_steps >= 1, T > 0, got {self.n_steps}, {self.T}")
 
     @property
     def h(self):
@@ -85,8 +88,7 @@ def path_rng(seed, path_id):
 
 def brownian_increments(seed, grid, d, path_id=0):
     """i.i.d. N(0, h I_d) increments for one path stream."""
-    rng = path_rng(seed, path_id)
-    return rng.standard_normal((grid.n_steps, d)) * math.sqrt(grid.h)
+    return _increment_block(seed, grid, d, [path_id])[0]
 
 
 def _increment_block(seed, grid, d, ids):
@@ -132,28 +134,51 @@ def run_em(fns, x0s, grid, dws, tamed=False, t0=0.0, on_step=None):
     return xs
 
 
-def _chunk_size(grid, d, chunk):
-    budget = int(4e7 // max(grid.n_steps * d, 1))
-    return max(1, min(chunk, budget))
+def _chunk_size(grid, d, held):
+    """Paths per chunk when each path holds ``held`` (n_steps, d) arrays."""
+    return max(1, _CHUNK_BUDGET // (grid.n_steps * d * held))
 
 
-def _state_chunks(model, x0, grid, seed, n_paths, scheme, path_id0, chunk):
-    """Yield the full (n, n_steps+1, d) states of consecutive path-id chunks."""
-    fns = [model.sim_functions(grid)]
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = len(x0)
-    chunk = _chunk_size(grid, d, chunk)
-    for lo in range(0, n_paths, chunk):
-        ids = np.arange(path_id0 + lo, path_id0 + min(lo + chunk, n_paths))
-        states = np.empty((len(ids), grid.n_steps + 1, d))
-        states[:, 0] = x0
+def _path_chunks(fns, x0s, grid, seed, ids, scheme, held, shape, reduce,
+                 split=False, finish=lambda acc: acc):
+    """Run coupled states over chunks of path ids; return ``finish(acc)`` joined.
 
-        def store(k, t, xs):
-            states[:, k + 1] = xs[0]
+    Path ``ids[j]`` keys every state's noise, or with ``split`` state 1's is
+    ``ids[j] + 1``.  ``reduce(acc, k, t, xs)`` fills a chunk's zeroed ``acc``
+    of shape (n,) + ``shape`` from the start states (k = -1) and each step.
+    """
+    if scheme not in ("em", "tamed"):
+        raise ConfigError(f"unknown scheme {scheme!r}, use 'em' or 'tamed'", "scheme")
+    if len(ids) < 1:
+        raise ConfigError(f"need at least one path, got {len(ids)}", "n_paths")
+    x0s = [np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in x0s]
+    d = len(x0s[0])
 
-        dw = _increment_block(seed, grid, d, ids)
-        run_em(fns, [states[:, 0]], grid, [dw], scheme == "tamed", on_step=store)
-        yield states
+    def run(sub):
+        dws = [_increment_block(seed, grid, d, sub)] * len(fns)
+        if split:
+            dws[1] = _increment_block(seed, grid, d, np.add(sub, 1))
+        xs = [np.broadcast_to(x0, (len(sub), d)) for x0 in x0s]
+        acc = np.zeros((len(sub),) + shape)
+        step = functools.partial(reduce, acc)
+        step(-1, 0.0, xs)
+        run_em(fns, xs, grid, dws, scheme == "tamed", on_step=step)
+        return finish(acc)
+
+    n = _chunk_size(grid, d, held)
+    return np.concatenate([run(ids[lo : lo + n]) for lo in range(0, len(ids), n)])
+
+
+def _states(model, x0, grid, seed, n_paths, scheme, path_id0, fn=lambda s: s):
+    """``fn`` of the full (n, n_steps+1, d) states of each path-id chunk, joined."""
+
+    def store(states, k, t, xs):
+        states[:, k + 1] = xs[0]
+
+    # states and increments: two arrays per path
+    return _path_chunks([model.sim_functions(grid)], [x0], grid, seed,
+                        range(path_id0, path_id0 + n_paths), scheme, 2,
+                        (grid.n_steps + 1, np.size(x0)), store, finish=fn)
 
 
 def simulate_em(model, x0, grid, seed, path_id=0):
@@ -164,28 +189,20 @@ def simulate_tamed(model, x0, grid, seed, path_id=0):
     return simulate_ensemble(model, x0, grid, seed, 1, "tamed", path_id).path(0)
 
 
-def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0,
-                      chunk=16384):
+def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0):
     """Full-path ensemble; use the reducers below for large runs."""
-    blocks = list(_state_chunks(model, x0, grid, seed, n_paths, scheme, path_id0,
-                                chunk))
+    states = _states(model, x0, grid, seed, n_paths, scheme, path_id0)
     ids = np.arange(path_id0, path_id0 + n_paths, dtype=np.int64)
-    return PathEnsemble(
-        grid, np.concatenate(blocks, axis=0), ids, _fingerprint(model), scheme
-    )
+    return PathEnsemble(grid, states, ids, _fingerprint(model), scheme)
 
 
-def ensemble_reduce(model, x0, grid, seed, n_paths, fn, scheme="em", path_id0=0,
-                    chunk=16384):
+def ensemble_reduce(model, x0, grid, seed, n_paths, fn, scheme="em", path_id0=0):
     """Apply ``fn(states_chunk) -> (n,) values`` per chunk, memory-bounded."""
-    return np.concatenate([
-        np.asarray(fn(states)) for states in
-        _state_chunks(model, x0, grid, seed, n_paths, scheme, path_id0, chunk)
-    ])
+    return _states(model, x0, grid, seed, n_paths, scheme, path_id0, fn)
 
 
 def time_integrals(model, x0, grid, seed, n_paths, power=2.0, scheme="em",
-                   path_id0=0, chunk=16384):
+                   path_id0=0):
     """Per-path trapezoid of |X_t|^power over [0, T]."""
     nodes = grid.nodes
 
@@ -193,57 +210,45 @@ def time_integrals(model, x0, grid, seed, n_paths, power=2.0, scheme="em",
         mag = np.linalg.norm(states, axis=2) ** power
         return np.trapezoid(mag, nodes, axis=1)
 
-    return ensemble_reduce(model, x0, grid, seed, n_paths, fn, scheme, path_id0, chunk)
+    return ensemble_reduce(model, x0, grid, seed, n_paths, fn, scheme, path_id0)
 
 
-def _sup_distances(fns, x0a, x0b, grid, seed, ids, scheme, chunk, split=False):
-    """sup_t |X^a - X^b| of two recursions on path ids ``ids``, streamed.
+def _sup_distances(fns, x0a, x0b, grid, seed, ids, scheme, split=False,
+                   dist=lambda t, xa, xb: np.linalg.norm(xa - xb, axis=1)):
+    """sup_t dist(t, X^a_t, X^b_t) of two recursions on path ids ``ids``.
 
-    Both draw from stream ``ids[j]`` (synchronous coupling), or with
-    ``split`` ``a`` from ``ids[j]`` and ``b`` from ``ids[j] + 1``.
+    ``dist`` gives (n,) distances, by default the Euclidean gap.  Streams
+    are coupled or split as in ``_path_chunks``.
     """
-    x0a = np.atleast_1d(np.asarray(x0a, dtype=float))
-    x0b = np.atleast_1d(np.asarray(x0b, dtype=float))
-    d = len(x0a)
-    blocks = 2 if split else 1  # increment arrays held per chunk
-    chunk = _chunk_size(grid, d, blocks * chunk) // blocks
-    out = np.empty(len(ids))
-    for lo in range(0, len(ids), chunk):
-        sub = ids[lo : lo + chunk]
-        dwa = _increment_block(seed, grid, d, sub)
-        dwb = _increment_block(seed, grid, d, sub + 1) if split else dwa
-        n = len(sub)
-        xa, xb = np.broadcast_to(x0a, (n, d)), np.broadcast_to(x0b, (n, d))
-        sup = np.linalg.norm(xa - xb, axis=1)
 
-        def track(k, t, xs):
-            np.maximum(sup, np.linalg.norm(xs[0] - xs[1], axis=1), out=sup)
+    def track(sup, k, t, xs):
+        np.maximum(sup, dist(t, *xs), out=sup)
 
-        run_em(fns, [xa, xb], grid, [dwa, dwb], scheme == "tamed", on_step=track)
-        out[lo : lo + n] = sup
-    return out
+    # one increment array per path, two when split
+    return _path_chunks(fns, [x0a, x0b], grid, seed, ids, scheme, 1 + split, (),
+                        track, split)
 
 
-def pair_sup_distances(model, y0, grid, seed, n_pairs, scheme="em", chunk=8192):
+def pair_sup_distances(model, y0, grid, seed, n_pairs, scheme="em"):
     """sup_t |Y1 - Y2| for independent same-start pairs, streamed.
 
     Pair ``j`` runs on the disjoint streams ``2j`` and ``2j + 1``.
     """
     fns = [model.sim_functions(grid)] * 2
-    ids = 2 * np.arange(n_pairs, dtype=np.int64)
-    return _sup_distances(fns, y0, y0, grid, seed, ids, scheme, chunk, split=True)
+    ids = range(0, 2 * n_pairs, 2)
+    return _sup_distances(fns, y0, y0, grid, seed, ids, scheme, split=True)
 
 
 def coupled_sup_distances(model_a, model_b, x0a, x0b, grid, seed, n_paths,
-                          scheme="em", path_id0=0, chunk=8192):
+                          scheme="em", path_id0=0):
     """sup_t |X^a - X^b| under synchronous coupling, streamed.
 
     The two recursions may use different models (e.g. a drift-shifted twin)
     but share the same increments path by path.
     """
     fns = [model_a.sim_functions(grid), model_b.sim_functions(grid)]
-    ids = np.arange(path_id0, path_id0 + n_paths, dtype=np.int64)
-    return _sup_distances(fns, x0a, x0b, grid, seed, ids, scheme, chunk)
+    ids = range(path_id0, path_id0 + n_paths)
+    return _sup_distances(fns, x0a, x0b, grid, seed, ids, scheme)
 
 
 @dataclass

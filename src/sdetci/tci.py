@@ -229,6 +229,8 @@ def t2_check(model, x0, grid, shifts, n_paths, seed=0, direction=None):
     Entropy should scale quadratically in the shift and the ratio should be
     stable.
     """
+    if n_paths < 2:
+        raise ConfigError(f"need n_paths >= 2 for a stderr, got {n_paths}", "n_paths")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
     e = np.zeros(d)
@@ -325,6 +327,8 @@ def invariance_suite(n_trials=1000, seed=0, p=2.0, max_atoms=7,
     metric kept fixed, the pushed distance sits in the bi-Lipschitz
     sandwich.  Returns worst errors across trials.
     """
+    if n_trials < 1:
+        raise ConfigError(f"need at least one trial, got {n_trials}", "n_trials")
     rng = np.random.default_rng(seed)
     worst_w = 0.0
     worst_h = 0.0

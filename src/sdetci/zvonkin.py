@@ -19,6 +19,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
 from .errors import (
+    ConfigError,
     ConsistencyFailure,
     EllipticSolverError,
     FitFailure,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .simulate import (
     TimeGrid,
-    _increment_block,
+    _sup_distances,
     path_rng,
     run_em,
 )
@@ -53,9 +54,9 @@ class SpaceGrid:
 
     def __post_init__(self):
         if self.d not in (1, 2):
-            raise ValueError("deterministic solvers cover d <= 2")
+            raise ConfigError("deterministic solvers cover d <= 2", "model.d")
         if self.m < 3:
-            raise ValueError("need at least 3 nodes per axis")
+            raise ConfigError(f"need at least 3 nodes per axis, got {self.m}", "grid_m")
 
     @property
     def dx(self):
@@ -677,8 +678,7 @@ def verify_tilde_conditions(tm, radius=None, n_radial=64, n_dirs=8, seed=0,
 # ---------------------------------------------------------------------------
 
 
-def pathwise_consistency(model, phi, lam, x0, n_steps_list, seed=0, n_paths=512,
-                         T=None):
+def pathwise_consistency(model, phi, lam, x0, n_steps_list, seed=0, n_paths=512):
     """Mesh sweep of E sup_t |Phi_t(X_t) - Y_t| under shared noise.
 
     X runs the original recursion, Y the transformed one started at
@@ -686,33 +686,16 @@ def pathwise_consistency(model, phi, lam, x0, n_steps_list, seed=0, n_paths=512,
     log2 rate is reported.  Raises ConsistencyFailure when three successive
     refinements fail to decrease.
     """
-    T = model.T if T is None else T
     tm = TransformedModel(phi, model, lam)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = len(x0)
     rows = []
     for n_steps in n_steps_list:
-        grid = TimeGrid(T, n_steps)
+        grid = TimeGrid(model.T, n_steps)
         fns = [model.sim_functions(grid), tm.sim_functions(grid)]
-        errs = np.empty(n_paths)
-        y_start = phi.phi(x0[None], 0.0)[0]
-        chunk = max(1, int(2e6 // max(n_steps, 1)))
-        for lo in range(0, n_paths, chunk):
-            ids = range(lo, min(lo + chunk, n_paths))
-            n = len(ids)
-            dw = _increment_block(seed, grid, d, ids)
-            x = np.broadcast_to(x0, (n, d))
-            y = np.broadcast_to(y_start, (n, d))
-            sup = np.linalg.norm(phi.phi(x, 0.0) - y, axis=1)
-
-            def track(k, t, xs):
-                np.maximum(
-                    sup, np.linalg.norm(phi.phi(xs[0], t) - xs[1], axis=1),
-                    out=sup,
-                )
-
-            run_em(fns, [x, y], grid, [dw, dw], on_step=track)
-            errs[lo : lo + n] = sup
+        errs = _sup_distances(
+            fns, x0, phi.phi(x0[None], 0.0)[0], grid, seed, range(n_paths), "em",
+            dist=lambda t, x, y: np.linalg.norm(phi.phi(x, t) - y, axis=1),
+        )
         rows.append((n_steps, float(errs.mean())))
     errors = np.array([e for _, e in rows])
     if len(errors) >= 4 and errors.max() > 0:

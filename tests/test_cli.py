@@ -83,6 +83,27 @@ class TestExitCodes:
         })
         assert main(["zvonkin", cfg]) == 3
 
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("simulate", {"scheme": "tamd"}, "scheme"),
+        ("simulate", {"n_paths": 0}, "n_paths"),
+        ("simulate", {"n_steps": 0}, "n_steps"),
+        ("simulate", {"x0": [0.0, 1.0]}, "x0"),
+        ("tci", {"x0": [0.0, 1.0], "delta": 0.05}, "x0"),
+        ("tci", {"shifts": [0.1], "n_paths": 1}, "n_paths"),
+        ("zvonkin", {"grid_m": 2}, "grid_m"),
+        ("invariance", {"n_trials": 0}, "n_trials"),
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
+                                                cfg, key):
+        if command == "zvonkin":
+            cfg = {"model": _dini_cfg(), **cfg}
+        elif command != "invariance":
+            cfg = {"model": _ou_cfg(), "n_steps": 8, **cfg}
+        f = _write(tmp_path, "bad.yaml", {"seed": 0, **cfg})
+        assert main([command, f]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
 
 class TestPipelines:
     def test_simulate_writes_csv(self, tmp_path, capsys):

@@ -19,11 +19,13 @@ from sdetci import (
     model_from_config,
     ou_singular_config,
     pair_sup_distances,
+    pathwise_consistency,
     simulate_em,
     simulate_ensemble,
     simulate_tamed,
     with_drift_shift,
 )
+from sdetci import simulate
 from sdetci.simulate import (
     ensemble_from_csv,
     ensemble_to_csv,
@@ -41,6 +43,13 @@ def _sin_transformed(model):
     sg = SpaceGrid(6.0, 121, 1)
     u = GridFunction(sg, 0.2 * np.sin(sg.axes[0])[:, None])
     return TransformedModel(build_phi(u, lam=2.0), model, 2.0)
+
+
+def _chunked(chunk, run):
+    """``run()`` with every chunk of the shared path loop set to ``chunk`` paths."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_chunk_size", lambda grid, d, held: chunk)
+        return run()
 
 
 def _cubic():
@@ -75,8 +84,8 @@ class TestRngDiscipline:
         model = _ou()
         g = TimeGrid(1.0, 32)
         for m in (model, _sin_transformed(model)):
-            a = simulate_ensemble(m, [0.5], g, 3, 100, chunk=7)
-            b = simulate_ensemble(m, [0.5], g, 3, 100, chunk=100)
+            a = _chunked(7, lambda: simulate_ensemble(m, [0.5], g, 3, 100))
+            b = _chunked(100, lambda: simulate_ensemble(m, [0.5], g, 3, 100))
             np.testing.assert_array_equal(a.states, b.states)
 
     def test_numpy_int_path_ids(self):
@@ -94,17 +103,23 @@ class TestRngDiscipline:
         g = TimeGrid(1.0, 16)
         x0 = [0.2, -0.1]
         runs = [
-            lambda k, c: ensemble_reduce(
+            lambda k: ensemble_reduce(
                 model, x0, g, 5, k, lambda s: s[:, :, 0].max(axis=1) + s[:, -1, 1],
-                scheme, 3, c),
-            lambda k, c: coupled_sup_distances(
-                model, shifted, x0, [0.0, 0.0], g, 5, k, scheme, 3, c),
-            lambda k, c: pair_sup_distances(model, x0, g, 5, k, scheme, c),
+                scheme, 3),
+            lambda k: coupled_sup_distances(
+                model, shifted, x0, [0.0, 0.0], g, 5, k, scheme, 3),
+            lambda k: pair_sup_distances(model, x0, g, 5, k, scheme),
         ]
         for run in runs:
-            whole = run(n, n)
-            np.testing.assert_array_equal(run(n, chunk), whole)
-            np.testing.assert_array_equal(run(2 * n, 2 * n)[:n], whole)
+            whole = _chunked(n, lambda: run(n))
+            np.testing.assert_array_equal(_chunked(chunk, lambda: run(n)), whole)
+            np.testing.assert_array_equal(_chunked(2 * n, lambda: run(2 * n))[:n],
+                                          whole)
+        # the pathwise check of Phi(X) against Y streams through the same loop
+        ou = _ou()
+        pathwise = lambda: pathwise_consistency(  # noqa: E731
+            ou, _sin_transformed(ou).phi, 2.0, [0.3], [2, 4], seed=5, n_paths=n)
+        assert _chunked(1, pathwise)["rows"] == _chunked(n, pathwise)["rows"]
 
 
 class TestSchemes:
@@ -197,14 +212,14 @@ class TestReducers:
     def test_streaming_matches_chunked(self):
         model = _ou()
         g = TimeGrid(1.0, 32)
-        a = coupled_sup_distances(
+        a = _chunked(13, lambda: coupled_sup_distances(
             model, with_drift_shift(model, lambda t, x: np.ones_like(x)),
-            [0.0], [0.0], g, 5, 60, chunk=13,
-        )
-        b = coupled_sup_distances(
+            [0.0], [0.0], g, 5, 60,
+        ))
+        b = _chunked(60, lambda: coupled_sup_distances(
             model, with_drift_shift(model, lambda t, x: np.ones_like(x)),
-            [0.0], [0.0], g, 5, 60, chunk=60,
-        )
+            [0.0], [0.0], g, 5, 60,
+        ))
         np.testing.assert_array_equal(a, b)
 
 
