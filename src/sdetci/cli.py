@@ -4,7 +4,8 @@ Subcommands: validate, simulate, zvonkin, tci, invariance.  Each reads a
 YAML config, runs the corresponding pipeline and writes a deterministic JSON
 report (sorted keys, no timestamps) tagged with the config hash and seed.
 Exit codes: 0 success, 1 a check failed, 2 usage/config error (also a value
-out of range, such as ``n_paths: 0``), 3 numerical failure.
+out of range, such as ``n_paths: 0``, or not a number, such as
+``n_paths: abc``), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -60,10 +61,31 @@ def _config_hash(cfg):
     ).hexdigest()[:16]
 
 
+def _value(cfg, key, default, convert=float):
+    """``convert(cfg.get(key, default))``; a value it rejects is a config error."""
+    value = cfg.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"cannot read {value!r}: {e}", key) from None
+
+
+def _point(value):
+    return np.atleast_1d(np.asarray(value, dtype=float))
+
+
+def _ints(value):
+    return [int(v) for v in value]
+
+
+def _floats(value):
+    return [float(v) for v in value]
+
+
 def _meta(cfg):
     return {
         "config_sha256": _config_hash(cfg),
-        "seed": int(cfg.get("seed", 0)),
+        "seed": _value(cfg, "seed", 0, int),
     }
 
 
@@ -78,20 +100,20 @@ def _emit(report, cfg):
 def _path_setup(cfg):
     """Model, time grid and start point ``x0`` of a path-space command."""
     model = model_from_config(cfg["model"])
-    x0 = np.atleast_1d(np.asarray(cfg.get("x0", [0.0] * model.d), dtype=float))
+    x0 = _value(cfg, "x0", [0.0] * model.d, _point)
     if x0.shape != (model.d,):
         raise ConfigError(f"need {model.d} coordinates, got shape {x0.shape}", "x0")
-    return model, TimeGrid(model.T, int(cfg.get("n_steps", 256))), x0
+    return model, TimeGrid(model.T, _value(cfg, "n_steps", 256, int)), x0
 
 
 def _cmd_validate(cfg):
     model = model_from_config(cfg["model"])
     rep = validate_model(
         model,
-        n_grid=int(cfg.get("n_grid", 512)),
-        radius=float(cfg.get("radius", 5.0)),
-        tol=float(cfg.get("tol", 1e-7)),
-        seed=int(cfg.get("seed", 0)),
+        n_grid=_value(cfg, "n_grid", 512, int),
+        radius=_value(cfg, "radius", 5.0),
+        tol=_value(cfg, "tol", 1e-7),
+        seed=_value(cfg, "seed", 0, int),
     )
     report = TCIReport(meta=_meta(cfg))
     report.add("validation", rep.as_dict())
@@ -102,8 +124,8 @@ def _cmd_validate(cfg):
 def _cmd_simulate(cfg):
     model, grid, x0 = _path_setup(cfg)
     ens = simulate_ensemble(
-        model, x0, grid, int(cfg.get("seed", 0)),
-        int(cfg.get("n_paths", 128)), cfg.get("scheme", "em"),
+        model, x0, grid, _value(cfg, "seed", 0, int),
+        _value(cfg, "n_paths", 128, int), cfg.get("scheme", "em"),
     )
     if cfg.get("csv"):
         ensemble_to_csv(ens, cfg["csv"])
@@ -122,28 +144,28 @@ def _cmd_simulate(cfg):
 def _cmd_zvonkin(cfg):
     model = model_from_config(cfg["model"])
     sgrid = zvonkin.SpaceGrid(
-        float(cfg.get("grid_R", 8.0)), int(cfg.get("grid_m", 257)), model.d
+        _value(cfg, "grid_R", 8.0), _value(cfg, "grid_m", 257, int), model.d
     )
-    tol = float(cfg.get("tol", 1e-8))
+    tol = _value(cfg, "tol", 1e-8)
     report = TCIReport(meta=_meta(cfg))
     if model.kind == "dini":
-        n_time = int(cfg.get("n_time", 64))
+        n_time = _value(cfg, "n_time", 64, int)
         if cfg.get("auto", True):
             phi, history, trace = zvonkin.solve_u_parabolic_auto(
                 model, sgrid, n_time=n_time, tol=tol,
-                lam0=float(cfg.get("lam", 8.0)),
-                threshold=float(cfg.get("threshold", zvonkin.DINI_GRAD_THRESHOLD)),
+                lam0=_value(cfg, "lam", 8.0),
+                threshold=_value(cfg, "threshold", zvonkin.DINI_GRAD_THRESHOLD),
             )
             report.add("auto_trace", [
                 {"lam": t[0], "status": t[1], "grad_bound": t[2]} for t in trace
             ])
         else:
-            lam = float(cfg["lam"])
+            lam = _value(cfg, "lam", None)
             u, history = zvonkin.solve_u_parabolic(model, lam, sgrid,
                                                    n_time=n_time, tol=tol)
             phi = zvonkin.build_phi(
                 u, lam=lam,
-                threshold=float(cfg.get("threshold", zvonkin.DINI_GRAD_THRESHOLD)),
+                threshold=_value(cfg, "threshold", zvonkin.DINI_GRAD_THRESHOLD),
             )
         report.add("picard", {
             "iterations": len(history),
@@ -151,11 +173,11 @@ def _cmd_zvonkin(cfg):
             "ratios": [r for _, r in history if r is not None],
         })
     else:
-        lam = float(cfg.get("lam", 8.0))
+        lam = _value(cfg, "lam", 8.0)
         u = zvonkin.solve_u_elliptic(model, lam, sgrid, tol=tol)
         phi = zvonkin.build_phi(
             u, lam=lam,
-            threshold=float(cfg.get("threshold", zvonkin.SINGULAR_GRAD_THRESHOLD)),
+            threshold=_value(cfg, "threshold", zvonkin.SINGULAR_GRAD_THRESHOLD),
         )
     report.add("phi", {
         "lam": phi.lam,
@@ -169,7 +191,7 @@ def _cmd_zvonkin(cfg):
 
 def _cmd_tci(cfg):
     model, grid, x0 = _path_setup(cfg)
-    seed = int(cfg.get("seed", 0))
+    seed = _value(cfg, "seed", 0, int)
     report = TCIReport(meta=_meta(cfg))
     failed = False
     if cfg.get("thresholds", True) and model.kind == "singular":
@@ -190,11 +212,9 @@ def _cmd_tci(cfg):
             "lambda_strict": ts.lambda_strict, "delta_max": ts.delta_max,
         })
     if "delta" in cfg:
-        delta = float(cfg["delta"])
-        n_list = cfg.get("n_list", [int(cfg.get("n_paths", 10000))])
-        sweep = tci_mod.gaussian_tail_sweep(
-            model, x0, grid, delta, [int(n) for n in n_list], seed
-        )
+        delta = _value(cfg, "delta", None)
+        n_list = _value(cfg, "n_list", [_value(cfg, "n_paths", 10000, int)], _ints)
+        sweep = tci_mod.gaussian_tail_sweep(model, x0, grid, delta, n_list, seed)
         report.add("gaussian_tail", sweep)
         failed = failed or not sweep["stable"]
         report.add("t1", {
@@ -204,8 +224,8 @@ def _cmd_tci(cfg):
         })
     if "shifts" in cfg:
         res = tci_mod.t2_check(
-            model, x0, grid, [float(s) for s in cfg["shifts"]],
-            int(cfg.get("n_paths", 4096)), seed,
+            model, x0, grid, _value(cfg, "shifts", None, _floats),
+            _value(cfg, "n_paths", 4096, int), seed,
         )
         report.add("t2", res)
     _emit(report, cfg)
@@ -214,11 +234,11 @@ def _cmd_tci(cfg):
 
 def _cmd_invariance(cfg):
     res = tci_mod.invariance_suite(
-        n_trials=int(cfg.get("n_trials", 1000)),
-        seed=int(cfg.get("seed", 0)),
-        p=float(cfg.get("p", 2.0)),
-        w_tol=float(cfg.get("w_tol", 1e-10)),
-        h_tol=float(cfg.get("h_tol", 1e-12)),
+        n_trials=_value(cfg, "n_trials", 1000, int),
+        seed=_value(cfg, "seed", 0, int),
+        p=_value(cfg, "p", 2.0),
+        w_tol=_value(cfg, "w_tol", 1e-10),
+        h_tol=_value(cfg, "h_tol", 1e-12),
     )
     report = TCIReport(meta=_meta(cfg))
     report.add("invariance", res)

@@ -8,7 +8,9 @@ Euler-Maruyama (or tamed) driver for one or more coupled states.
 ``coupled_sup_distances`` and ``pair_sup_distances`` draw noise from
 counter-based Philox streams keyed by ``(master seed, path id)``: any path
 is reproducible in isolation, a run of n paths is a prefix of a longer run,
-and results do not depend on how paths are chunked.  ``zvonkin.estimate_P0``
+and results do not depend on how paths are chunked.  A chunk draws from one
+generator, re-keyed per path (``_increment_block``), which gives each path
+the stream of its own ``path_rng(seed, path_id)``.  ``zvonkin.estimate_P0``
 and ``zvonkin.check_gradient_estimate`` are keyed by block instead, one
 stream per ``zvonkin.P0_BLOCK`` paths: their samples are fixed by
 ``(seed, n)``, but a path's noise depends on n.  Paths run in chunks
@@ -81,9 +83,10 @@ class PathEnsemble:
 
 
 def path_rng(seed, path_id):
-    return np.random.Generator(
-        np.random.Philox(key=[int(seed) & _MASK, int(path_id) & _MASK])
-    )
+    # an explicit uint64 key: a plain list holding a word >= 2**63 converts
+    # through float64 and collides with other seeds
+    key = np.array([int(seed) & _MASK, int(path_id) & _MASK], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def brownian_increments(seed, grid, d, path_id=0):
@@ -92,10 +95,22 @@ def brownian_increments(seed, grid, d, path_id=0):
 
 
 def _increment_block(seed, grid, d, ids):
+    """Increments of paths ``ids``, row j equal to ``brownian_increments(ids[j])``.
+
+    One generator serves the block: per path its Philox key word 1 is set to
+    the path id and its counter and buffer are reset, which gives the same
+    stream as a fresh ``path_rng(seed, pid)`` without building one.
+    """
     out = np.empty((len(ids), grid.n_steps, d))
-    root = math.sqrt(grid.h)
+    gen = path_rng(seed, ids[0])
+    philox = gen.bit_generator
+    fresh = philox.state  # zero counter, empty buffer
+    key = fresh["state"]["key"]
     for j, pid in enumerate(ids):
-        out[j] = path_rng(seed, pid).standard_normal((grid.n_steps, d)) * root
+        key[1] = int(pid) & _MASK
+        philox.state = fresh
+        gen.standard_normal(out=out[j])
+    out *= math.sqrt(grid.h)
     return out
 
 
@@ -163,6 +178,7 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, held, shape, reduce,
         step = functools.partial(reduce, acc)
         step(-1, 0.0, xs)
         run_em(fns, xs, grid, dws, scheme == "tamed", on_step=step)
+        del dws  # free the increments before ``finish`` makes its temporaries
         return finish(acc)
 
     n = _chunk_size(grid, d, held)
@@ -213,20 +229,21 @@ def time_integrals(model, x0, grid, seed, n_paths, power=2.0, scheme="em",
     return ensemble_reduce(model, x0, grid, seed, n_paths, fn, scheme, path_id0)
 
 
-def _sup_distances(fns, x0a, x0b, grid, seed, ids, scheme, split=False,
+def _sup_distances(fns, x0s, grid, seed, ids, scheme, split=False,
                    dist=lambda t, xa, xb: np.linalg.norm(xa - xb, axis=1)):
-    """sup_t dist(t, X^a_t, X^b_t) of two recursions on path ids ``ids``.
+    """sup_t dist(t, X^0_t, X^i_t) of state 0 against each other state, (n, k).
 
     ``dist`` gives (n,) distances, by default the Euclidean gap.  Streams
     are coupled or split as in ``_path_chunks``.
     """
 
     def track(sup, k, t, xs):
-        np.maximum(sup, dist(t, *xs), out=sup)
+        for i, x in enumerate(xs[1:]):
+            np.maximum(sup[:, i], dist(t, xs[0], x), out=sup[:, i])
 
     # one increment array per path, two when split
-    return _path_chunks(fns, [x0a, x0b], grid, seed, ids, scheme, 1 + split, (),
-                        track, split)
+    return _path_chunks(fns, x0s, grid, seed, ids, scheme, 1 + split,
+                        (len(fns) - 1,), track, split)
 
 
 def pair_sup_distances(model, y0, grid, seed, n_pairs, scheme="em"):
@@ -236,7 +253,7 @@ def pair_sup_distances(model, y0, grid, seed, n_pairs, scheme="em"):
     """
     fns = [model.sim_functions(grid)] * 2
     ids = range(0, 2 * n_pairs, 2)
-    return _sup_distances(fns, y0, y0, grid, seed, ids, scheme, split=True)
+    return _sup_distances(fns, [y0, y0], grid, seed, ids, scheme, split=True)[:, 0]
 
 
 def coupled_sup_distances(model_a, model_b, x0a, x0b, grid, seed, n_paths,
@@ -248,7 +265,7 @@ def coupled_sup_distances(model_a, model_b, x0a, x0b, grid, seed, n_paths,
     """
     fns = [model_a.sim_functions(grid), model_b.sim_functions(grid)]
     ids = range(path_id0, path_id0 + n_paths)
-    return _sup_distances(fns, x0a, x0b, grid, seed, ids, scheme)
+    return _sup_distances(fns, [x0a, x0b], grid, seed, ids, scheme)[:, 0]
 
 
 @dataclass

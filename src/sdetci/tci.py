@@ -3,7 +3,10 @@
 Closed-form regularization/tail thresholds, plug-in exponential-moment
 estimators with stability diagnostics, Gaussian-tail sweeps, and the
 T1/T2-style checks relating Wasserstein distance to relative entropy.
-Everything is seed-stable and serializes without timestamps.
+Paths are keyed by id, so the sweep and the T2 check simulate each path
+once: the sweep at its largest sample size, T2 with the base model and
+every drift-shifted twin coupled in one run.  Everything is seed-stable and
+serializes without timestamps.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from scipy.special import logsumexp
 
 from .errors import ConfigError, InconclusiveEstimate
 from .simulate import (
-    coupled_sup_distances,
+    _sup_distances,
     ensemble_reduce,
     simulate_ensemble,
     with_drift_shift,
@@ -176,8 +179,8 @@ def _log_mean_stderr(g):
     return float(w.std(ddof=1) / math.sqrt(len(g)))
 
 
-def gaussian_tail_estimate(model, x0, grid, delta, n_paths, seed=0, center=None):
-    """Plug-in E exp{delta sup_t |X_t - c|^2} over an EM ensemble."""
+def _tail_exponents(model, x0, grid, delta, n_paths, seed, center=None):
+    """Per-path delta sup_t |X_t - c|^2 over an EM ensemble, c = x0 by default."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     c = x0 if center is None else np.atleast_1d(np.asarray(center, dtype=float))
 
@@ -185,29 +188,42 @@ def gaussian_tail_estimate(model, x0, grid, delta, n_paths, seed=0, center=None)
         dev = np.linalg.norm(states - c, axis=2).max(axis=1)
         return delta * dev**2
 
-    exps = ensemble_reduce(model, x0, grid, seed, n_paths, fn)
-    out = exp_functional_estimate(exps)
+    return ensemble_reduce(model, x0, grid, seed, n_paths, fn)
+
+
+def _tail_row(exponents, delta):
+    out = exp_functional_estimate(exponents)
     out["delta"] = float(delta)
     return out
+
+
+def gaussian_tail_estimate(model, x0, grid, delta, n_paths, seed=0, center=None):
+    """Plug-in E exp{delta sup_t |X_t - c|^2} over an EM ensemble."""
+    exps = _tail_exponents(model, x0, grid, delta, n_paths, seed, center)
+    return _tail_row(exps, delta)
 
 
 def gaussian_tail_sweep(model, x0, grid, delta, n_list, seed=0, agree_factor=1.5):
     """Tail estimate across nested sample sizes with an overall verdict.
 
-    Streams share a seed, so smaller runs are prefixes of larger ones.  The
-    sweep is "stable" when every run is individually stable and the
-    log-estimates agree within ``log(agree_factor)``.
+    Paths are keyed by id, so a run of n paths is the prefix of the largest
+    run: the sweep simulates ``max(n_list)`` paths once and estimates each
+    row from a prefix of their exponents.  Every row equals
+    ``gaussian_tail_estimate`` at its n.  The sweep is "stable" when every
+    run is individually stable and the log-estimates agree within
+    ``log(agree_factor)``.
     """
-    rows = [
-        gaussian_tail_estimate(model, x0, grid, delta, int(n), seed)
-        for n in sorted(n_list)
-    ]
+    n_list = sorted(int(n) for n in n_list)
+    if not n_list:
+        raise ConfigError("need at least one sample size", "n_list")
+    exps = _tail_exponents(model, x0, grid, delta, n_list[-1], seed)
+    rows = [_tail_row(exps[:n], delta) for n in n_list]
     logs = [r["log_estimate"] for r in rows]
     spread = max(logs) - min(logs)
     stable = all(r["stable"] for r in rows) and spread < math.log(agree_factor)
     return {
         "delta": float(delta),
-        "n_list": [int(n) for n in sorted(n_list)],
+        "n_list": n_list,
         "rows": rows,
         "log_spread": float(spread),
         "stable": bool(stable),
@@ -226,8 +242,10 @@ def t2_check(model, x0, grid, shifts, n_paths, seed=0, direction=None):
     constant vector runs under synchronous coupling; the mean of
     sup_t |Delta|^2 upper-bounds W2^2 in the sup metric, and the
     relative entropy of the two path laws comes from the Girsanov formula.
-    Entropy should scale quadratically in the shift and the ratio should be
-    stable.
+    The base model and every twin are coupled states of one run, so each
+    path is simulated once; row i equals ``coupled_sup_distances`` of the
+    base and twin i.  Entropy should scale quadratically in the shift and
+    the ratio should be stable.
     """
     if n_paths < 2:
         raise ConfigError(f"need n_paths >= 2 for a stderr, got {n_paths}", "n_paths")
@@ -238,15 +256,18 @@ def t2_check(model, x0, grid, shifts, n_paths, seed=0, direction=None):
     if direction is not None:
         e = np.asarray(direction, dtype=float)
         e /= np.linalg.norm(e)
+    shift_fns = [lambda t, x, _h=hmag: _h * np.broadcast_to(e, x.shape)
+                 for hmag in shifts]
+    twins = [with_drift_shift(model, shift) for shift in shift_fns]
+    fns = [m.sim_functions(grid) for m in [model] + twins]
+    sups = _sup_distances(fns, [x0] * len(fns), grid, seed, range(n_paths), "em")
     rows = []
-    _, sigma_fn = model.sim_functions(grid)
-    for hmag in shifts:
-        shift = lambda t, x, _h=hmag: _h * np.broadcast_to(e, x.shape)
-        shifted = with_drift_shift(model, shift)
-        sup = coupled_sup_distances(model, shifted, x0, x0, grid, seed, n_paths)
-        w2_sq = float(np.mean(sup**2))
-        w2_se = float(np.std(sup**2, ddof=1) / math.sqrt(n_paths))
-        ens = simulate_ensemble(shifted, x0, grid, seed, min(n_paths, 2048))
+    _, sigma_fn = fns[0]
+    for i, (hmag, shift, twin) in enumerate(zip(shifts, shift_fns, twins)):
+        sq = sups[:, i] ** 2
+        w2_sq = float(np.mean(sq))
+        w2_se = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
+        ens = simulate_ensemble(twin, x0, grid, seed, min(n_paths, 2048))
         ent, ent_se = girsanov_entropy(shift, sigma_fn, ens.states, grid)
         rows.append({
             "shift": float(hmag),

@@ -693,10 +693,10 @@ def pathwise_consistency(model, phi, lam, x0, n_steps_list, seed=0, n_paths=512)
         grid = TimeGrid(model.T, n_steps)
         fns = [model.sim_functions(grid), tm.sim_functions(grid)]
         errs = _sup_distances(
-            fns, x0, phi.phi(x0[None], 0.0)[0], grid, seed, range(n_paths), "em",
+            fns, [x0, phi.phi(x0[None], 0.0)[0]], grid, seed, range(n_paths), "em",
             dist=lambda t, x, y: np.linalg.norm(phi.phi(x, t) - y, axis=1),
         )
-        rows.append((n_steps, float(errs.mean())))
+        rows.append((n_steps, float(errs[:, 0].mean())))
     errors = np.array([e for _, e in rows])
     if len(errors) >= 4 and errors.max() > 0:
         diffs = np.diff(errors)

@@ -92,6 +92,19 @@ class TestExitCodes:
         ("tci", {"shifts": [0.1], "n_paths": 1}, "n_paths"),
         ("zvonkin", {"grid_m": 2}, "grid_m"),
         ("invariance", {"n_trials": 0}, "n_trials"),
+        # a value that is not a number names its key, not a traceback
+        ("simulate", {"n_paths": "abc"}, "n_paths"),
+        ("simulate", {"n_steps": "many"}, "n_steps"),
+        ("invariance", {"n_trials": "x"}, "n_trials"),
+        ("invariance", {"w_tol": "tight"}, "w_tol"),
+        ("tci", {"x0": ["a"], "delta": 0.05}, "x0"),
+        ("tci", {"delta": "small"}, "delta"),
+        ("tci", {"delta": 0.05, "n_list": [10, "x"]}, "n_list"),
+        ("tci", {"delta": 0.05, "n_list": []}, "n_list"),
+        ("tci", {"shifts": ["big"]}, "shifts"),
+        ("tci", {"seed": "s"}, "seed"),
+        ("zvonkin", {"grid_m": "m"}, "grid_m"),
+        ("zvonkin", {"auto": False}, "lam"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
                                                 cfg, key):

@@ -94,6 +94,36 @@ class TestRngDiscipline:
         b = brownian_increments(1, g, 1, path_id=3)
         np.testing.assert_array_equal(a, b)
 
+    def test_seeds_above_2_63_key_distinct_streams(self):
+        g = TimeGrid(1.0, 8)
+        draws = [brownian_increments(s, g, 1, path_id=3)
+                 for s in (0, 2**63, 2**63 + 1, 2**64 - 1)]
+        for i, a in enumerate(draws):
+            for b in draws[i + 1:]:
+                assert np.abs(a - b).max() > 0
+
+    @settings(max_examples=40)
+    @given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**64 - 1)),
+           first=st.one_of(st.integers(0, 64), st.integers(2**32, 2**62)),
+           n=st.integers(1, 6), step=st.integers(1, 3),
+           kind=st.sampled_from(["range", "array", "split"]),
+           n_steps=st.integers(1, 12), d=st.sampled_from([1, 2]))
+    def test_rekeyed_block_equals_path_streams(self, seed, first, n, step, kind,
+                                               n_steps, d):
+        # one generator re-keyed per path draws what a fresh stream per path
+        # draws; "split" is the ``ids + 1`` array of a split pair's state 1
+        ids = range(first, first + n * step, step)
+        if kind == "array":
+            ids = np.arange(first, first + n * step, step, dtype=np.int64)
+        elif kind == "split":
+            ids = np.add(ids, 1)
+        g = TimeGrid(0.7, n_steps)
+        block = simulate._increment_block(seed, g, d, ids)
+        assert block.shape == (n, n_steps, d)
+        for j, pid in enumerate(ids):
+            ref = simulate.path_rng(seed, pid).standard_normal((n_steps, d))
+            assert block[j].tobytes() == (ref * math.sqrt(g.h)).tobytes()
+
     @settings(max_examples=25)
     @given(n=st.integers(1, 24), chunk=st.integers(1, 24),
            scheme=st.sampled_from(["em", "tamed"]))

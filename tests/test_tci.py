@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from sdetci import (
+    CallableModel,
     TCIReport,
     TimeGrid,
+    coupled_sup_distances,
     delta_threshold,
     exp_functional_estimate,
     gaussian_tail_estimate,
@@ -15,13 +17,30 @@ from sdetci import (
     lambda_threshold,
     model_from_config,
     ou_singular_config,
+    simulate_ensemble,
     t1_constant,
     t2_check,
     threshold_set,
+    with_drift_shift,
 )
+from sdetci import simulate
 from sdetci.errors import ConfigError, InconclusiveEstimate
 from sdetci.tci import coupling_lipschitz_check
+from sdetci.transport import girsanov_entropy
 from sdetci.zvonkin import GridFunction, Homeomorphism, SpaceGrid
+
+
+def _count_states(monkeypatch):
+    """Record how many states each ``simulate.run_em`` call steps."""
+    states = []
+    run = simulate.run_em
+
+    def counted(fns, x0s, *args, **kwargs):
+        states.append(sum(len(x0) for x0 in x0s))
+        return run(fns, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "run_em", counted)
+    return states
 
 
 class TestThresholds:
@@ -117,6 +136,15 @@ class TestGaussianTail:
         )
         assert not sweep["stable"]
 
+    def test_sweep_simulates_each_path_once(self, monkeypatch):
+        # a run of n paths is a prefix of the largest run, so only that one runs
+        model, g = self._ou(), TimeGrid(1.0, 16)
+        states = _count_states(monkeypatch)
+        sweep = gaussian_tail_sweep(model, [0.0], g, 0.05, [1000, 300], seed=4)
+        assert sum(states) == 1000
+        for n, row in zip([300, 1000], sweep["rows"]):
+            assert row == gaussian_tail_estimate(model, [0.0], g, 0.05, n, seed=4)
+
     def test_estimate_increases_with_delta(self):
         g = TimeGrid(1.0, 64)
         a = gaussian_tail_estimate(self._ou(), [0.0], g, 0.02, 4000, seed=1)
@@ -133,6 +161,34 @@ class TestT2Check:
             assert row["entropy"] == pytest.approx(0.5 * row["shift"] ** 2, rel=1e-10)
         assert res["ratio_spread"] == pytest.approx(1.0, abs=1e-9)
         assert res["entropy_scaling_exponent"] == pytest.approx(2.0, abs=1e-6)
+
+    def test_t2_simulates_each_path_once(self, monkeypatch):
+        # multiplicative noise, so the coupled gaps differ path by path
+        model = CallableModel(
+            2, lambda t, x: -x,
+            lambda t, x: (1.0 + 0.3 * np.sin(x[:, :1, None])) * np.eye(2))
+        x0, g, shifts, n, seed = [0.2, -0.1], TimeGrid(1.0, 16), [0.1, 0.2, 0.4], 300, 6
+        states = _count_states(monkeypatch)
+        res = t2_check(model, x0, g, shifts, n, seed)
+        # the base model and every twin step as states of one coupled run,
+        # then each twin runs one entropy ensemble
+        assert sum(states) == (len(shifts) + 1) * n + len(shifts) * n
+        _, sigma = model.sim_functions(g)
+        for h, row in zip(shifts, res["rows"]):
+            shift = lambda t, x, _h=h: _h * np.broadcast_to([1.0, 0.0], x.shape)
+            twin = with_drift_shift(model, shift)
+            sq = coupled_sup_distances(model, twin, x0, x0, g, seed, n) ** 2
+            ent, ent_se = girsanov_entropy(
+                shift, sigma, simulate_ensemble(twin, x0, g, seed, n).states, g)
+            w2_sq = float(np.mean(sq))
+            assert row == {
+                "shift": h,
+                "w2_sq_bound": w2_sq,
+                "w2_sq_stderr": float(np.std(sq, ddof=1) / math.sqrt(n)),
+                "entropy": float(ent),
+                "entropy_stderr": float(ent_se),
+                "ratio": w2_sq / ent,
+            }
 
 
 class TestCouplingLipschitz:
