@@ -249,6 +249,8 @@ def t2_check(model, x0, grid, shifts, n_paths, seed=0, direction=None):
     """
     if n_paths < 2:
         raise ConfigError(f"need n_paths >= 2 for a stderr, got {n_paths}", "n_paths")
+    if len(shifts) == 0:
+        raise ConfigError("need at least one shift", "shifts")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
     e = np.zeros(d)

@@ -105,6 +105,7 @@ class TestExitCodes:
         ("tci", {"seed": "s"}, "seed"),
         ("zvonkin", {"grid_m": "m"}, "grid_m"),
         ("zvonkin", {"auto": False}, "lam"),
+        ("tci", {"shifts": []}, "shifts"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
                                                 cfg, key):

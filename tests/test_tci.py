@@ -162,6 +162,12 @@ class TestT2Check:
         assert res["ratio_spread"] == pytest.approx(1.0, abs=1e-9)
         assert res["entropy_scaling_exponent"] == pytest.approx(2.0, abs=1e-6)
 
+    def test_empty_shifts_is_config_error(self):
+        model = model_from_config(ou_singular_config(kappa=1.0))
+        with pytest.raises(ConfigError) as err:
+            t2_check(model, [0.0], TimeGrid(1.0, 4), [], 8)
+        assert err.value.key_path == "shifts"
+
     def test_t2_simulates_each_path_once(self, monkeypatch):
         # multiplicative noise, so the coupled gaps differ path by path
         model = CallableModel(

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment
 
 from sdetci import (
     EmpiricalMeasure,
@@ -14,9 +18,10 @@ from sdetci import (
     sinkhorn_wp,
     sup_metric,
 )
+from sdetci import transport
 from sdetci.errors import GridMismatch, OutOfDomain, UseSinkhorn
 from sdetci.simulate import PathSample
-from sdetci.transport import TransportPlan, path_sup_cost, plan_to_csv
+from sdetci.transport import TransportPlan, euclidean_cost, path_sup_cost, plan_to_csv
 
 
 def _random_measure(rng, n, d, uniform=False):
@@ -84,6 +89,63 @@ class TestExactWp:
         nu = EmpiricalMeasure.uniform(np.array([[1.0], [3.0]]))
         w, _ = exact_wp(mu, nu, 1.0, metric=lambda x, y: 2 * abs(x[0] - y[0]))
         assert w == pytest.approx(2.0, abs=1e-10)
+
+
+class TestSolverSelection:
+    @settings(max_examples=60)
+    @given(n=st.integers(2, 40), d=st.integers(1, 3),
+           p=st.sampled_from([1.0, 2.0, 3.0]), seed=st.integers(0, 2**32 - 1))
+    def test_assignment_agrees_with_lp(self, n, d, p, seed):
+        rng = np.random.default_rng(seed)
+        cost = euclidean_cost(rng.normal(size=(n, d)), rng.normal(size=(n, d))) ** p
+        w = np.full(n, 1.0 / n)
+        solved = [transport._assignment_wp(cost), transport._lp_wp(cost, w, w)]
+        for total, pi, f, g in solved:
+            assert (f[:, None] + g[None, :] - cost).max() <= 1e-7
+            assert abs(float((cost * pi).sum()) - float(f @ w + g @ w)) <= 1e-7 * max(
+                1.0, total)
+            assert np.abs(pi.sum(axis=1) - w).max() <= 1e-9
+            assert np.abs(pi.sum(axis=0) - w).max() <= 1e-9
+        assert abs(solved[0][0] - solved[1][0]) <= 1e-9
+
+    def test_non_optimal_permutation_rejected(self, monkeypatch):
+        # p = 2 on the line: the sorted matching is the unique optimum
+        mu = EmpiricalMeasure.uniform(np.arange(4.0)[:, None])
+        nu = EmpiricalMeasure.uniform(np.arange(4.0)[:, None] + 0.5)
+
+        def swapped(cost):
+            rows, cols = linear_sum_assignment(cost)
+            cols[[0, 1]] = cols[[1, 0]]
+            return rows, cols
+
+        monkeypatch.setattr(transport, "linear_sum_assignment", swapped)
+        with pytest.raises(RuntimeError, match="dual certificate"):
+            exact_wp(mu, nu, 2.0)
+
+    def test_weighted_input_takes_the_cached_lp(self, monkeypatch):
+        solved = []
+        real = transport.linprog
+
+        def spy(*args, **kwargs):
+            solved.append(kwargs["A_eq"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "linprog", spy)
+        rng = np.random.default_rng(3)
+        mu = _random_measure(rng, 5, 2)
+        nu = _random_measure(rng, 5, 2)
+        exact_wp(mu, nu, 2.0)
+        exact_wp(nu, mu, 1.0)
+        exact_wp(EmpiricalMeasure.uniform(mu.atoms), EmpiricalMeasure.uniform(nu.atoms))
+        assert len(solved) == 2 and solved[0] is solved[1]
+        A = solved[0]
+        assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr))
+        with pytest.raises(ValueError):
+            A.data[0] = 2.0
+        rows = sparse.kron(sparse.eye(3), np.ones((1, 4)))
+        cols = sparse.kron(np.ones((1, 3)), sparse.eye(4))
+        ref = sparse.vstack([rows, cols]).tocsc()
+        assert (transport._incidence(3, 4) != ref).nnz == 0
 
 
 class TestSinkhorn:
