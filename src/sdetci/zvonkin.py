@@ -9,13 +9,14 @@ certifies the bi-Lipschitz sandwich used downstream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -81,31 +82,27 @@ class SpaceGrid:
 class GridFunction:
     """Vector field known on a space(-time) grid, with multilinear interp.
 
-    ``values`` has shape ``(n_t, *grid.shape, d)`` when a time axis is
-    present, else ``(*grid.shape, d)``.  Called as ``f(x, t)``; without a
-    time axis ``t`` is ignored, so callers pass it either way.
+    ``values`` has shape ``(n_t, *grid.shape, k)`` when a time axis is
+    present, else ``(*grid.shape, k)``, for any number ``k`` of components.
+    Called as ``f(x, t)``; without a time axis ``t`` is ignored, so callers
+    pass it either way, and with one ``t`` is a scalar clipped to
+    ``[times[0], times[-1]]``.  A point more than 1e-12 outside the box (or
+    not finite) raises ``OutOfDomain``; closer ones are clipped onto it.
+    The cell of a point is found by index arithmetic on the uniform space
+    axes and by one search on the increasing ``times``; the corners are
+    weighted and summed in the order of scipy's ``RegularGridInterpolator``.
     """
 
     def __init__(self, grid, values, times=None):
         self.grid = grid
         self.times = None if times is None else np.asarray(times, dtype=float)
         self.values = np.asarray(values, dtype=float)
+        if self.values.ndim != grid.d + 1 + (times is not None):
+            raise ValueError("grid function values need one component axis")
         if not np.isfinite(self.values).all():
             raise ValueError("grid function values must be finite")
-        self._interp = None
-
-    def _interpolator(self):
-        if self._interp is None:
-            if self.times is None:
-                pts = self.grid.axes
-                vals = self.values
-            else:
-                pts = [self.times] + self.grid.axes
-                vals = self.values
-            self._interp = RegularGridInterpolator(
-                pts, vals, method="linear", bounds_error=True
-            )
-        return self._interp
+        self._axis = grid.axes[0]
+        self._gaps = np.diff(self._axis)
 
     def __call__(self, x, t=None):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -113,13 +110,25 @@ class GridFunction:
         if not np.abs(x).max() <= R + 1e-12:  # also catches NaN
             raise OutOfDomain(f"point leaves the grid box [-{R}, {R}]^d")
         x = np.clip(x, -R, R)
-        if self.times is None:
-            return self._interpolator()(x)
-        if t is None:
-            raise ValueError("time-dependent grid function needs t")
-        t = float(np.clip(t, self.times[0], self.times[-1]))
-        q = np.concatenate([np.full((len(x), 1), t), x], axis=1)
-        return self._interpolator()(q)
+        i = np.minimum(((x + R) / self.grid.dx).astype(np.intp), self.grid.m - 2)
+        w = (x - self._axis[i]) / self._gaps[i]
+        # per axis: (lower node, its weight), (upper node, its weight), with
+        # the weights as columns that broadcast over the components
+        cells = [((i[:, k], 1.0 - w[:, k:k + 1]), (i[:, k] + 1, w[:, k:k + 1]))
+                 for k in range(self.grid.d)]
+        if self.times is not None:
+            if t is None:
+                raise ValueError("time-dependent grid function needs t")
+            ts = self.times
+            t = min(max(float(t), ts[0]), ts[-1])
+            j = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
+            wt = (t - ts[j]) / (ts[j + 1] - ts[j])
+            cells.insert(0, ((j, 1.0 - wt), (j + 1, wt)))
+        out = 0.0
+        for corner in itertools.product(*cells):
+            idx, weights = zip(*corner)
+            out = out + self.values[idx] * reduce(mul, weights)
+        return out
 
     def gradient_values(self):
         """Central-difference Jacobians, shape (..., d_space, d_comp)."""
@@ -140,20 +149,6 @@ class GridFunction:
         if self.grid.d == 1:
             return float(np.abs(jac).max())
         return float(np.linalg.norm(jac, ord=2, axis=(-2, -1)).max())
-
-    def save(self, path):
-        meta = dict(version=1, R=self.grid.R, m=self.grid.m, d=self.grid.d)
-        if self.times is None:
-            np.savez(path, values=self.values, **meta)
-        else:
-            np.savez(path, values=self.values, times=self.times, **meta)
-
-    @classmethod
-    def load(cls, path):
-        data = np.load(path)
-        grid = SpaceGrid(float(data["R"]), int(data["m"]), int(data["d"]))
-        times = data["times"] if "times" in data.files else None
-        return cls(grid, data["values"], times)
 
 
 # ---------------------------------------------------------------------------

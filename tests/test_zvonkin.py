@@ -1,10 +1,13 @@
 import functools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from sdetci import (
     CallableModel,
@@ -76,6 +79,58 @@ class TestGridFunction:
         np.testing.assert_allclose(
             u(sg.points())[:, 0], np.tanh(sg.axes[0]), atol=1e-14
         )
+        # +R sits in the last cell with weight 1, and a point within 1e-12
+        # outside the box is clipped onto it
+        assert u([[2.0], [2.0 + 5e-13]])[:, 0].tolist() == [np.tanh(2.0)] * 2
+        assert u([[-2.0 - 5e-13]])[0, 0] == np.tanh(-2.0)
+
+    @settings(max_examples=60)
+    @given(d=st.sampled_from([1, 2]), m=st.integers(3, 24),
+           R=st.floats(0.5, 20.0), n_t=st.sampled_from([0, 2, 5]),
+           uniform_times=st.booleans(), comps=st.sampled_from([1, "d", "d2"]),
+           t_frac=st.floats(-0.5, 1.5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_interpolator(self, d, m, R, n_t, uniform_times,
+                                        comps, t_frac, seed):
+        rng = np.random.default_rng(seed)
+        sg = SpaceGrid(R, m, d)
+        k = {1: 1, "d": d, "d2": d * d}[comps]
+        times = None
+        if n_t:
+            steps = (np.ones(n_t - 1) if uniform_times
+                     else rng.uniform(0.05, 1.0, n_t - 1))
+            times = -0.3 + np.concatenate([[0.0], np.cumsum(steps)])
+        lead = () if times is None else (n_t,)
+        vals = rng.normal(size=lead + sg.shape + (k,))
+        u = GridFunction(sg, vals, times)
+        # inside points, nodes, both faces and points just outside them
+        ax = sg.axes[0]
+        x = np.concatenate([
+            rng.uniform(-R, R, size=(40, d)),
+            ax[rng.integers(0, m, size=(10, d))],
+            np.full((1, d), R), np.full((1, d), -R),
+            np.full((1, d), R + 5e-13), np.full((1, d), -R - 5e-13),
+        ])
+        t = 0.0 if times is None else times[0] + t_frac * (times[-1] - times[0])
+        grid = sg.axes if times is None else [times] + sg.axes
+        q = np.clip(x, -R, R)
+        if times is not None:
+            tc = np.clip(t, times[0], times[-1])
+            q = np.concatenate([np.full((len(q), 1), tc), q], axis=1)
+        oracle = RegularGridInterpolator(grid, vals, bounds_error=True)(q)
+        got = u(x, t)
+        assert got.shape == oracle.shape
+        tol = 8 * np.finfo(float).eps * np.abs(vals).max()
+        assert np.abs(got - oracle).max() <= tol
+        if times is not None:
+            # a time outside the nodes gives the value at the end node
+            np.testing.assert_array_equal(u(x, times[0] - 1.0), u(x, times[0]))
+            np.testing.assert_array_equal(u(x, times[-1] + 1.0), u(x, times[-1]))
+
+    def test_import_leaves_scipy_interpolate_unloaded(self, child_env):
+        code = "import sdetci, sys; assert 'scipy.interpolate' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_gradient_accuracy(self):
         sg = SpaceGrid(3.0, 601, 1)
@@ -85,8 +140,12 @@ class TestGridFunction:
     def test_out_of_domain(self):
         sg = SpaceGrid(1.0, 11, 1)
         u = GridFunction(sg, np.zeros((11, 1)))
-        with pytest.raises(OutOfDomain):
-            u(np.array([[5.0]]))
+        for x in (5.0, 1.0 + 1e-9, -1.0 - 1e-9):
+            with pytest.raises(OutOfDomain):
+                u(np.array([[x]]))
+        ut = GridFunction(sg, np.zeros((3, 11, 1)), np.linspace(0.0, 1.0, 3))
+        with pytest.raises(ValueError, match="needs t"):
+            ut(np.array([[0.5]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_out_of_domain(self, bad):
@@ -98,18 +157,6 @@ class TestGridFunction:
         with pytest.raises(OutOfDomain):
             phi.phi_inv(np.array([[0.5], [bad]]))
 
-    def test_save_load_round_trip(self, tmp_path):
-        sg = SpaceGrid(2.0, 17, 1)
-        times = np.linspace(0, 1, 5)
-        vals = np.random.default_rng(0).normal(size=(5, 17, 1))
-        u = GridFunction(sg, vals, times)
-        f = tmp_path / "u.npz"
-        u.save(f)
-        back = GridFunction.load(f)
-        np.testing.assert_array_equal(back.values, vals)
-        np.testing.assert_array_equal(back.times, times)
-        assert back.grid == sg
-
     def test_2d_grid(self):
         sg = SpaceGrid(1.0, 21, 2)
         pts = sg.points()
@@ -119,6 +166,8 @@ class TestGridFunction:
         out = u(q)
         assert out[0, 0] == pytest.approx(-0.12, abs=1e-3)
         assert out[0, 1] == pytest.approx(0.3, abs=1e-12)
+        with pytest.raises(ValueError, match="component axis"):
+            GridFunction(sg, vals[:, 0].reshape(21, 21))
 
 
 class TestHomeomorphism:
