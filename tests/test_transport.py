@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
 from sdetci import (
     EmpiricalMeasure,
@@ -21,7 +21,7 @@ from sdetci import (
 from sdetci import transport
 from sdetci.errors import GridMismatch, OutOfDomain, UseSinkhorn
 from sdetci.simulate import PathSample
-from sdetci.transport import TransportPlan, euclidean_cost, path_sup_cost, plan_to_csv
+from sdetci.transport import euclidean_cost, path_sup_cost
 
 
 def _random_measure(rng, n, d, uniform=False):
@@ -30,6 +30,14 @@ def _random_measure(rng, n, d, uniform=False):
         return EmpiricalMeasure.uniform(atoms)
     w = rng.uniform(0.2, 1.0, n)
     return EmpiricalMeasure(atoms, w / w.sum())
+
+
+class TestEmpiricalMeasure:
+    @pytest.mark.parametrize("weights", [[-0.5, 1.5], [0.5, 0.6], [np.nan, np.nan],
+                                         [np.inf, -np.inf], [np.nan, 1.0]])
+    def test_rejects_invalid_weights(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            EmpiricalMeasure(np.array([[0.0], [1.0]]), np.array(weights))
 
 
 class TestExactWp:
@@ -148,6 +156,39 @@ class TestSolverSelection:
         assert (transport._incidence(3, 4) != ref).nnz == 0
 
 
+    @settings(max_examples=200)
+    @given(n=st.integers(1, 8), m=st.integers(1, 8), tied=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_direct_highs_matches_scipy_linprog(self, n, m, tied, seed):
+        # bit for bit: the same LP and settings reach the same HiGHS core
+        rng = np.random.default_rng(seed)
+        cost = rng.integers(0, 3, (n, m)).astype(float) if tied else rng.random((n, m))
+        mu_w, nu_w = rng.random(n), rng.random(m)
+        b_eq = np.concatenate([mu_w / mu_w.sum(), nu_w / nu_w.sum()])
+        A_eq = transport._incidence(n, m)
+        fun, x, duals = transport.linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq)
+        res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert res.success
+        assert np.array_equal(fun, res.fun)
+        assert np.array_equal(x, res.x)
+        assert np.array_equal(duals, res.eqlin.marginals)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_cost_refused(self, bad):
+        rng = np.random.default_rng(8)
+        mu = _random_measure(rng, 3, 1)
+        nu = _random_measure(rng, 4, 1)
+        cost = euclidean_cost(mu.atoms, nu.atoms)
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            exact_wp(mu, nu, 2.0, metric=cost)
+
+    def test_inconsistent_marginals_fail(self):
+        cost = euclidean_cost(np.arange(3.0)[:, None], np.arange(2.0)[:, None])
+        with pytest.raises(RuntimeError, match="transport LP failed: Infeasible"):
+            transport._lp_wp(cost, np.full(3, 1 / 3), np.array([0.2, 0.3]))
+
+
 class TestSinkhorn:
     def test_bracket_contains_exact(self):
         rng = np.random.default_rng(17)
@@ -249,11 +290,3 @@ class TestPushforward:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(OutOfDomain):
                 pushforward(mu, lambda x: x / 0.0)
-
-    def test_plan_csv(self, tmp_path):
-        plan = TransportPlan(np.array([[0.5, 0.0], [0.0, 0.5]]), 0.0, 0.0)
-        f = tmp_path / "plan.csv"
-        plan_to_csv(plan, f)
-        lines = f.read_text().strip().splitlines()
-        assert lines[0] == "i,j,mass"
-        assert len(lines) == 3
