@@ -14,14 +14,19 @@ the stream of its own ``path_rng(seed, path_id)``.  ``zvonkin.estimate_P0``
 and ``zvonkin.check_gradient_estimate`` are keyed by block instead, one
 stream per ``zvonkin.P0_BLOCK`` paths: their samples are fixed by
 ``(seed, n)``, but a path's noise depends on n.  Paths run in chunks
-through one loop, ``_path_chunks``.  One memory budget, ``_CHUNK_BUDGET``,
-sets every chunk size, so no function takes a ``chunk`` argument.
+through one loop, ``_path_chunks``, which hands the states after every
+step to a reducer.  ``ensemble_reduce(..., step, shape, finish)`` streams
+them into a per-path accumulator of ``shape`` (a running sup, a value per
+node), so a path holds its increments, not its states; only
+``simulate_ensemble``, and ``ensemble_reduce`` given a function of full
+states instead of a ``shape``, store every node.  One memory budget,
+``_CHUNK_BUDGET``, sets every chunk size, so no function takes a ``chunk``
+argument.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -133,13 +138,19 @@ def run_em(fns, x0s, grid, dws, tamed=False, t0=0.0, on_step=None):
     xs = [np.array(x0, dtype=float) for x0 in x0s]
     t = t0
     for k in range(grid.n_steps):
+        # Column k of an increment array is strided.  States that share the
+        # array read one contiguous copy; a lone state reads it in place,
+        # which is cheaper than copying it.
+        cols = {id(dw): dw[:, k] for dw in dws}
+        if len(cols) < len(dws):
+            cols = {key: np.ascontiguousarray(col) for key, col in cols.items()}
         for i, (drift, sigma) in enumerate(fns):
             x = xs[i]
             mu = drift(t, x)
             incr = mu * h
             if tamed:
                 incr = incr / (1.0 + h * np.linalg.norm(mu, axis=1, keepdims=True))
-            x = x + incr + np.einsum("nij,nj->ni", sigma(t, x), dws[i][:, k])
+            x = x + incr + np.einsum("nij,nj->ni", sigma(t, x), cols[id(dws[i])])
             if not np.abs(x).max() <= _BLOWUP_LIMIT:  # also catches NaN
                 raise BlowupError(k + 1)
             xs[i] = x
@@ -155,12 +166,14 @@ def _chunk_size(grid, d, held):
 
 
 def _path_chunks(fns, x0s, grid, seed, ids, scheme, held, shape, reduce,
-                 split=False, finish=lambda acc: acc):
+                 split=False, finish=lambda acc: acc, keep=None):
     """Run coupled states over chunks of path ids; return ``finish(acc)`` joined.
 
     Path ``ids[j]`` keys every state's noise, or with ``split`` state 1's is
     ``ids[j] + 1``.  ``reduce(acc, k, t, xs)`` fills a chunk's zeroed ``acc``
     of shape (n,) + ``shape`` from the start states (k = -1) and each step.
+    ``keep``, an array (len(fns), n_steps + 1, m, d), receives every state
+    of the first m paths at every node.
     """
     if scheme not in ("em", "tamed"):
         raise ConfigError(f"unknown scheme {scheme!r}, use 'em' or 'tamed'", "scheme")
@@ -168,21 +181,29 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, held, shape, reduce,
         raise ConfigError(f"need at least one path, got {len(ids)}", "n_paths")
     x0s = [np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in x0s]
     d = len(x0s[0])
+    n = _chunk_size(grid, d, held)
+    m = 0 if keep is None else keep.shape[2]
 
-    def run(sub):
+    def run(lo):
+        sub = ids[lo : lo + n]
         dws = [_increment_block(seed, grid, d, sub)] * len(fns)
         if split:
             dws[1] = _increment_block(seed, grid, d, np.add(sub, 1))
         xs = [np.broadcast_to(x0, (len(sub), d)) for x0 in x0s]
         acc = np.zeros((len(sub),) + shape)
-        step = functools.partial(reduce, acc)
+        kept = keep[:, :, lo : lo + len(sub)] if lo < m else ()
+
+        def step(k, t, xs):
+            reduce(acc, k, t, xs)
+            for states, x in zip(kept, xs):
+                states[k + 1] = x[: states.shape[1]]
+
         step(-1, 0.0, xs)
         run_em(fns, xs, grid, dws, scheme == "tamed", on_step=step)
         del dws  # free the increments before ``finish`` makes its temporaries
         return finish(acc)
 
-    n = _chunk_size(grid, d, held)
-    return np.concatenate([run(ids[lo : lo + n]) for lo in range(0, len(ids), n)])
+    return np.concatenate([run(lo) for lo in range(0, len(ids), n)])
 
 
 def _states(model, x0, grid, seed, n_paths, scheme, path_id0, fn=lambda s: s):
@@ -212,38 +233,59 @@ def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0):
     return PathEnsemble(grid, states, ids, _fingerprint(model), scheme)
 
 
-def ensemble_reduce(model, x0, grid, seed, n_paths, fn, scheme="em", path_id0=0):
-    """Apply ``fn(states_chunk) -> (n,) values`` per chunk, memory-bounded."""
-    return _states(model, x0, grid, seed, n_paths, scheme, path_id0, fn)
+def ensemble_reduce(model, x0, grid, seed, n_paths, step, shape=None,
+                    finish=lambda acc: acc, scheme="em", path_id0=0):
+    """Stream ``step(acc, k, t, x)`` over the paths; return ``finish(acc)`` joined.
+
+    Per chunk of n paths, ``acc`` is a zeroed (n,) + ``shape`` array and
+    ``step`` sees the start states x (n, d) at k = -1, t = 0, then the
+    states after each step k at time t.  A path holds its increments and
+    its row of ``acc``, never its states.  ``finish(acc)`` gives (n, ...)
+    values per chunk.  Without ``shape``, ``step`` is instead a function of
+    a chunk's full (n, n_steps + 1, d) states, the earlier contract, and
+    each chunk holds its states.
+    """
+    if shape is None:
+        return _states(model, x0, grid, seed, n_paths, scheme, path_id0, step)
+    # the accumulator counts as the whole (n_steps, d) arrays it fills
+    held = 1 + math.prod(shape) // (grid.n_steps * np.size(x0))
+    return _path_chunks([model.sim_functions(grid)], [x0], grid, seed,
+                        range(path_id0, path_id0 + n_paths), scheme, held, shape,
+                        lambda acc, k, t, xs: step(acc, k, t, xs[0]), finish=finish)
 
 
 def time_integrals(model, x0, grid, seed, n_paths, power=2.0, scheme="em",
                    path_id0=0):
-    """Per-path trapezoid of |X_t|^power over [0, T]."""
+    """Per-path trapezoid of |X_t|^power over [0, T].
+
+    Each path holds |X_t|^power at every node, not its states.
+    """
     nodes = grid.nodes
 
-    def fn(states):
-        mag = np.linalg.norm(states, axis=2) ** power
-        return np.trapezoid(mag, nodes, axis=1)
+    def step(mag, k, t, x):
+        mag[:, k + 1] = np.linalg.norm(x, axis=1) ** power
 
-    return ensemble_reduce(model, x0, grid, seed, n_paths, fn, scheme, path_id0)
+    return ensemble_reduce(model, x0, grid, seed, n_paths, step,
+                           (grid.n_steps + 1,),
+                           lambda mag: np.trapezoid(mag, nodes, axis=1),
+                           scheme, path_id0)
 
 
 def _sup_distances(fns, x0s, grid, seed, ids, scheme, split=False,
-                   dist=lambda t, xa, xb: np.linalg.norm(xa - xb, axis=1)):
+                   dist=lambda t, xa, xb: np.linalg.norm(xa - xb, axis=1),
+                   keep=None):
     """sup_t dist(t, X^0_t, X^i_t) of state 0 against each other state, (n, k).
 
     ``dist`` gives (n,) distances, by default the Euclidean gap.  Streams
-    are coupled or split as in ``_path_chunks``.
+    are coupled or split, and ``keep`` filled, as in ``_path_chunks``.
     """
 
     def track(sup, k, t, xs):
-        for i, x in enumerate(xs[1:]):
-            np.maximum(sup[:, i], dist(t, xs[0], x), out=sup[:, i])
+        np.maximum(sup, np.stack([dist(t, xs[0], x) for x in xs[1:]], axis=1), out=sup)
 
     # one increment array per path, two when split
     return _path_chunks(fns, x0s, grid, seed, ids, scheme, 1 + split,
-                        (len(fns) - 1,), track, split)
+                        (len(fns) - 1,), track, split, keep=keep)
 
 
 def pair_sup_distances(model, y0, grid, seed, n_pairs, scheme="em"):

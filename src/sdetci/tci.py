@@ -19,12 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigError, InconclusiveEstimate
-from .simulate import (
-    _sup_distances,
-    ensemble_reduce,
-    simulate_ensemble,
-    with_drift_shift,
-)
+from .simulate import _sup_distances, ensemble_reduce, with_drift_shift
 from .transport import (
     EmpiricalMeasure,
     exact_wp,
@@ -32,6 +27,9 @@ from .transport import (
     pushforward,
     relative_entropy_discrete,
 )
+
+
+GIRSANOV_PATHS = 2048  # paths per Girsanov entropy in ``t2_check``
 
 
 def _neg(x):
@@ -180,15 +178,19 @@ def _log_mean_stderr(g):
 
 
 def _tail_exponents(model, x0, grid, delta, n_paths, seed, center=None):
-    """Per-path delta sup_t |X_t - c|^2 over an EM ensemble, c = x0 by default."""
+    """Per-path delta sup_t |X_t - c|^2 over an EM ensemble, c = x0 by default.
+
+    The sup is a running max from the start state on, so no path holds its
+    states.
+    """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     c = x0 if center is None else np.atleast_1d(np.asarray(center, dtype=float))
 
-    def fn(states):
-        dev = np.linalg.norm(states - c, axis=2).max(axis=1)
-        return delta * dev**2
+    def step(sup, k, t, x):
+        np.maximum(sup, np.linalg.norm(x - c, axis=1), out=sup)
 
-    return ensemble_reduce(model, x0, grid, seed, n_paths, fn)
+    return ensemble_reduce(model, x0, grid, seed, n_paths, step, (),
+                           lambda sup: delta * sup**2)
 
 
 def _tail_row(exponents, delta):
@@ -241,11 +243,13 @@ def t2_check(model, x0, grid, shifts, n_paths, seed=0, direction=None):
     For each shift magnitude, a twin equation with drift shifted by a
     constant vector runs under synchronous coupling; the mean of
     sup_t |Delta|^2 upper-bounds W2^2 in the sup metric, and the
-    relative entropy of the two path laws comes from the Girsanov formula.
-    The base model and every twin are coupled states of one run, so each
-    path is simulated once; row i equals ``coupled_sup_distances`` of the
-    base and twin i.  Entropy should scale quadratically in the shift and
-    the ratio should be stable.
+    relative entropy of the two path laws comes from the Girsanov formula
+    over the first ``GIRSANOV_PATHS`` twin paths.  The base model and every
+    twin are coupled states of one run, which keeps the states of those
+    first paths, so each path is simulated once; row i equals
+    ``coupled_sup_distances`` of the base and twin i, and
+    ``girsanov_entropy`` on ``simulate_ensemble`` of twin i.  Entropy should
+    scale quadratically in the shift and the ratio should be stable.
     """
     if n_paths < 2:
         raise ConfigError(f"need n_paths >= 2 for a stderr, got {n_paths}", "n_paths")
@@ -262,15 +266,17 @@ def t2_check(model, x0, grid, shifts, n_paths, seed=0, direction=None):
                  for hmag in shifts]
     twins = [with_drift_shift(model, shift) for shift in shift_fns]
     fns = [m.sim_functions(grid) for m in [model] + twins]
-    sups = _sup_distances(fns, [x0] * len(fns), grid, seed, range(n_paths), "em")
+    kept = np.empty((len(fns), grid.n_steps + 1, min(n_paths, GIRSANOV_PATHS), d))
+    sups = _sup_distances(fns, [x0] * len(fns), grid, seed, range(n_paths), "em",
+                          keep=kept)
     rows = []
     _, sigma_fn = fns[0]
-    for i, (hmag, shift, twin) in enumerate(zip(shifts, shift_fns, twins)):
+    for i, (hmag, shift) in enumerate(zip(shifts, shift_fns)):
         sq = sups[:, i] ** 2
         w2_sq = float(np.mean(sq))
         w2_se = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
-        ens = simulate_ensemble(twin, x0, grid, seed, min(n_paths, 2048))
-        ent, ent_se = girsanov_entropy(shift, sigma_fn, ens.states, grid)
+        states = kept[i + 1].swapaxes(0, 1)  # (paths, nodes, d)
+        ent, ent_se = girsanov_entropy(shift, sigma_fn, states, grid)
         rows.append({
             "shift": float(hmag),
             "w2_sq_bound": w2_sq,
@@ -434,16 +440,6 @@ class TCIReport:
             fh.write(self.to_json())
             fh.write("\n")
 
-    def to_csv(self, path):
-        import csv as _csv
-
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["section", "key", "value"])
-            for sec in sorted(self.sections):
-                for key, value in _flatten(self.sections[sec]):
-                    writer.writerow([sec, key, _scalar_repr(value)])
-
 
 def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
@@ -451,20 +447,3 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not serializable: {type(obj)!r}")
-
-
-def _flatten(obj, prefix=""):
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            yield from _flatten(obj[k], f"{prefix}{k}." if prefix else f"{k}.")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from _flatten(v, f"{prefix}{i}.")
-    else:
-        yield prefix.rstrip("."), obj
-
-
-def _scalar_repr(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)

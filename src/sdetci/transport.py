@@ -20,7 +20,6 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.optimize._highspy import _core as _highs
-from scipy.special import logsumexp
 
 from .errors import GridMismatch, OutOfDomain, UseSinkhorn
 
@@ -304,13 +303,14 @@ def sinkhorn_wp(mu, nu, p=2.0, eps=0.05, iters=2000, metric=None, tol=1e-10):
     cost = rho**p
     log_mu = np.log(np.maximum(mu.weights, 1e-300))
     log_nu = np.log(np.maximum(nu.weights, 1e-300))
+    K = -cost / eps
     f = np.zeros(len(mu.weights))
     g = np.zeros(len(nu.weights))
     converged = False
     for it in range(iters):
         f_prev = f
-        g = -eps * logsumexp((-(cost - f[:, None]) / eps) + log_mu[:, None], axis=0)
-        f = -eps * logsumexp((-(cost - g[None, :]) / eps) + log_nu[None, :], axis=1)
+        g = -eps * _logsumexp(K + (f / eps + log_mu)[:, None], axis=0)
+        f = -eps * _logsumexp(K + (g / eps + log_nu)[None, :], axis=1)
         if np.abs(f - f_prev).max() < tol:
             converged = True
             break
@@ -326,6 +326,17 @@ def sinkhorn_wp(mu, nu, p=2.0, eps=0.05, iters=2000, metric=None, tol=1e-10):
         converged=converged,
         eps=eps,
     )
+
+
+def _logsumexp(a, axis):
+    """log sum exp of a finite array along ``axis``, shifted by its max.
+
+    ``a`` is overwritten.
+    """
+    top = a.max(axis=axis, keepdims=True)
+    a -= top
+    np.exp(a, out=a)
+    return np.log(a.sum(axis=axis)) + top.squeeze(axis)
 
 
 @dataclass

@@ -132,10 +132,21 @@ class TestRngDiscipline:
         shifted = with_drift_shift(model, lambda t, x: 0.5 * np.ones_like(x))
         g = TimeGrid(1.0, 16)
         x0 = [0.2, -0.1]
+
+        def max_plus_terminal(acc, k, t, x):
+            # running max of the first coordinate, terminal second coordinate
+            if k < 0:
+                acc[:, 0] = x[:, 0]
+            np.maximum(acc[:, 0], x[:, 0], out=acc[:, 0])
+            acc[:, 1] = x[:, 1]
+
         runs = [
             lambda k: ensemble_reduce(
+                model, x0, g, 5, k, max_plus_terminal, (2,),
+                lambda acc: acc[:, 0] + acc[:, 1], scheme=scheme, path_id0=3),
+            lambda k: ensemble_reduce(
                 model, x0, g, 5, k, lambda s: s[:, :, 0].max(axis=1) + s[:, -1, 1],
-                scheme, 3),
+                scheme=scheme, path_id0=3),
             lambda k: coupled_sup_distances(
                 model, shifted, x0, [0.0, 0.0], g, 5, k, scheme, 3),
             lambda k: pair_sup_distances(model, x0, g, 5, k, scheme),
@@ -145,6 +156,8 @@ class TestRngDiscipline:
             np.testing.assert_array_equal(_chunked(chunk, lambda: run(n)), whole)
             np.testing.assert_array_equal(_chunked(2 * n, lambda: run(2 * n))[:n],
                                           whole)
+        # the streamed statistic equals the one taken from full states
+        np.testing.assert_array_equal(runs[0](n), runs[1](n))
         # the pathwise check of Phi(X) against Y streams through the same loop
         ou = _ou()
         pathwise = lambda: pathwise_consistency(  # noqa: E731

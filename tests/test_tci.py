@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from sdetci import (
 )
 from sdetci import simulate
 from sdetci.errors import ConfigError, InconclusiveEstimate
-from sdetci.tci import coupling_lipschitz_check
+from sdetci.tci import GIRSANOV_PATHS, coupling_lipschitz_check
 from sdetci.transport import girsanov_entropy
 from sdetci.zvonkin import GridFunction, Homeomorphism, SpaceGrid
 
@@ -145,6 +146,21 @@ class TestGaussianTail:
         for n, row in zip([300, 1000], sweep["rows"]):
             assert row == gaussian_tail_estimate(model, [0.0], g, 0.05, n, seed=4)
 
+    def test_sweep_holds_no_states(self):
+        # a path holds its increments, one node short of its states; on top
+        # of them the sweep's allocation peak stays far below one state array
+        model, g, n = self._ou(), TimeGrid(1.0, 128), 4000
+        gaussian_tail_sweep(model, [0.0], g, 0.05, [100, 200], seed=2)
+        tracemalloc.start()
+        try:
+            gaussian_tail_sweep(model, [0.0], g, 0.05, [n // 2, n], seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        increments = n * g.n_steps * 8
+        states = n * (g.n_steps + 1) * 8
+        assert peak < increments + states / 4
+
     def test_estimate_increases_with_delta(self):
         g = TimeGrid(1.0, 64)
         a = gaussian_tail_estimate(self._ou(), [0.0], g, 0.02, 4000, seed=1)
@@ -168,24 +184,23 @@ class TestT2Check:
             t2_check(model, [0.0], TimeGrid(1.0, 4), [], 8)
         assert err.value.key_path == "shifts"
 
-    def test_t2_simulates_each_path_once(self, monkeypatch):
+    @staticmethod
+    def _multiplicative():
         # multiplicative noise, so the coupled gaps differ path by path
-        model = CallableModel(
+        return CallableModel(
             2, lambda t, x: -x,
             lambda t, x: (1.0 + 0.3 * np.sin(x[:, :1, None])) * np.eye(2))
-        x0, g, shifts, n, seed = [0.2, -0.1], TimeGrid(1.0, 16), [0.1, 0.2, 0.4], 300, 6
-        states = _count_states(monkeypatch)
-        res = t2_check(model, x0, g, shifts, n, seed)
-        # the base model and every twin step as states of one coupled run,
-        # then each twin runs one entropy ensemble
-        assert sum(states) == (len(shifts) + 1) * n + len(shifts) * n
+
+    def _assert_rows(self, model, x0, g, shifts, n, seed, res):
+        """Each row is the coupled run of its twin plus the Girsanov entropy
+        of the twin's first ``GIRSANOV_PATHS`` paths."""
         _, sigma = model.sim_functions(g)
         for h, row in zip(shifts, res["rows"]):
             shift = lambda t, x, _h=h: _h * np.broadcast_to([1.0, 0.0], x.shape)
             twin = with_drift_shift(model, shift)
             sq = coupled_sup_distances(model, twin, x0, x0, g, seed, n) ** 2
-            ent, ent_se = girsanov_entropy(
-                shift, sigma, simulate_ensemble(twin, x0, g, seed, n).states, g)
+            ens = simulate_ensemble(twin, x0, g, seed, min(n, GIRSANOV_PATHS))
+            ent, ent_se = girsanov_entropy(shift, sigma, ens.states, g)
             w2_sq = float(np.mean(sq))
             assert row == {
                 "shift": h,
@@ -195,6 +210,29 @@ class TestT2Check:
                 "entropy_stderr": float(ent_se),
                 "ratio": w2_sq / ent,
             }
+
+    def test_t2_simulates_each_path_once(self, monkeypatch):
+        model = self._multiplicative()
+        x0, g, shifts, n, seed = [0.2, -0.1], TimeGrid(1.0, 16), [0.1, 0.2, 0.4], 300, 6
+        states = _count_states(monkeypatch)
+        res = t2_check(model, x0, g, shifts, n, seed)
+        # the base model and every twin step as states of one coupled run,
+        # which also feeds the entropies
+        assert sum(states) == (len(shifts) + 1) * n
+        self._assert_rows(model, x0, g, shifts, n, seed, res)
+
+    def test_t2_entropy_from_the_first_paths(self, monkeypatch):
+        # more paths than the entropy uses: a kept head and a streamed tail
+        model = self._multiplicative()
+        x0, g, shifts, seed = [0.2, -0.1], TimeGrid(1.0, 4), [0.1, 0.3], 2
+        n = GIRSANOV_PATHS + 52
+        states = _count_states(monkeypatch)
+        res = t2_check(model, x0, g, shifts, n, seed)
+        assert sum(states) == (len(shifts) + 1) * n
+        self._assert_rows(model, x0, g, shifts, n, seed, res)
+        # chunks that split the kept paths, the last one partly kept
+        monkeypatch.setattr(simulate, "_chunk_size", lambda grid, d, held: 1000)
+        assert t2_check(model, x0, g, shifts, n, seed) == res
 
 
 class TestCouplingLipschitz:
@@ -234,12 +272,3 @@ class TestReport:
         f = tmp_path / "r.json"
         rep.save_json(f)
         assert f.read_text().strip() == s1
-
-    def test_csv_flattening(self, tmp_path):
-        rep = TCIReport()
-        rep.add("s", {"nested": {"k": 1.5}, "list": [2.0, 3.0]})
-        f = tmp_path / "r.csv"
-        rep.to_csv(f)
-        text = f.read_text()
-        assert "s,nested.k,1.5" in text
-        assert "s,list.0,2.0" in text

@@ -199,6 +199,21 @@ class TestSinkhorn:
             br = sinkhorn_wp(mu, nu, 2.0, eps=0.05)
             assert br.lower - 1e-9 <= w <= br.upper + 1e-9
 
+    def test_far_apart_weighted_pair(self):
+        # every exp(-cost / eps) underflows to 0 unless shifted by its max
+        rng = np.random.default_rng(8)
+        mu = _random_measure(rng, 7, 2)
+        nu = _random_measure(rng, 5, 2)
+        nu = EmpiricalMeasure(nu.atoms + 30.0, nu.weights)
+        assert (mu.weights != mu.weights[0]).any()
+        eps = 1.0
+        cost = np.linalg.norm(mu.atoms[:, None] - nu.atoms[None], axis=2) ** 2
+        assert (cost / eps).min() > 745 and np.exp(-(cost / eps)).max() == 0.0
+        w, _ = exact_wp(mu, nu, 2.0)
+        br = sinkhorn_wp(mu, nu, 2.0, eps=eps)
+        assert np.isfinite([br.lower, br.upper]).all()
+        assert br.lower - 1e-9 <= w <= br.upper + 1e-9
+
     def test_bracket_tightens_with_eps(self):
         rng = np.random.default_rng(4)
         mu = _random_measure(rng, 10, 1)
