@@ -8,7 +8,6 @@ from .errors import (
     EllipticSolverError,
     FitFailure,
     GradientTooLarge,
-    GridMismatch,
     InconclusiveEstimate,
     InvalidCoefficient,
     MollifierError,
@@ -32,16 +31,12 @@ from .models import (
 from .simulate import (
     CallableModel,
     PathEnsemble,
-    PathSample,
     TimeGrid,
     brownian_increments,
     coupled_sup_distances,
     ensemble_reduce,
-    pair_sup_distances,
     path_rng,
-    simulate_em,
     simulate_ensemble,
-    simulate_tamed,
     with_drift_shift,
 )
 from .transport import (
@@ -54,7 +49,6 @@ from .transport import (
     pushforward,
     relative_entropy_discrete,
     sinkhorn_wp,
-    sup_metric,
 )
 from .zvonkin import (
     GridFunction,

@@ -26,10 +26,6 @@ class BlowupError(SdetciError):
         super().__init__(f"path blew up at step {step}")
 
 
-class GridMismatch(SdetciError):
-    """Two path objects do not share the same time grid."""
-
-
 class NotContractive(SdetciError):
     """The Picard map failed to contract at the given regularization level."""
 

@@ -90,29 +90,24 @@ class ModulusSpec:
                 return self.scale * np.maximum(t, cap_t) ** -2.0
             return self(np.exp(-np.minimum(t, 745.0)))
 
-    def dini_tail(self, t1, t2, n=4096):
+    def dini_tail(self, t1, t2):
         """Tail mass of the Dini integral between s = e^{-t2} and e^{-t1}.
 
         Written in the substituted variable t = log(1/s), where the
         integrand is just phi(e^{-t}); a summable tail vanishes as t1 grows
         while a barely-divergent modulus keeps contributing.
         """
-        t = np.geomspace(t1, t2, n)
+        t = np.geomspace(t1, t2, 4096)
         return float(np.trapezoid(self.at_log(t), t))
 
-    def holder_ratio(self, alpha, s):
-        """phi(s) / s**alpha; divergence as s -> 0 means no Holder-alpha fit."""
-        s = np.asarray(s, dtype=float)
-        return self(s) / s**alpha
-
-    def validate(self, n_grid=2048, tol=1e-9):
+    def validate(self):
         """Run the three admissibility checks on a sample grid."""
         if self.family == "custom_table":
             # between nodes the interpolant is linear (its square convex),
             # so concavity is meaningful only at the table nodes
             grid = np.asarray(self.table_s, dtype=float)
         else:
-            grid = np.linspace(0.0, 1.0, max(n_grid, 1000))
+            grid = np.linspace(0.0, 1.0, 2048)
         phi = self(grid)
         checks = []
         checks.append(CheckResult("phi_zero_at_zero", -abs(float(self(0.0))), None))
@@ -126,7 +121,7 @@ class ModulusSpec:
         # measured relative to the overall size of the modulus
         tail = self.dini_tail(1e8, 1e9) / max(1.0, float(self(1.0)))
         checks.append(CheckResult("dini_integral_cauchy", float(1e-6 - tail), None))
-        return ValidationReport(checks, tol=tol)
+        return ValidationReport(checks, tol=1e-9)
 
 
 def _log_square(s, cutoff):
@@ -451,35 +446,6 @@ def smooth_split(B, width, d=1, order=32, tol=1e-8):
         return np.asarray(B(t, x)) - B_bar(t, x)
 
     return B_bar, B_hat
-
-
-def measure_split(B, B_bar, B_hat, d=1, radius=4.0, n=201, t=0.0):
-    """Grid estimates of the norms entering the decomposition bounds."""
-    axes = [np.linspace(-radius, radius, n)] * d
-    if d == 1:
-        pts = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-    dx = axes[0][1] - axes[0][0]
-
-    def sup_grad(f):
-        vals = np.asarray(f(t, pts)).reshape(*(n,) * d, d)
-        gmax = 0.0
-        for ax in range(d):
-            g = np.gradient(vals, dx, axis=ax)
-            gmax = max(gmax, float(np.abs(g).max()))
-        return gmax
-
-    recon = np.abs(
-        np.asarray(B(t, pts)) - np.asarray(B_bar(t, pts)) - np.asarray(B_hat(t, pts))
-    ).max()
-    return {
-        "sup_B_hat": float(np.abs(np.asarray(B_hat(t, pts))).max()),
-        "sup_grad_B_bar": sup_grad(B_bar),
-        "sup_grad_B_hat": sup_grad(B_hat),
-        "reconstruction_error": float(recon),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@
 Every SDE recursion of the package runs through ``run_em``, one
 Euler-Maruyama (or tamed) driver for one or more coupled states.
 
-``brownian_increments``, ``simulate_em``, ``simulate_tamed``,
-``simulate_ensemble``, ``ensemble_reduce``, ``time_integrals``,
-``coupled_sup_distances`` and ``pair_sup_distances`` draw noise from
+``brownian_increments``, ``simulate_ensemble``, ``ensemble_reduce``,
+``time_integrals`` and ``coupled_sup_distances`` draw noise from
 counter-based Philox streams keyed by ``(master seed, path id)``: any path
 is reproducible in isolation, a run of n paths is a prefix of a longer run,
 and results do not depend on how paths are chunked.  A chunk draws from one
@@ -59,17 +58,6 @@ class TimeGrid:
 
 
 @dataclass
-class PathSample:
-    grid: TimeGrid
-    states: np.ndarray  # (n_steps + 1, d)
-    seed_id: int
-
-    @property
-    def d(self):
-        return self.states.shape[1]
-
-
-@dataclass
 class PathEnsemble:
     grid: TimeGrid
     states: np.ndarray  # (n_paths, n_steps + 1, d)
@@ -79,12 +67,6 @@ class PathEnsemble:
 
     def __len__(self):
         return self.states.shape[0]
-
-    def path(self, i):
-        return PathSample(self.grid, self.states[i], int(self.seed_ids[i]))
-
-    def __iter__(self):
-        return (self.path(i) for i in range(len(self)))
 
 
 def path_rng(seed, path_id):
@@ -124,13 +106,13 @@ def _fingerprint(model):
     return fp() if callable(fp) else str(fp)
 
 
-def run_em(fns, x0s, grid, dws, tamed=False, t0=0.0, on_step=None):
+def run_em(fns, x0s, grid, dw, tamed=False, t0=0.0, on_step=None):
     """Euler-Maruyama (or tamed) recursion of coupled states over one chunk.
 
-    State ``i`` starts at ``x0s[i]`` (n, d), steps with ``fns[i] = (drift,
-    sigma)`` and takes the increments ``dws[i]`` of shape (n, n_steps, d);
-    passing one array for several states couples them synchronously.
-    After step k, ``on_step(k, t, xs)`` sees the states at time t.  Raises
+    State ``i`` starts at ``x0s[i]`` (n, d) and steps with ``fns[i] =
+    (drift, sigma)``; every state takes the increments ``dw`` of shape (n,
+    n_steps, d), so the states are coupled synchronously.  After step k,
+    ``on_step(k, t, xs)`` sees the states at time t.  Raises
     BlowupError when any state leaves the finite range (only plain EM is
     expected to).  Returns the terminal states.
     """
@@ -138,19 +120,17 @@ def run_em(fns, x0s, grid, dws, tamed=False, t0=0.0, on_step=None):
     xs = [np.array(x0, dtype=float) for x0 in x0s]
     t = t0
     for k in range(grid.n_steps):
-        # Column k of an increment array is strided.  States that share the
-        # array read one contiguous copy; a lone state reads it in place,
-        # which is cheaper than copying it.
-        cols = {id(dw): dw[:, k] for dw in dws}
-        if len(cols) < len(dws):
-            cols = {key: np.ascontiguousarray(col) for key, col in cols.items()}
+        # Column k of the increments is strided.  Coupled states read one
+        # contiguous copy; a lone state reads it in place, which is cheaper
+        # than copying it.
+        col = dw[:, k] if len(fns) == 1 else np.ascontiguousarray(dw[:, k])
         for i, (drift, sigma) in enumerate(fns):
             x = xs[i]
             mu = drift(t, x)
             incr = mu * h
             if tamed:
                 incr = incr / (1.0 + h * np.linalg.norm(mu, axis=1, keepdims=True))
-            x = x + incr + np.einsum("nij,nj->ni", sigma(t, x), cols[id(dws[i])])
+            x = x + incr + np.einsum("nij,nj->ni", sigma(t, x), col)
             if not np.abs(x).max() <= _BLOWUP_LIMIT:  # also catches NaN
                 raise BlowupError(k + 1)
             xs[i] = x
@@ -166,14 +146,14 @@ def _chunk_size(grid, d, held):
 
 
 def _path_chunks(fns, x0s, grid, seed, ids, scheme, held, shape, reduce,
-                 split=False, finish=lambda acc: acc, keep=None):
+                 finish=lambda acc: acc, keep=None):
     """Run coupled states over chunks of path ids; return ``finish(acc)`` joined.
 
-    Path ``ids[j]`` keys every state's noise, or with ``split`` state 1's is
-    ``ids[j] + 1``.  ``reduce(acc, k, t, xs)`` fills a chunk's zeroed ``acc``
-    of shape (n,) + ``shape`` from the start states (k = -1) and each step.
-    ``keep``, an array (len(fns), n_steps + 1, m, d), receives every state
-    of the first m paths at every node.
+    Path ``ids[j]`` keys the noise every state shares.  ``reduce(acc, k, t,
+    xs)`` fills a chunk's zeroed ``acc`` of shape (n,) + ``shape`` from the
+    start states (k = -1) and each step.  ``keep``, an array (len(fns),
+    n_steps + 1, m, d), receives every state of the first m paths at every
+    node.
     """
     if scheme not in ("em", "tamed"):
         raise ConfigError(f"unknown scheme {scheme!r}, use 'em' or 'tamed'", "scheme")
@@ -186,9 +166,7 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, held, shape, reduce,
 
     def run(lo):
         sub = ids[lo : lo + n]
-        dws = [_increment_block(seed, grid, d, sub)] * len(fns)
-        if split:
-            dws[1] = _increment_block(seed, grid, d, np.add(sub, 1))
+        dw = _increment_block(seed, grid, d, sub)
         xs = [np.broadcast_to(x0, (len(sub), d)) for x0 in x0s]
         acc = np.zeros((len(sub),) + shape)
         kept = keep[:, :, lo : lo + len(sub)] if lo < m else ()
@@ -199,8 +177,8 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, held, shape, reduce,
                 states[k + 1] = x[: states.shape[1]]
 
         step(-1, 0.0, xs)
-        run_em(fns, xs, grid, dws, scheme == "tamed", on_step=step)
-        del dws  # free the increments before ``finish`` makes its temporaries
+        run_em(fns, xs, grid, dw, scheme == "tamed", on_step=step)
+        del dw  # free the increments before ``finish`` makes its temporaries
         return finish(acc)
 
     return np.concatenate([run(lo) for lo in range(0, len(ids), n)])
@@ -216,14 +194,6 @@ def _states(model, x0, grid, seed, n_paths, scheme, path_id0, fn=lambda s: s):
     return _path_chunks([model.sim_functions(grid)], [x0], grid, seed,
                         range(path_id0, path_id0 + n_paths), scheme, 2,
                         (grid.n_steps + 1, np.size(x0)), store, finish=fn)
-
-
-def simulate_em(model, x0, grid, seed, path_id=0):
-    return simulate_ensemble(model, x0, grid, seed, 1, "em", path_id).path(0)
-
-
-def simulate_tamed(model, x0, grid, seed, path_id=0):
-    return simulate_ensemble(model, x0, grid, seed, 1, "tamed", path_id).path(0)
 
 
 def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0):
@@ -271,31 +241,21 @@ def time_integrals(model, x0, grid, seed, n_paths, power=2.0, scheme="em",
                            scheme, path_id0)
 
 
-def _sup_distances(fns, x0s, grid, seed, ids, scheme, split=False,
+def _sup_distances(fns, x0s, grid, seed, ids, scheme,
                    dist=lambda t, xa, xb: np.linalg.norm(xa - xb, axis=1),
                    keep=None):
     """sup_t dist(t, X^0_t, X^i_t) of state 0 against each other state, (n, k).
 
-    ``dist`` gives (n,) distances, by default the Euclidean gap.  Streams
-    are coupled or split, and ``keep`` filled, as in ``_path_chunks``.
+    ``dist`` gives (n,) distances, by default the Euclidean gap.  The states
+    are coupled, and ``keep`` filled, as in ``_path_chunks``.
     """
 
     def track(sup, k, t, xs):
         np.maximum(sup, np.stack([dist(t, xs[0], x) for x in xs[1:]], axis=1), out=sup)
 
-    # one increment array per path, two when split
-    return _path_chunks(fns, x0s, grid, seed, ids, scheme, 1 + split,
-                        (len(fns) - 1,), track, split, keep=keep)
-
-
-def pair_sup_distances(model, y0, grid, seed, n_pairs, scheme="em"):
-    """sup_t |Y1 - Y2| for independent same-start pairs, streamed.
-
-    Pair ``j`` runs on the disjoint streams ``2j`` and ``2j + 1``.
-    """
-    fns = [model.sim_functions(grid)] * 2
-    ids = range(0, 2 * n_pairs, 2)
-    return _sup_distances(fns, [y0, y0], grid, seed, ids, scheme, split=True)[:, 0]
+    # one increment array per path
+    return _path_chunks(fns, x0s, grid, seed, ids, scheme, 1, (len(fns) - 1,),
+                        track, keep=keep)
 
 
 def coupled_sup_distances(model_a, model_b, x0a, x0b, grid, seed, n_paths,
@@ -367,32 +327,3 @@ def ensemble_to_csv(ensemble, path):
             for k, t in enumerate(nodes):
                 writer.writerow([pid, repr(float(t))] +
                                 [repr(float(v)) for v in ensemble.states[i, k]])
-
-
-def ensemble_from_csv(path):
-    with open(path) as fh:
-        meta = {}
-        pos = fh.tell()
-        line = fh.readline()
-        while line.startswith("#"):
-            for tok in line[1:].split():
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    meta[k] = v
-            pos = fh.tell()
-            line = fh.readline()
-        fh.seek(pos)
-        rows = list(csv.reader(fh))
-    header, rows = rows[0], rows[1:]
-    d = len(header) - 2
-    grid = TimeGrid(float(meta["T"]), int(meta["n_steps"]))
-    ids = sorted({int(r[0]) for r in rows})
-    idx = {pid: i for i, pid in enumerate(ids)}
-    states = np.empty((len(ids), grid.n_steps + 1, d))
-    counts = {pid: 0 for pid in ids}
-    for r in rows:
-        pid = int(r[0])
-        states[idx[pid], counts[pid]] = [float(v) for v in r[2:]]
-        counts[pid] += 1
-    return PathEnsemble(grid, states, np.asarray(ids, dtype=np.int64),
-                        meta.get("fingerprint", "?"), meta.get("scheme", "?"))

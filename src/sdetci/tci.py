@@ -30,6 +30,7 @@ from .transport import (
 
 
 GIRSANOV_PATHS = 2048  # paths per Girsanov entropy in ``t2_check``
+_MAX_ATOMS = 7  # atoms per random measure in ``invariance_suite``
 
 
 def _neg(x):
@@ -132,20 +133,21 @@ def t1_constant(delta, original_space=False):
 # ---------------------------------------------------------------------------
 
 
-def exp_functional_estimate(exponents, min_block=256):
+def exp_functional_estimate(exponents):
     """Estimate E e^G from per-sample exponents, in log space.
 
     The estimate is trusted only when (a) the log-estimate trace over
-    doubling prefixes moves by < 10% in the last doubling and (b) no single
-    sample carries half the mass -- otherwise the empirical mean is still
-    chasing the tail and the verdict is "unstable".
+    doubling prefixes, from 256 samples on, moves by < 10% in the last
+    doubling and (b) no single sample carries half the mass -- otherwise
+    the empirical mean is still chasing the tail and the verdict is
+    "unstable".
     """
     g = np.asarray(exponents, dtype=float).ravel()
     n = len(g)
     if n < 2:
         raise InconclusiveEstimate("need at least two samples")
     sizes = []
-    k = min(min_block, n)
+    k = min(256, n)
     while k < n:
         sizes.append(k)
         k *= 2
@@ -177,17 +179,16 @@ def _log_mean_stderr(g):
     return float(w.std(ddof=1) / math.sqrt(len(g)))
 
 
-def _tail_exponents(model, x0, grid, delta, n_paths, seed, center=None):
-    """Per-path delta sup_t |X_t - c|^2 over an EM ensemble, c = x0 by default.
+def _tail_exponents(model, x0, grid, delta, n_paths, seed):
+    """Per-path delta sup_t |X_t - x0|^2 over an EM ensemble.
 
     The sup is a running max from the start state on, so no path holds its
     states.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    c = x0 if center is None else np.atleast_1d(np.asarray(center, dtype=float))
 
     def step(sup, k, t, x):
-        np.maximum(sup, np.linalg.norm(x - c, axis=1), out=sup)
+        np.maximum(sup, np.linalg.norm(x - x0, axis=1), out=sup)
 
     return ensemble_reduce(model, x0, grid, seed, n_paths, step, (),
                            lambda sup: delta * sup**2)
@@ -199,30 +200,33 @@ def _tail_row(exponents, delta):
     return out
 
 
-def gaussian_tail_estimate(model, x0, grid, delta, n_paths, seed=0, center=None):
-    """Plug-in E exp{delta sup_t |X_t - c|^2} over an EM ensemble."""
-    exps = _tail_exponents(model, x0, grid, delta, n_paths, seed, center)
+def gaussian_tail_estimate(model, x0, grid, delta, n_paths, seed=0):
+    """Plug-in E exp{delta sup_t |X_t - x0|^2} over an EM ensemble."""
+    exps = _tail_exponents(model, x0, grid, delta, n_paths, seed)
     return _tail_row(exps, delta)
 
 
-def gaussian_tail_sweep(model, x0, grid, delta, n_list, seed=0, agree_factor=1.5):
+def gaussian_tail_sweep(model, x0, grid, delta, n_list, seed=0):
     """Tail estimate across nested sample sizes with an overall verdict.
 
     Paths are keyed by id, so a run of n paths is the prefix of the largest
     run: the sweep simulates ``max(n_list)`` paths once and estimates each
     row from a prefix of their exponents.  Every row equals
     ``gaussian_tail_estimate`` at its n.  The sweep is "stable" when every
-    run is individually stable and the log-estimates agree within
-    ``log(agree_factor)``.
+    run is individually stable and the log-estimates agree within log 1.5.
     """
     n_list = sorted(int(n) for n in n_list)
     if not n_list:
         raise ConfigError("need at least one sample size", "n_list")
+    if n_list[0] < 2:
+        raise ConfigError(f"need sample sizes >= 2, got {n_list[0]}", "n_list")
+    if not delta > 0:
+        raise ConfigError(f"need delta > 0, got {delta}", "delta")
     exps = _tail_exponents(model, x0, grid, delta, n_list[-1], seed)
     rows = [_tail_row(exps[:n], delta) for n in n_list]
     logs = [r["log_estimate"] for r in rows]
     spread = max(logs) - min(logs)
-    stable = all(r["stable"] for r in rows) and spread < math.log(agree_factor)
+    stable = all(r["stable"] for r in rows) and spread < math.log(1.5)
     return {
         "delta": float(delta),
         "n_list": n_list,
@@ -237,13 +241,13 @@ def gaussian_tail_sweep(model, x0, grid, delta, n_list, seed=0, agree_factor=1.5
 # ---------------------------------------------------------------------------
 
 
-def t2_check(model, x0, grid, shifts, n_paths, seed=0, direction=None):
+def t2_check(model, x0, grid, shifts, n_paths, seed=0):
     """Ratio of squared sup-distance to entropy across drift-shift sizes.
 
-    For each shift magnitude, a twin equation with drift shifted by a
-    constant vector runs under synchronous coupling; the mean of
-    sup_t |Delta|^2 upper-bounds W2^2 in the sup metric, and the
-    relative entropy of the two path laws comes from the Girsanov formula
+    For each shift magnitude h > 0, a twin equation with drift shifted by
+    h e_1 runs under synchronous coupling; the mean of sup_t |Delta|^2
+    upper-bounds W2^2 in the sup metric, and the relative entropy of the
+    two path laws comes from the Girsanov formula
     over the first ``GIRSANOV_PATHS`` twin paths.  The base model and every
     twin are coupled states of one run, which keeps the states of those
     first paths, so each path is simulated once; row i equals
@@ -255,13 +259,12 @@ def t2_check(model, x0, grid, shifts, n_paths, seed=0, direction=None):
         raise ConfigError(f"need n_paths >= 2 for a stderr, got {n_paths}", "n_paths")
     if len(shifts) == 0:
         raise ConfigError("need at least one shift", "shifts")
+    if not min(shifts) > 0:
+        raise ConfigError(f"need shifts > 0, got {min(shifts)}", "shifts")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
     e = np.zeros(d)
     e[0] = 1.0
-    if direction is not None:
-        e = np.asarray(direction, dtype=float)
-        e /= np.linalg.norm(e)
     shift_fns = [lambda t, x, _h=hmag: _h * np.broadcast_to(e, x.shape)
                  for hmag in shifts]
     twins = [with_drift_shift(model, shift) for shift in shift_fns]
@@ -345,8 +348,7 @@ def _random_affine(rng, d, cond_cap=4.0):
     return fwd, inv, float(s.min()), float(s.max())
 
 
-def invariance_suite(n_trials=1000, seed=0, p=2.0, max_atoms=7,
-                     w_tol=1e-10, h_tol=1e-12):
+def invariance_suite(n_trials=1000, seed=0, p=2.0, w_tol=1e-10, h_tol=1e-12):
     """Randomized verification of the pushforward identities.
 
     Per trial, on random discrete measures and a random invertible affine
@@ -364,8 +366,8 @@ def invariance_suite(n_trials=1000, seed=0, p=2.0, max_atoms=7,
     worst_sandwich = -np.inf
     for trial in range(n_trials):
         d = int(rng.integers(1, 3))
-        n = int(rng.integers(2, max_atoms + 1))
-        m = int(rng.integers(2, max_atoms + 1))
+        n = int(rng.integers(2, _MAX_ATOMS + 1))
+        m = int(rng.integers(2, _MAX_ATOMS + 1))
         mu = EmpiricalMeasure(rng.uniform(-2, 2, (n, d)), _simplex(rng, n))
         nu = EmpiricalMeasure(rng.uniform(-2, 2, (m, d)), _simplex(rng, m))
         fwd, inv, smin, smax = _random_affine(rng, d)
@@ -381,7 +383,7 @@ def invariance_suite(n_trials=1000, seed=0, p=2.0, max_atoms=7,
         worst_w = max(worst_w, abs(w1 - w0))
 
         # entropy invariance on a shared atom index
-        k = int(rng.integers(2, max_atoms + 1))
+        k = int(rng.integers(2, _MAX_ATOMS + 1))
         atoms = rng.uniform(-2, 2, (k, d))
         wa, wb = _simplex(rng, k), _simplex(rng, k)
         h0 = relative_entropy_discrete(

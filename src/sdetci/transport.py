@@ -5,7 +5,7 @@ of equal size have a permutation among their optimal plans (Birkhoff-von
 Neumann), so they are solved as an assignment problem; every other instance
 is an LP, handed straight to the HiGHS core that scipy bundles.  Both
 solvers pass the same dual certificate: potentials
-f, g with f_i + g_j <= c_ij and a duality gap within ``dual_tol``.  Larger
+f, g with f_i + g_j <= c_ij and a duality gap within ``DUAL_TOL``.  Larger
 instances get a certified entropic bracket whose lower end is a feasible LP
 dual value and whose upper end is the cost of a rounded feasible plan, so the
 exact value always lies inside.
@@ -21,9 +21,10 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.optimize._highspy import _core as _highs
 
-from .errors import GridMismatch, OutOfDomain, UseSinkhorn
+from .errors import OutOfDomain, UseSinkhorn
 
 EXACT_ATOM_LIMIT = 512
+DUAL_TOL = 1e-7  # dual slack and relative duality gap an exact solve may leave
 # The solution test of scipy's linprog: 10 * sqrt(tol) with its default 1e-9
 LP_FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
 
@@ -59,13 +60,6 @@ class TransportPlan:
         return max(self.row_residual, self.col_residual) <= tol
 
 
-def sup_metric(a, b):
-    """Uniform (max over nodes) distance of two path samples."""
-    if a.grid != b.grid:
-        raise GridMismatch("paths live on different time grids")
-    return float(np.linalg.norm(a.states - b.states, axis=1).max())
-
-
 def euclidean_cost(x, y):
     return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
 
@@ -85,25 +79,18 @@ def path_sup_cost(states_a, states_b, block=64):
 def _cost_matrix(mu, nu, metric):
     if metric is None:
         return euclidean_cost(mu.atoms, nu.atoms)
-    if callable(metric):
-        n, m = len(mu.atoms), len(nu.atoms)
-        out = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                out[i, j] = metric(mu.atoms[i], nu.atoms[j])
-        return out
     return np.asarray(metric, dtype=float)
 
 
-def exact_wp(mu, nu, p=2.0, metric=None, dual_tol=1e-7):
+def exact_wp(mu, nu, p=2.0, metric=None):
     """Exact discrete W_p; returns (value, plan).
 
     Two uniform measures of equal size are solved as an assignment problem
     with shortest-path potentials as duals; any other pair is an LP (HiGHS).
-    ``metric`` may be None (Euclidean), a callable ``(x, y) -> float`` or a
-    precomputed cost matrix.  The optimal plan carries marginal residuals;
-    on either path, dual feasibility and the duality gap are checked to
-    ``dual_tol`` and a violation raises ``RuntimeError``.
+    ``metric`` is None (Euclidean) or a precomputed cost matrix.  The
+    optimal plan carries marginal residuals; on either path, dual
+    feasibility and the duality gap are checked to ``DUAL_TOL`` and a
+    violation raises ``RuntimeError``.
     """
     n, m = len(mu.atoms), len(nu.atoms)
     if n > EXACT_ATOM_LIMIT or m > EXACT_ATOM_LIMIT:
@@ -116,7 +103,7 @@ def exact_wp(mu, nu, p=2.0, metric=None, dual_tol=1e-7):
         total, pi, f, g = _lp_wp(cost, mu.weights, nu.weights)
     slack = (f[:, None] + g[None, :]) - cost
     gap = abs(float(cost.ravel() @ pi.ravel()) - float(f @ mu.weights + g @ nu.weights))
-    if slack.max() > dual_tol or gap > dual_tol * max(1.0, abs(total)):
+    if slack.max() > DUAL_TOL or gap > DUAL_TOL * max(1.0, abs(total)):
         raise RuntimeError("dual certificate violated beyond tolerance")
     plan = TransportPlan(
         pi,
@@ -293,7 +280,7 @@ def _round_plan(pi, mu_w, nu_w):
     return pi
 
 
-def sinkhorn_wp(mu, nu, p=2.0, eps=0.05, iters=2000, metric=None, tol=1e-10):
+def sinkhorn_wp(mu, nu, p=2.0, eps=0.05, iters=2000, metric=None):
     """Entropic surrogate returning certified (lower, upper) bounds on W_p.
 
     Lower: value of an LP-dual-feasible pair obtained by a tight c-transform
@@ -311,7 +298,7 @@ def sinkhorn_wp(mu, nu, p=2.0, eps=0.05, iters=2000, metric=None, tol=1e-10):
         f_prev = f
         g = -eps * _logsumexp(K + (f / eps + log_mu)[:, None], axis=0)
         f = -eps * _logsumexp(K + (g / eps + log_nu)[None, :], axis=1)
-        if np.abs(f - f_prev).max() < tol:
+        if np.abs(f - f_prev).max() < 1e-10:
             converged = True
             break
     log_pi = (f[:, None] + g[None, :] - cost) / eps + log_mu[:, None] + log_nu[None, :]

@@ -167,7 +167,7 @@ class Homeomorphism:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return x + self.u(x, t)
 
-    def phi_inv(self, y, t=None, tol=1e-10, max_iter=200, history=None):
+    def phi_inv(self, y, t=None, tol=1e-10, history=None):
         """Fixed-point inversion x_{k+1} = y - u(x_k); geometric convergence.
 
         Each point keeps the first iterate whose own step is below ``tol``,
@@ -179,7 +179,7 @@ class Homeomorphism:
         x = y.copy()
         done = np.zeros(len(y), dtype=bool)
         prev = np.inf
-        for _ in range(max_iter):
+        for _ in range(200):
             x_new = y - self.u(x, t)
             steps = np.abs(x_new - x).max(axis=1)
             if history is not None:
@@ -204,18 +204,6 @@ class Homeomorphism:
         jac = self.u.gradient_values()
         flat = jac.reshape(jac.shape[:-2] + (self.u.grid.d**2,))
         return GridFunction(self.u.grid, flat, self.u.times)
-
-    def lipschitz_ratios(self, n_pairs=256, seed=0, t=0.0):
-        rng = np.random.default_rng(seed)
-        R = self.u.grid.R
-        d = self.u.grid.d
-        x = rng.uniform(-0.9 * R, 0.9 * R, size=(n_pairs, d))
-        y = x + rng.uniform(-0.5, 0.5, size=(n_pairs, d))
-        y = np.clip(y, -0.9 * R, 0.9 * R)
-        num = np.linalg.norm(self.phi(x, t) - self.phi(y, t), axis=1)
-        den = np.linalg.norm(x - y, axis=1)
-        keep = den > 1e-12
-        return num[keep] / den[keep]
 
 
 def build_phi(u, lam=0.0, threshold=DINI_GRAD_THRESHOLD):
@@ -328,7 +316,7 @@ def _parabolic_map(model, lam, sgrid, times):
     return apply
 
 
-def solve_u_parabolic(model, lam, sgrid, n_time=64, tol=1e-8, max_iter=60):
+def solve_u_parabolic(model, lam, sgrid, n_time=64, tol=1e-8):
     """Fixed point of the resolvent integral map for the time-dependent model.
 
     Picard iteration of ``_parabolic_map``.  Returns ``(u, history)`` where
@@ -342,7 +330,7 @@ def solve_u_parabolic(model, lam, sgrid, n_time=64, tol=1e-8, max_iter=60):
     history = []
     prev_change = None
     bad = 0
-    for it in range(max_iter):
+    for _ in range(60):
         new_u = step(u)
         change = float(np.abs(new_u - u).max())
         ratio = None if prev_change in (None, 0.0) else change / prev_change
@@ -372,11 +360,11 @@ def apply_parabolic_map(model, lam, u_fn):
 
 
 def solve_u_parabolic_auto(model, sgrid, n_time=64, tol=1e-8, lam0=8.0,
-                           threshold=DINI_GRAD_THRESHOLD, max_doublings=10):
+                           threshold=DINI_GRAD_THRESHOLD):
     """Double lambda until the map contracts and the gradient bound is accepted."""
     lam = lam0
     trace = []
-    for _ in range(max_doublings):
+    for _ in range(10):
         try:
             u, history = solve_u_parabolic(model, lam, sgrid, n_time, tol)
             phi = build_phi(u, lam=lam, threshold=threshold)
@@ -395,7 +383,7 @@ def solve_u_parabolic_auto(model, sgrid, n_time=64, tol=1e-8, lam0=8.0,
 # ---------------------------------------------------------------------------
 
 
-def solve_u_elliptic(model, lam, sgrid, tol=1e-10, max_iter=100):
+def solve_u_elliptic(model, lam, sgrid, tol=1e-10):
     """Iterate u_{k+1} = (L2 - lam)^{-1} (b1 - grad_{b1} u_k) on the box.
 
     Homogeneous Dirichlet far field; the caller chooses an enlarged box so
@@ -412,7 +400,7 @@ def solve_u_elliptic(model, lam, sgrid, tol=1e-10, max_iter=100):
         raise EllipticSolverError(str(e)) from e
     b1 = model.b1(0.0, pts)
     u = np.zeros((M, d))
-    for it in range(max_iter):
+    for _ in range(100):
         new_u = lu.solve(b1 - _grad_b_u(u, b1, sgrid))
         if not np.isfinite(new_u).all():
             raise EllipticSolverError("elliptic iterate became non-finite")
@@ -438,22 +426,6 @@ def _grad_b_u(u, b_vals, sgrid):
         du = np.gradient(shaped, sgrid.dx, axis=len(lead) + ax).reshape(u.shape)
         out += b_vals[..., ax : ax + 1] * du
     return out
-
-
-def elliptic_lambda_sweep(model, lams, sgrid, tol=1e-10):
-    """Norm decay of u across a lambda sweep with the fitted log-log slope."""
-    rows = []
-    for lam in lams:
-        u = solve_u_elliptic(model, lam, sgrid, tol=tol)
-        rows.append((lam, u.sup_norm(), u.grad_bound()))
-    lams_a = np.array([r[0] for r in rows])
-    norms = np.array([r[1] + r[2] for r in rows])
-    slope = None
-    decayed = bool(np.all(np.diff(norms) <= 1e-12))
-    pos = norms > 0
-    if pos.sum() >= 2:
-        slope = float(np.polyfit(np.log(lams_a[pos]), np.log(norms[pos]), 1)[0])
-    return {"rows": rows, "slope": slope, "monotone_decay": decayed}
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +463,7 @@ def _P0_blocks(model, f, s, t, starts, n, seed, n_steps):
         size = min(P0_BLOCK, n - lo)
         dw = _block_increments(seed, lo, size, grid, d)
         z0s = [np.broadcast_to(x, (size, d)) for x in starts]
-        zs = run_em(fns, z0s, grid, [dw] * len(starts), t0=s)
+        zs = run_em(fns, z0s, grid, dw, t0=s)
         yield [np.asarray(f(z), dtype=float) for z in zs]
 
 
@@ -506,10 +478,10 @@ def _mean_stderr(blocks, n):
     return mean, math.sqrt(var / n)
 
 
-def estimate_P0(model, f, s, t, x, n=10000, seed=0, n_steps=64):
+def estimate_P0(model, f, s, t, x, n=10000, seed=0):
     """Monte Carlo value of the reference semigroup applied to f at (s, t, x)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    blocks = _P0_blocks(model, f, s, t, [x], n, seed, n_steps)
+    blocks = _P0_blocks(model, f, s, t, [x], n, seed, 64)
     return _mean_stderr((vals for (vals,) in blocks), n)
 
 
@@ -611,13 +583,6 @@ class TransformedModel:
     def fingerprint(self):
         return self.model.fingerprint() + f":phi(lam={self.lam!r})"
 
-    def sigma_sup(self, n=256, seed=0, t=0.0):
-        rng = np.random.default_rng(seed)
-        R = 0.85 * self.phi.u.grid.R
-        y = rng.uniform(-R, R, size=(n, self.d))
-        sig = self.sigma(t, y)
-        return float(np.linalg.norm(sig, ord=2, axis=(1, 2)).max())
-
 
 def identity_transform(model, sgrid, times=None):
     """Phi = id (u = 0); useful for baseline pipelines."""
@@ -631,26 +596,26 @@ def identity_transform(model, sgrid, times=None):
     return TransformedModel(phi, model, 0.0)
 
 
-def verify_tilde_conditions(tm, radius=None, n_radial=64, n_dirs=8, seed=0,
-                            t=0.0):
+def verify_tilde_conditions(tm, seed=0):
     """Fit the tightest drift constants of the transformed equation.
 
-    Dissipative tag: kappa1 from the asymptotic inner-product ratio, kappa2
-    as the residual offset, kappa3 from the growth ratio.  Linear tag:
-    kappa4 from the growth ratio.  Raises FitFailure when no finite
-    constants fit.
+    The drift is sampled at t = 0 on 64 radii up to 0.85 of the grid box,
+    along 8 random directions.  Dissipative tag: kappa1 from the asymptotic
+    inner-product ratio, kappa2 as the residual offset, kappa3 from the
+    growth ratio.  Linear tag: kappa4 from the growth ratio.  Raises
+    FitFailure when no finite constants fit.
     """
     model = tm.model
     tag = getattr(model, "tag", "linear_growth")
     r = getattr(model, "r", 0.0)
     d = tm.d
-    R = radius if radius is not None else 0.85 * tm.phi.u.grid.R
+    R = 0.85 * tm.phi.u.grid.R
     rng = np.random.default_rng(seed)
-    radii = np.linspace(R / n_radial, R, n_radial)
-    dirs = rng.standard_normal((n_dirs, d))
+    radii = np.linspace(R / 64, R, 64)
+    dirs = rng.standard_normal((8, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
-    b = tm.drift(t, pts)
+    b = tm.drift(0.0, pts)
     norm_y = np.linalg.norm(pts, axis=1)
     norm_b = np.linalg.norm(b, axis=1)
     if tag == "linear_growth":

@@ -106,6 +106,10 @@ class TestExitCodes:
         ("zvonkin", {"grid_m": "m"}, "grid_m"),
         ("zvonkin", {"auto": False}, "lam"),
         ("tci", {"shifts": []}, "shifts"),
+        ("tci", {"shifts": [-0.1, 0.1]}, "shifts"),
+        ("tci", {"shifts": [0.0, 0.1]}, "shifts"),
+        ("tci", {"delta": 0.05, "n_list": [1, 100]}, "n_list"),
+        ("tci", {"delta": 0.0}, "delta"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
                                                 cfg, key):

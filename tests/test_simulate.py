@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -18,20 +19,12 @@ from sdetci import (
     ensemble_reduce,
     model_from_config,
     ou_singular_config,
-    pair_sup_distances,
     pathwise_consistency,
-    simulate_em,
     simulate_ensemble,
-    simulate_tamed,
     with_drift_shift,
 )
 from sdetci import simulate
-from sdetci.simulate import (
-    ensemble_from_csv,
-    ensemble_to_csv,
-    run_em,
-    time_integrals,
-)
+from sdetci.simulate import ensemble_to_csv, run_em, time_integrals
 
 
 def _ou(kappa=1.0):
@@ -149,7 +142,6 @@ class TestRngDiscipline:
                 scheme=scheme, path_id0=3),
             lambda k: coupled_sup_distances(
                 model, shifted, x0, [0.0, 0.0], g, 5, k, scheme, 3),
-            lambda k: pair_sup_distances(model, x0, g, 5, k, scheme),
         ]
         for run in runs:
             whole = _chunked(n, lambda: run(n))
@@ -180,31 +172,27 @@ class TestSchemes:
     def test_em_blowup_detected(self):
         g = TimeGrid(1.0, 100)
         with pytest.raises(BlowupError):
-            simulate_em(_cubic(), [20.0], g, 0)
+            simulate_ensemble(_cubic(), [20.0], g, 0, 1, "em", 0)
 
     def test_blowup_detected_in_sup_reducers(self):
         model = _cubic()
         g = TimeGrid(1.0, 100)
-        for run in (
-            lambda: coupled_sup_distances(model, model, [20.0], [20.0], g, 0, 4),
-            lambda: pair_sup_distances(model, [20.0], g, 0, 4),
-        ):
-            with pytest.raises(BlowupError) as err:
-                run()
-            assert err.value.step == 4
+        with pytest.raises(BlowupError) as err:
+            coupled_sup_distances(model, model, [20.0], [20.0], g, 0, 4)
+        assert err.value.step == 4
 
     def test_tamed_survives_superlinear_drift(self):
         g = TimeGrid(1.0, 100)
-        path = simulate_tamed(_cubic(), [20.0], g, 0)
-        assert np.isfinite(path.states).all()
-        assert abs(path.states[-1, 0]) < 5.0  # drag pulls it in
+        states = simulate_ensemble(_cubic(), [20.0], g, 0, 1, "tamed", 0).states[0]
+        assert np.isfinite(states).all()
+        assert abs(states[-1, 0]) < 5.0  # drag pulls it in
 
     def test_coupled_paths_share_noise(self):
         model = _ou()
         g = TimeGrid(1.0, 128)
         dw = brownian_increments(9, g, 1)[None]
         states = [[np.array([[0.0]]), np.array([[2.0]])]]
-        run_em([model.sim_functions(g)] * 2, states[0], g, [dw, dw],
+        run_em([model.sim_functions(g)] * 2, states[0], g, dw,
                on_step=lambda k, t, xs: states.append(list(xs)))
         a, b = (np.concatenate([s[i] for s in states]) for i in (0, 1))
         gap = np.abs(a - b).max(axis=1)
@@ -214,12 +202,13 @@ class TestSchemes:
     def test_independent_pair_uses_disjoint_streams(self):
         model = _ou()
         g = TimeGrid(1.0, 32)
-        a, b = (simulate_em(model, [0.0], g, 9, path_id=pid) for pid in (6, 7))
-        assert a.seed_id == 6 and b.seed_id == 7
+        a, b = (simulate_ensemble(model, [0.0], g, 9, 1, "em", pid) for pid in (6, 7))
+        assert a.seed_ids[0] == 6 and b.seed_ids[0] == 7
         assert np.abs(a.states - b.states).max() > 0
-        # pair 3 of the streamed reducer runs on exactly these two streams
-        sup = pair_sup_distances(model, [0.0], g, 9, 4)
-        assert sup[3] == np.linalg.norm(a.states - b.states, axis=1).max()
+        # each runs on the stream of its id, as in a longer run
+        whole = simulate_ensemble(model, [0.0], g, 9, 8)
+        np.testing.assert_array_equal(whole.states[6:],
+                                      np.concatenate([a.states, b.states]))
 
 
 class TestReducers:
@@ -232,12 +221,6 @@ class TestReducers:
             np.linalg.norm(ens.states, axis=2) ** 2, g.nodes, axis=1
         )
         np.testing.assert_allclose(vals, direct, rtol=1e-12)
-
-    def test_pair_sup_distance_positive(self):
-        model = _ou()
-        g = TimeGrid(1.0, 64)
-        d = pair_sup_distances(model, [0.0], g, 2, 200)
-        assert (d > 0).all()
 
     def test_coupled_sup_identical_models_zero(self):
         model = _ou()
@@ -273,10 +256,17 @@ class TestSerialization:
         ens = simulate_ensemble(model, [0.2], g, 4, 5)
         path = tmp_path / "ens.csv"
         ensemble_to_csv(ens, path)
-        back = ensemble_from_csv(path)
-        np.testing.assert_array_equal(back.states, ens.states)
-        assert back.grid == ens.grid
-        assert back.model_fingerprint == ens.model_fingerprint
+        with open(path, newline="") as fh:
+            meta = [next(fh) for _ in range(3)]
+            header, *rows = csv.reader(fh)
+        assert meta == [f"# fingerprint={ens.model_fingerprint}\n", "# scheme=em\n",
+                        "# T=0.5 n_steps=16\n"]
+        assert header == ["path_id", "t", "x1"]
+        # one row per (path, node), every value written to round-trip exactly
+        back = np.array(rows, dtype=float)
+        np.testing.assert_array_equal(back[:, 0], np.repeat(ens.seed_ids, 17))
+        np.testing.assert_array_equal(back[:, 1], np.tile(g.nodes, 5))
+        np.testing.assert_array_equal(back[:, 2:].reshape(ens.states.shape), ens.states)
 
     def test_callable_model_adapter(self):
         bm = CallableModel(
@@ -285,5 +275,5 @@ class TestSerialization:
             lambda t, x: np.broadcast_to(np.eye(1), (len(x), 1, 1)),
         )
         g = TimeGrid(1.0, 16)
-        path = simulate_em(bm, [0.0], g, 0)
-        assert path.states.shape == (17, 1)
+        ens = simulate_ensemble(bm, [0.0], g, 0, 1, "em", 0)
+        assert ens.states.shape == (1, 17, 1)

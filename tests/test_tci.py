@@ -161,6 +161,15 @@ class TestGaussianTail:
         states = n * (g.n_steps + 1) * 8
         assert peak < increments + states / 4
 
+    @pytest.mark.parametrize("delta, n_list, key", [
+        (0.0, [100], "delta"), (0.05, [1, 100], "n_list"), (0.05, [0, 100], "n_list"),
+    ])
+    def test_bad_sweep_refused_before_simulating(self, monkeypatch, delta, n_list, key):
+        states = _count_states(monkeypatch)
+        with pytest.raises(ConfigError) as err:
+            gaussian_tail_sweep(self._ou(), [0.0], TimeGrid(1.0, 4), delta, n_list)
+        assert err.value.key_path == key and states == []
+
     def test_estimate_increases_with_delta(self):
         g = TimeGrid(1.0, 64)
         a = gaussian_tail_estimate(self._ou(), [0.0], g, 0.02, 4000, seed=1)

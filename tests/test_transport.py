@@ -16,11 +16,9 @@ from sdetci import (
     pushforward,
     relative_entropy_discrete,
     sinkhorn_wp,
-    sup_metric,
 )
 from sdetci import transport
-from sdetci.errors import GridMismatch, OutOfDomain, UseSinkhorn
-from sdetci.simulate import PathSample
+from sdetci.errors import OutOfDomain, UseSinkhorn
 from sdetci.transport import euclidean_cost, path_sup_cost
 
 
@@ -95,7 +93,8 @@ class TestExactWp:
     def test_custom_metric_callable(self):
         mu = EmpiricalMeasure.uniform(np.array([[0.0], [2.0]]))
         nu = EmpiricalMeasure.uniform(np.array([[1.0], [3.0]]))
-        w, _ = exact_wp(mu, nu, 1.0, metric=lambda x, y: 2 * abs(x[0] - y[0]))
+        cost = 2 * np.abs(mu.atoms - nu.atoms.T)  # the metric 2 |x - y|
+        w, _ = exact_wp(mu, nu, 1.0, metric=cost)
         assert w == pytest.approx(2.0, abs=1e-10)
 
 
@@ -228,16 +227,9 @@ class TestSinkhorn:
 
 class TestMetrics:
     def test_sup_metric_values(self):
-        g = TimeGrid(1.0, 2)
-        a = PathSample(g, np.array([[0.0], [1.0], [0.0]]), 0)
-        b = PathSample(g, np.array([[0.0], [-1.0], [0.5]]), 1)
-        assert sup_metric(a, b) == 2.0
-
-    def test_sup_metric_grid_mismatch(self):
-        a = PathSample(TimeGrid(1.0, 2), np.zeros((3, 1)), 0)
-        b = PathSample(TimeGrid(2.0, 2), np.zeros((3, 1)), 0)
-        with pytest.raises(GridMismatch):
-            sup_metric(a, b)
+        a = np.array([[[0.0], [1.0], [0.0]]])
+        b = np.array([[[0.0], [-1.0], [0.5]]])
+        assert path_sup_cost(a, b)[0, 0] == 2.0
 
     def test_path_sup_cost_matches_pairwise(self):
         rng = np.random.default_rng(2)
