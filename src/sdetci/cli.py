@@ -213,7 +213,12 @@ def _cmd_tci(cfg):
         })
     if "delta" in cfg:
         delta = _value(cfg, "delta", None)
-        n_list = _value(cfg, "n_list", [_value(cfg, "n_paths", 10000, int)], _ints)
+        if "n_list" in cfg:
+            n_list = _value(cfg, "n_list", None, _ints)
+        else:  # one sample size, refused under the key the config holds
+            n_list = [_value(cfg, "n_paths", 10000, int)]
+            if n_list[0] < 2:
+                raise ConfigError(f"need n_paths >= 2, got {n_list[0]}", "n_paths")
         sweep = tci_mod.gaussian_tail_sweep(model, x0, grid, delta, n_list, seed)
         report.add("gaussian_tail", sweep)
         failed = failed or not sweep["stable"]

@@ -8,7 +8,12 @@ Two SDE families are supported:
   part ``b1`` and a dissipative or linear-growth part ``b2``.
 
 Every coefficient of both families is a vectorized callable ``f(t, x)`` on
-``(n, d)`` state arrays; an autonomous one ignores ``t``.
+``(n, d)`` state arrays; an autonomous one ignores ``t``.  A coefficient
+built from a config declares what its family states: a ``zero`` field
+carries ``zero = True``, and a ``constant`` sigma carries its (d, d)
+matrix as ``matrix``.  Consumers read these attributes with
+``getattr``, so a wrapper that copies ``__dict__`` (``functools.wraps``)
+keeps them, and evaluate an undeclared coefficient as before.
 Validation is sampled, not proved: margins are reported for each assumption
 on finite grids.
 """
@@ -234,7 +239,9 @@ class SingularModelSpec:
     ``sigma`` maps to ``(n, d, d)``.  The family is autonomous: the
     coefficients take ``t`` like the Dini ones, and ignore it.  ``tag`` is
     ``dissipative`` (with ``r``, ``kappa1..3``) or ``linear_growth`` (with
-    ``kappa4``).
+    ``kappa4``).  When ``b1`` declares ``zero`` (the ``zero`` family),
+    ``sim_functions`` returns ``b2`` itself as the drift and never caps
+    ``b1``.
     """
 
     d: int
@@ -267,6 +274,8 @@ class SingularModelSpec:
         return f
 
     def sim_functions(self, grid):
+        if getattr(self.b1, "zero", False):
+            return self.b2, self.sigma
         # singular part capped at h^{-1/4}, scaled by the configured factor
         cap = self.b1_cap_scale * grid.h ** (-0.25)
         b1c = self.capped_b1(cap)
@@ -474,7 +483,9 @@ def _field_from_config(cfg, d):
         fn = lambda x: np.broadcast_to(v, x.shape).copy()
     elif fam == "linear":
         A = _as_matrix(params["matrix"], d)
-        fn = lambda x: x @ A.T
+        # np.dot, not @: on a tall (n, 1) x (1, 1) product @ is several
+        # times slower
+        fn = lambda x: np.dot(x, A.T)
     elif fam == "cubic_drag":
         a = float(params.get("coef", 1.0))
         fn = lambda x: -a * x * np.sum(x**2, axis=-1, keepdims=True)
@@ -505,11 +516,17 @@ def _field_from_config(cfg, d):
     else:
         raise ConfigError(f"unknown field family {fam!r}", "family")
 
-    return lambda t, x: fn(np.asarray(x, dtype=float))
+    def field(t, x):
+        return fn(np.asarray(x, dtype=float))
+
+    if fam == "zero":
+        field.zero = True
+    return field
 
 
 def _sigma_from_config(cfg, d):
     fam = cfg.get("family")
+    m = None
     if fam == "constant":
         m = _as_matrix(cfg.get("value", 1.0), d)
 
@@ -527,7 +544,12 @@ def _sigma_from_config(cfg, d):
     else:
         raise ConfigError(f"unknown sigma family {fam!r}", "family")
 
-    return lambda t, x: fn(np.asarray(x, dtype=float))
+    def sigma(t, x):
+        return fn(np.asarray(x, dtype=float))
+
+    if m is not None:
+        sigma.matrix = m
+    return sigma
 
 
 def modulus_from_config(cfg):

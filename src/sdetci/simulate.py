@@ -1,7 +1,11 @@
 """Seed-stable Monte Carlo path generation.
 
 Every SDE recursion of the package runs through ``run_em``, one
-Euler-Maruyama (or tamed) driver for one or more coupled states.
+Euler-Maruyama (or tamed) driver for one or more coupled states.  A sigma
+that declares a constant matrix (``sigma.matrix``, see ``models``) is
+additive noise: ``run_em`` steps it by one product of the increments with
+that matrix, computed once per step for all states that share it, and
+never calls sigma.
 
 ``brownian_increments``, ``simulate_ensemble``, ``ensemble_reduce``,
 ``time_integrals`` and ``coupled_sup_distances`` draw noise from
@@ -115,22 +119,38 @@ def run_em(fns, x0s, grid, dw, tamed=False, t0=0.0, on_step=None):
     ``on_step(k, t, xs)`` sees the states at time t.  Raises
     BlowupError when any state leaves the finite range (only plain EM is
     expected to).  Returns the terminal states.
+
+    The noise term of a state is sigma(t, x) dW, contracted per path.  A
+    sigma that declares ``matrix`` S is not called: its term is dW S^T, one
+    ``np.dot`` per step, shared by every state whose sigma declares the same
+    S (the base model and its drift-shifted twins).  In d = 1 both forms
+    are one exact product, so declared and undeclared sigma give
+    bit-identical states.
     """
     h = grid.h
     xs = [np.array(x0, dtype=float) for x0 in x0s]
+    mats = [getattr(sigma, "matrix", None) for _, sigma in fns]
     t = t0
     for k in range(grid.n_steps):
         # Column k of the increments is strided.  Coupled states read one
         # contiguous copy; a lone state reads it in place, which is cheaper
         # than copying it.
         col = dw[:, k] if len(fns) == 1 else np.ascontiguousarray(dw[:, k])
+        shared = {}  # id of a declared matrix -> this step's noise term
         for i, (drift, sigma) in enumerate(fns):
             x = xs[i]
             mu = drift(t, x)
             incr = mu * h
             if tamed:
                 incr = incr / (1.0 + h * np.linalg.norm(mu, axis=1, keepdims=True))
-            x = x + incr + np.einsum("nij,nj->ni", sigma(t, x), col)
+            m = mats[i]
+            if m is None:
+                noise = np.einsum("nij,nj->ni", sigma(t, x), col)
+            elif id(m) in shared:
+                noise = shared[id(m)]
+            else:
+                noise = shared[id(m)] = np.dot(col, m.T)
+            x = x + incr + noise
             if not np.abs(x).max() <= _BLOWUP_LIMIT:  # also catches NaN
                 raise BlowupError(k + 1)
             xs[i] = x

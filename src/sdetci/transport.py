@@ -359,16 +359,22 @@ def girsanov_entropy(shift, sigma_fn, states, grid):
 
     For laws differing by a drift shift ``h``, H(Q|P) equals one half the
     Q-expectation of the time integral of |sigma^{-1} h|^2.  ``states`` is a
-    Q-ensemble array (n, k+1, d); returns (estimate, stderr).
+    Q-ensemble array (n, k+1, d); returns (estimate, stderr).  A sigma that
+    declares a constant ``matrix`` (see ``models``) is inverted once and
+    never called; any other sigma is evaluated and solved per node.
     """
     nodes = grid.nodes
     n, k1, d = states.shape
+    mat = getattr(sigma_fn, "matrix", None)
+    inv_t = None if mat is None else np.linalg.inv(mat).T
     vals = np.empty((n, k1))
     for j, t in enumerate(nodes):
         x = states[:, j, :]
         hv = shift(t, x)
-        sig = sigma_fn(t, x)
-        z = np.linalg.solve(sig, hv[..., None])[..., 0]
+        if inv_t is None:
+            z = np.linalg.solve(sigma_fn(t, x), hv[..., None])[..., 0]
+        else:
+            z = np.dot(hv, inv_t)
         vals[:, j] = np.einsum("nd,nd->n", z, z)
     per_path = 0.5 * np.trapezoid(vals, nodes, axis=1)
     est = float(per_path.mean())

@@ -187,6 +187,21 @@ class TestT2Check:
         assert res["ratio_spread"] == pytest.approx(1.0, abs=1e-9)
         assert res["entropy_scaling_exponent"] == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_ou_closed_form_oracle(self, d):
+        # OU with rate 1 and sigma = I: the coupled gap is deterministic on
+        # the EM grid, Delta_n = h (1 - (1 - dt)^n), largest at n = 256, and
+        # the Girsanov entropy of the shift h e_1 is h^2 T / 2
+        model = model_from_config(ou_singular_config(kappa=1.0, d=d))
+        res = t2_check(model, [0.0] * d, TimeGrid(1.0, 256), [0.1, 0.2, 0.4], 64,
+                       seed=5)
+        gap = 1.0 - (1.0 - 1.0 / 256) ** 256
+        for row in res["rows"]:
+            h = row["shift"]
+            assert row["w2_sq_bound"] == pytest.approx((h * gap) ** 2, rel=1e-12)
+            assert row["entropy"] == pytest.approx(0.5 * h**2, rel=1e-12)
+            assert row["ratio"] == pytest.approx(0.80097, abs=1e-5)
+
     def test_empty_shifts_is_config_error(self):
         model = model_from_config(ou_singular_config(kappa=1.0))
         with pytest.raises(ConfigError) as err:
