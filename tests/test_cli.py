@@ -109,9 +109,9 @@ class TestExitCodes:
         ("tci", {"shifts": [-0.1, 0.1]}, "shifts"),
         ("tci", {"shifts": [0.0, 0.1]}, "shifts"),
         ("tci", {"delta": 0.05, "n_list": [1, 100]}, "n_list"),
+        ("tci", {"delta": 0.0}, "delta"),
         # without n_list the sweep runs n_paths paths: name the key given
         ("tci", {"delta": 0.05, "n_paths": 1}, "n_paths"),
-        ("tci", {"delta": 0.0}, "delta"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
                                                 cfg, key):
