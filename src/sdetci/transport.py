@@ -65,15 +65,19 @@ def euclidean_cost(x, y):
 
 
 def path_sup_cost(states_a, states_b, block=64):
-    """Pairwise sup-metric matrix between two path arrays (n, k+1, d)."""
+    """Pairwise sup-metric matrix between two path arrays (n, k+1, d).
+
+    The largest squared distance over the nodes is kept and rooted once per
+    pair; sqrt is monotone and correctly rounded, so this equals the largest
+    Euclidean norm bit for bit.
+    """
     n, m = len(states_a), len(states_b)
     out = np.zeros((n, m))
     for lo in range(0, states_a.shape[1], block):
-        da = states_a[:, lo : lo + block]
-        db = states_b[:, lo : lo + block]
-        dist = np.linalg.norm(da[:, None] - db[None, :], axis=3).max(axis=2)
-        np.maximum(out, dist, out=out)
-    return out
+        diff = states_a[:, None, lo : lo + block] - states_b[None, :, lo : lo + block]
+        np.multiply(diff, diff, out=diff)
+        np.maximum(out, diff.sum(axis=3).max(axis=2), out=out)
+    return np.sqrt(out, out=out)
 
 
 def _cost_matrix(mu, nu, metric):

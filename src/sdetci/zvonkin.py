@@ -117,18 +117,27 @@ class GridFunction:
         cells = [((i[:, k], 1.0 - w[:, k:k + 1]), (i[:, k] + 1, w[:, k:k + 1]))
                  for k in range(self.grid.d)]
         if self.times is not None:
-            if t is None:
-                raise ValueError("time-dependent grid function needs t")
-            ts = self.times
-            t = min(max(float(t), ts[0]), ts[-1])
-            j = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
-            wt = (t - ts[j]) / (ts[j + 1] - ts[j])
+            j, wt = self._time_cell(t)
             cells.insert(0, ((j, 1.0 - wt), (j + 1, wt)))
         out = 0.0
         for corner in itertools.product(*cells):
             idx, weights = zip(*corner)
             out = out + self.values[idx] * reduce(mul, weights)
         return out
+
+    def _time_cell(self, t):
+        """(j, w): t, clipped to the time nodes, is at weight w from times[j]."""
+        if t is None:
+            raise ValueError("time-dependent grid function needs t")
+        ts = self.times
+        t = min(max(float(t), ts[0]), ts[-1])
+        j = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
+        return j, (t - ts[j]) / (ts[j + 1] - ts[j])
+
+    def _values_at(self, t):
+        """Values on the space nodes at t, linear between two time nodes."""
+        j, wt = self._time_cell(t)
+        return (1.0 - wt) * self.values[j] + wt * self.values[j + 1]
 
     def gradient_values(self):
         """Central-difference Jacobians, shape (..., d_space, d_comp)."""
@@ -170,13 +179,19 @@ class Homeomorphism:
     def phi_inv(self, y, t=None, tol=1e-10, history=None):
         """Fixed-point inversion x_{k+1} = y - u(x_k); geometric convergence.
 
-        Each point keeps the first iterate whose own step is below ``tol``,
-        so its preimage does not depend on the rest of the batch.
-        ``history`` gets the ratio of successive largest steps among the
-        points still iterating.
+        In d = 1 the interpolated u is linear between nodes, so Phi_t is
+        piecewise linear with node images z_i = x_i + u_t(x_i); where z is
+        strictly increasing, ``np.interp(y, z, x)`` is its exact inverse up
+        to rounding and the iteration starts there, so one step usually
+        meets ``tol``.  In d = 2, or where z does not increase (a cell slope
+        of u at or below -1), it starts from y.  Either way each point keeps
+        the first iterate whose own step is below ``tol``, so its preimage
+        does not depend on the rest of the batch.  ``history`` gets the
+        ratio of successive largest steps among the points still iterating.
         """
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        x = y.copy()
+        z = self._node_images(t)
+        x = y.copy() if z is None else np.interp(y, z, self.u._axis)
         done = np.zeros(len(y), dtype=bool)
         prev = np.inf
         for _ in range(200):
@@ -192,6 +207,22 @@ class Homeomorphism:
             if done.all():
                 return x
         raise OutOfDomain("inversion did not converge inside the grid box")
+
+    def _node_images(self, t):
+        """Strictly increasing node images of the 1-D Phi_t, else None."""
+        if self.u.grid.d != 1:
+            return None
+        if self.u.times is None:
+            return self._static_node_images
+        return self._increasing_images(self.u._values_at(t))
+
+    @cached_property
+    def _static_node_images(self):
+        return self._increasing_images(self.u.values)
+
+    def _increasing_images(self, values):
+        z = self.u._axis + values[:, 0]
+        return z if (np.diff(z) > 0).all() else None
 
     def jacobian(self, x, t=None):
         """I + grad u at given points, interpolated from the grid Jacobians."""

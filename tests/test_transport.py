@@ -241,6 +241,15 @@ class TestMetrics:
                 direct = np.linalg.norm(A[i] - B[j], axis=1).max()
                 assert C[i, j] == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_path_sup_cost_roots_once_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        A = rng.normal(size=(9, 70, d))
+        B = rng.normal(size=(6, 70, d))
+        norms = np.linalg.norm(A[:, None] - B[None, :], axis=3).max(axis=2)
+        for block in (7, 64, 70):
+            np.testing.assert_array_equal(path_sup_cost(A, B, block=block), norms)
+
 
 class TestEntropy:
     def test_discrete_closed_form(self):

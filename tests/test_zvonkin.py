@@ -71,6 +71,22 @@ def _sin_phi(a=0.05, m=4097, R=10.0, lam=2.0):
     return Homeomorphism(u=u, grad_bound=u.grad_bound(), lam=lam, threshold=0.5)
 
 
+def _fixed_point_from_y(phi, y, t=None, tol=1e-10):
+    """x <- y - u(x) from x = y, one point at a time, to the first step below tol."""
+    out = []
+    for yi in np.atleast_2d(y):
+        x = yi[None].copy()
+        for _ in range(200):
+            x_new = yi - phi.u(x, t)
+            if np.abs(x_new - x).max() < tol:
+                break
+            x = x_new
+        else:
+            raise OutOfDomain("no convergence")
+        out.append(x_new)
+    return np.concatenate(out)
+
+
 class TestGridFunction:
     def test_interpolation_exact_on_nodes(self):
         sg = SpaceGrid(2.0, 33, 1)
@@ -183,10 +199,74 @@ class TestHomeomorphism:
         np.testing.assert_array_equal(phi.phi_inv(y), alone)
 
     def test_inverse_contracts_geometrically(self):
-        phi = _sin_phi(a=0.3)
+        # 2-D, where the iteration starts from y: u = 0.3 (sin x2, sin x1)
+        sg = SpaceGrid(4.0, 161, 2)
+        u = GridFunction(sg, (0.3 * np.sin(sg.points()[:, ::-1])).reshape(161, 161, 2))
+        phi = Homeomorphism(u, u.grad_bound(), 0.0, 0.5)
         hist = []
-        phi.phi_inv(np.array([[1.0]]), tol=1e-12, history=hist)
+        phi.phi_inv(np.array([[1.0, -0.5]]), tol=1e-12, history=hist)
+        assert len(hist) > 5
         assert max(hist[1:]) < 0.5  # ratio bounded by the gradient bound
+
+    @settings(max_examples=40)
+    @given(a=st.floats(0.0, 0.45), timed=st.booleans(), t=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16))
+    def test_1d_inverse_is_exact_to_rounding(self, a, timed, t, seed, n):
+        sg = SpaceGrid(5.0, 257, 1)
+        x = sg.axes[0]
+        if timed:
+            times = np.linspace(0.0, 1.0, 5)
+            u = GridFunction(sg, a * np.sin(x[None, :] + times[:, None])[..., None], times)
+        else:
+            u = GridFunction(sg, (a * np.sin(x))[:, None])
+        # every cell slope of u, also between time nodes, is at most a
+        phi, g, tol = Homeomorphism(u, u.grad_bound(), 0.0, 0.5), a, 1e-10
+        y = np.random.default_rng(seed).uniform(-4.0, 4.0, size=(n, 1))
+        got = phi.phi_inv(y, t, tol=tol)
+        ulp = np.spacing(np.maximum(1.0, np.abs(y)))
+        assert (np.abs(phi.phi(got, t) - y) <= 4 * ulp).all()
+        alone = np.concatenate([phi.phi_inv(y[i : i + 1], t, tol=tol) for i in range(n)])
+        np.testing.assert_array_equal(got, alone)
+        # against the iteration from y; beyond the contraction bound, the
+        # two results may round y - u(.) to neighbouring doubles
+        ref = _fixed_point_from_y(phi, y, t, tol=1e-14)
+        assert (np.abs(got - ref) <= g * (tol + 1e-14) / (1 - g) + 2 * ulp).all()
+
+    @pytest.mark.parametrize("name", ["dini", "dini_t"])
+    def test_1d_inverse_interpolates_once(self, name, monkeypatch):
+        phi = _transform_case(name)[0]
+        y = np.linspace(-6.0, 6.0, 50)[:, None]
+        calls = []
+        interp = GridFunction.__call__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return interp(self, *args, **kwargs)
+
+        monkeypatch.setattr(GridFunction, "__call__", counted)
+        phi.phi_inv(y, 0.4)
+        assert len(calls) == 1
+
+    def test_1d_inverse_without_increasing_images_starts_from_y(self):
+        # one cell of u drops by more than dx, so x + u(x) decreases there
+        sg = SpaceGrid(4.0, 41, 1)
+        x = sg.axes[0]
+        vals = 0.1 * np.sin(x) + np.where(x < 0.1, 0.15, -0.15)
+        assert np.diff(x + vals).min() < 0
+        phi = Homeomorphism(GridFunction(sg, vals[:, None]), 1.5, 0.0, 0.5)
+        # three preimages for y in (0.07, 0.15); none in the box beyond 3.78
+        ys = np.r_[np.linspace(-3.95, 3.95, 41), 0.09, 0.11, 0.13]
+        converged = 0
+        for y in ys[:, None, None]:
+            try:
+                ref = _fixed_point_from_y(phi, y)
+            except OutOfDomain:
+                with pytest.raises(OutOfDomain):
+                    phi.phi_inv(y)
+                continue
+            np.testing.assert_array_equal(phi.phi_inv(y), ref)
+            converged += 1
+        assert 0 < converged < len(ys)
 
     def test_build_phi_threshold(self):
         phi = _sin_phi(a=0.05)
