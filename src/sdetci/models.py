@@ -202,9 +202,7 @@ class DiniModelSpec:
     the assumptions require: keys ``grad_B``, ``sigma``, ``grad_sigma``,
     ``grad2_sigma``, ``inv_a``.  Time dependence is read from the values:
     the parabolic solver factors a new reference operator only at the time
-    nodes where ``sigma sigma*`` or ``B`` changes.  When ``B`` or ``b``
-    declares ``zero``, ``sim_functions`` returns the other field itself as
-    the drift and never evaluates the zero one.
+    nodes where ``sigma sigma*`` or ``B`` changes.
     """
 
     d: int
@@ -223,10 +221,6 @@ class DiniModelSpec:
         return self.B(t, x) + self.b(t, x)
 
     def sim_functions(self, grid):
-        if getattr(self.B, "zero", False):
-            return self.b, self.sigma
-        if getattr(self.b, "zero", False):
-            return self.B, self.sigma
         return (lambda t, x: self.drift(t, x)), self.sigma
 
     def reference_sim_functions(self, grid):

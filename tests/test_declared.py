@@ -1,4 +1,4 @@
-"""Declared coefficients: a ``zero`` field and a ``constant`` sigma matrix.
+"""Declared coefficients: a ``zero`` b1 and a ``constant`` sigma matrix.
 
 A model built from a config declares these, and ``sim_functions``,
 ``run_em`` and ``girsanov_entropy`` read the declaration instead of
@@ -6,7 +6,6 @@ evaluating the coefficient.  The results must match the same coefficients
 given undeclared, as plain callables.
 """
 
-import dataclasses
 import functools
 from collections import Counter
 
@@ -16,7 +15,6 @@ import pytest
 from sdetci import (
     CallableModel,
     TimeGrid,
-    dini_benchmark_config,
     gaussian_tail_sweep,
     model_from_config,
     ou_singular_config,
@@ -61,14 +59,6 @@ def _runs(model, x0, seed):
         "t2": t2_check(model, x0, g, [0.1, 0.3], 200, seed),
         "girsanov": girsanov_entropy(_shift(d, 0.2), model.sigma, states, g),
     }
-
-
-def _counted(calls, name, fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-    return wrapper
 
 
 def _ulps(a, b):
@@ -137,8 +127,15 @@ def test_tci_never_evaluates_a_declared_sigma_or_caps_a_zero_b1():
     model = model_from_config(ou_singular_config())
     calls = Counter()
 
-    model.sigma = _counted(calls, "sigma", model.sigma)
-    model.capped_b1 = _counted(calls, "capped_b1", model.capped_b1)
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    model.sigma = counted("sigma", model.sigma)
+    model.capped_b1 = counted("capped_b1", model.capped_b1)
     g = TimeGrid(1.0, 16)
     gaussian_tail_sweep(model, [0.0], g, 0.05, [64, 128], seed=1)
     t2_check(model, [0.0], g, [0.1, 0.2], 64, seed=1)
@@ -146,35 +143,3 @@ def test_tci_never_evaluates_a_declared_sigma_or_caps_a_zero_b1():
     # the counters do count: a direct call is seen
     model.sigma(0.0, np.zeros((2, 1)))
     assert calls == {"sigma": 1}
-
-
-def _dini_pair(zero):
-    """A Dini model whose B or b declares zero, and its undeclared twin."""
-    cfg = dini_benchmark_config()
-    if zero == "b":
-        cfg["B"] = {"family": "linear", "matrix": [[-1.0]]}
-        cfg["b"] = {"family": "zero"}
-    declared = model_from_config(cfg)
-    plain = dataclasses.replace(declared, **{zero: lambda t, x: np.zeros_like(x)})
-    return declared, plain
-
-
-@pytest.mark.parametrize("zero, other", [("B", "b"), ("b", "B")])
-def test_dini_drift_never_evaluates_a_declared_zero_field(zero, other):
-    declared, _ = _dini_pair(zero)
-    calls = Counter()
-    setattr(declared, zero, _counted(calls, zero, getattr(declared, zero)))
-    setattr(declared, other, _counted(calls, other, getattr(declared, other)))
-    simulate_ensemble(declared, [0.1], TimeGrid(1.0, 8), 3, 16)
-    assert calls == {other: 8}
-
-
-@pytest.mark.parametrize("zero", ["B", "b"])
-def test_dini_declared_zero_equals_the_summed_drift(zero):
-    declared, plain = _dini_pair(zero)
-    assert not hasattr(getattr(plain, zero), "zero")
-    g = TimeGrid(1.0, 32)
-    np.testing.assert_array_equal(
-        simulate_ensemble(declared, [0.1], g, 5, 200).states,
-        simulate_ensemble(plain, [0.1], g, 5, 200).states,
-    )

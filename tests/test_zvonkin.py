@@ -71,6 +71,13 @@ def _sin_phi(a=0.05, m=4097, R=10.0, lam=2.0):
     return Homeomorphism(u=u, grad_bound=u.grad_bound(), lam=lam, threshold=0.5)
 
 
+def _sin_phi_2d():
+    """u = 0.3 (sin x2, sin x1): a 2-D map, where phi_inv iterates from y."""
+    sg = SpaceGrid(4.0, 161, 2)
+    u = GridFunction(sg, (0.3 * np.sin(sg.points()[:, ::-1])).reshape(161, 161, 2))
+    return Homeomorphism(u, u.grad_bound(), 0.0, 0.5)
+
+
 def _fixed_point_from_y(phi, y, t=None, tol=1e-10):
     """x <- y - u(x) from x = y, one point at a time, to the first step below tol."""
     out = []
@@ -193,16 +200,15 @@ class TestHomeomorphism:
         np.testing.assert_allclose(phi.phi(x), y, atol=1e-10)
 
     def test_inverse_does_not_depend_on_batch(self):
-        phi = _sin_phi(a=0.3)
-        y = np.random.default_rng(2).uniform(-3.0, 3.0, size=(64, 1))
-        alone = np.concatenate([phi.phi_inv(y[i : i + 1]) for i in range(len(y))])
-        np.testing.assert_array_equal(phi.phi_inv(y), alone)
+        # in d = 2 points stop after different numbers of steps
+        for phi in (_sin_phi(a=0.3), _sin_phi_2d()):
+            d = phi.u.grid.d
+            y = np.random.default_rng(2).uniform(-3.0, 3.0, size=(64, d))
+            alone = np.concatenate([phi.phi_inv(y[i : i + 1]) for i in range(len(y))])
+            np.testing.assert_array_equal(phi.phi_inv(y), alone)
 
     def test_inverse_contracts_geometrically(self):
-        # 2-D, where the iteration starts from y: u = 0.3 (sin x2, sin x1)
-        sg = SpaceGrid(4.0, 161, 2)
-        u = GridFunction(sg, (0.3 * np.sin(sg.points()[:, ::-1])).reshape(161, 161, 2))
-        phi = Homeomorphism(u, u.grad_bound(), 0.0, 0.5)
+        phi = _sin_phi_2d()
         hist = []
         phi.phi_inv(np.array([[1.0, -0.5]]), tol=1e-12, history=hist)
         assert len(hist) > 5
@@ -256,7 +262,7 @@ class TestHomeomorphism:
         phi = Homeomorphism(GridFunction(sg, vals[:, None]), 1.5, 0.0, 0.5)
         # three preimages for y in (0.07, 0.15); none in the box beyond 3.78
         ys = np.r_[np.linspace(-3.95, 3.95, 41), 0.09, 0.11, 0.13]
-        converged = 0
+        converged, refs = [], []
         for y in ys[:, None, None]:
             try:
                 ref = _fixed_point_from_y(phi, y)
@@ -265,8 +271,11 @@ class TestHomeomorphism:
                     phi.phi_inv(y)
                 continue
             np.testing.assert_array_equal(phi.phi_inv(y), ref)
-            converged += 1
-        assert 0 < converged < len(ys)
+            converged.append(y[0])
+            refs.append(ref)
+        assert 0 < len(converged) < len(ys)
+        # the converged points as one batch keep their one-at-a-time results
+        np.testing.assert_array_equal(phi.phi_inv(np.array(converged)), np.concatenate(refs))
 
     def test_build_phi_threshold(self):
         phi = _sin_phi(a=0.05)
