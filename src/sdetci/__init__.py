@@ -10,7 +10,6 @@ from .errors import (
     GradientTooLarge,
     InconclusiveEstimate,
     InvalidCoefficient,
-    MollifierError,
     NotContractive,
     OutOfDomain,
     SdetciError,
@@ -23,9 +22,7 @@ from .models import (
     ValidationReport,
     dini_benchmark_config,
     model_from_config,
-    model_to_config,
     ou_singular_config,
-    smooth_split,
     validate_model,
 )
 from .simulate import (

@@ -14,10 +14,6 @@ class InvalidCoefficient(SdetciError):
         super().__init__(f"coefficient {name!r} is non-finite at {point}")
 
 
-class MollifierError(SdetciError):
-    """Mollifier quadrature did not converge."""
-
-
 class BlowupError(SdetciError):
     """A simulated path left the finite range at a known step."""
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, InvalidCoefficient, MollifierError
+from .errors import ConfigError, InvalidCoefficient
 
 _HOLDER_CAP = 0.5  # concave-square envelope exponent for steep moduli
 
@@ -406,59 +406,7 @@ def validate_model(spec, n_grid=512, radius=5.0, tol=1e-7, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# smooth / bounded-Lipschitz drift decomposition
-# ---------------------------------------------------------------------------
-
-
-def _bump_nodes(d, width, order):
-    """Tensor Gauss-Legendre nodes and kernel weights on the kernel support."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    if d == 1:
-        nodes = x[:, None]
-        wts = w
-    elif d == 2:
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        nodes = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        wts = np.outer(w, w).ravel()
-    else:
-        raise ConfigError("mollifier quadrature implemented for d <= 2")
-    r2 = np.sum(nodes**2, axis=1)
-    kern = np.maximum(0.0, 1.0 - r2) ** 3
-    return nodes * width, wts * kern
-
-
-def smooth_split(B, width, d=1, order=32, tol=1e-8):
-    """Split a Lipschitz field into a mollified part and a bounded remainder.
-
-    The mollifier is the polynomial bump ``(1 - |y|^2)^3`` on the unit ball,
-    scaled to ``width`` and normalized to unit mass by the same quadrature
-    used for the convolution (affine fields are then reproduced exactly).
-    Returns ``(B_bar, B_hat)`` with ``B = B_bar + B_hat`` pointwise.
-    """
-    nodes, wts = _bump_nodes(d, width, order)
-    nodes2, wts2 = _bump_nodes(d, width, 2 * order)
-    mass, mass2 = wts.sum(), wts2.sum()
-    if abs(mass - mass2) > tol * max(abs(mass2), 1.0):
-        raise MollifierError(
-            f"kernel mass not converged: {mass:.12g} vs {mass2:.12g} at order {order}"
-        )
-    wts = wts / mass
-
-    def B_bar(t, x):
-        x = np.asarray(x, dtype=float)
-        acc = 0.0
-        for k in range(len(wts)):
-            acc = acc + wts[k] * np.asarray(B(t, x - nodes[k]))
-        return acc
-
-    def B_hat(t, x):
-        return np.asarray(B(t, x)) - B_bar(t, x)
-
-    return B_bar, B_hat
-
-
-# ---------------------------------------------------------------------------
-# named coefficient families and config round trip
+# named coefficient families
 # ---------------------------------------------------------------------------
 
 
@@ -616,12 +564,6 @@ def model_from_config(cfg):
             config=cfg,
         )
     raise ConfigError(f"unknown model kind {kind!r}", "model.kind")
-
-
-def model_to_config(spec):
-    if spec.config is None:
-        raise ConfigError("model was not built from a config; nothing to serialize")
-    return spec.config
 
 
 def ou_singular_config(kappa=1.0, d=1, T=1.0):

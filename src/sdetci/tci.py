@@ -53,7 +53,6 @@ class ThresholdSet:
     lambda_max: float
     lambda_strict: bool
     delta_max: float
-    params: dict = field(default_factory=dict)
 
     def admits_lambda(self, lam):
         return lam < self.lambda_max if self.lambda_strict else lam <= self.lambda_max
@@ -113,7 +112,7 @@ def threshold_set(tag, sigma_sup, T, **kappas):
     delta = delta_threshold(tag, sigma_sup, T, **{
         k: v for k, v in kappas.items() if k in ("kappa1", "kappa3", "r", "kappa4")
     })
-    return ThresholdSet(tag, sigma_sup, T, lam, strict, delta, dict(kappas))
+    return ThresholdSet(tag, sigma_sup, T, lam, strict, delta)
 
 
 def t1_constant(delta, original_space=False):

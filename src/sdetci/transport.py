@@ -64,19 +64,19 @@ def euclidean_cost(x, y):
     return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
 
 
-def path_sup_cost(states_a, states_b, block=64):
+def path_sup_cost(states_a, states_b):
     """Pairwise sup-metric matrix between two path arrays (n, k+1, d).
 
-    The largest squared distance over the nodes is kept and rooted once per
-    pair; sqrt is monotone and correctly rounded, so this equals the largest
-    Euclidean norm bit for bit.
+    One node at a time, the largest squared distance so far is kept per
+    pair and rooted once at the end; sqrt is monotone and correctly
+    rounded, so this equals the largest Euclidean norm bit for bit, and
+    the peak memory is a few (n, m) arrays whatever the path length.
     """
-    n, m = len(states_a), len(states_b)
-    out = np.zeros((n, m))
-    for lo in range(0, states_a.shape[1], block):
-        diff = states_a[:, None, lo : lo + block] - states_b[None, :, lo : lo + block]
-        np.multiply(diff, diff, out=diff)
-        np.maximum(out, diff.sum(axis=3).max(axis=2), out=out)
+    out = np.zeros((len(states_a), len(states_b)))
+    for j in range(states_a.shape[1]):
+        sq = sum(np.subtract.outer(states_a[:, j, c], states_b[:, j, c]) ** 2
+                 for c in range(states_a.shape[2]))
+        np.maximum(out, sq, out=out)
     return np.sqrt(out, out=out)
 
 

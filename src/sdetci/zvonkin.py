@@ -176,7 +176,7 @@ class Homeomorphism:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return x + self.u(x, t)
 
-    def phi_inv(self, y, t=None, tol=1e-10, history=None):
+    def phi_inv(self, y, t=None, tol=1e-10):
         """Fixed-point inversion x_{k+1} = y - u(x_k); geometric convergence.
 
         In d = 1 the interpolated u is linear between nodes, so Phi_t is
@@ -186,22 +186,15 @@ class Homeomorphism:
         meets ``tol``.  In d = 2, or where z does not increase (a cell slope
         of u at or below -1), it starts from y.  Either way each point keeps
         the first iterate whose own step is below ``tol``, so its preimage
-        does not depend on the rest of the batch.  ``history`` gets the
-        ratio of successive largest steps among the points still iterating.
+        does not depend on the rest of the batch.
         """
         y = np.atleast_2d(np.asarray(y, dtype=float))
         z = self._node_images(t)
         x = y.copy() if z is None else np.interp(y, z, self.u._axis)
         done = np.zeros(len(y), dtype=bool)
-        prev = np.inf
         for _ in range(200):
             x_new = y - self.u(x, t)
             steps = np.abs(x_new - x).max(axis=1)
-            if history is not None:
-                step = float(np.where(done, 0.0, steps).max())
-                if np.isfinite(prev):
-                    history.append(step / max(prev, 1e-300))
-                prev = step
             x = np.where(done[:, None], x, x_new)
             done |= steps < tol
             if done.all():

@@ -10,8 +10,6 @@ ROOT = Path(__file__).resolve().parents[1]
 KEPT = {
     "gaussian_tail_estimate": "the reference each tail-sweep row is tested against",
     "estimate_P0": "pins the block sampler of check_gradient_estimate to a closed form",
-    "smooth_split": "the README's mollifier drift splitting",
-    "model_to_config": "the README's config round trip",
 }
 
 

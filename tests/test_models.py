@@ -9,12 +9,10 @@ from sdetci import (
     SingularModelSpec,
     dini_benchmark_config,
     model_from_config,
-    model_to_config,
     ou_singular_config,
-    smooth_split,
     validate_model,
 )
-from sdetci.errors import ConfigError, MollifierError
+from sdetci.errors import ConfigError
 
 
 class TestModulus:
@@ -118,47 +116,11 @@ class TestValidateModel:
         assert a == b
 
 
-class TestSmoothSplit:
-    def test_affine_reproduced_exactly(self):
-        B = lambda t, x: -2.0 * x + 1.0
-        B_bar, B_hat = smooth_split(B, width=0.5, d=1)
-        x = np.linspace(-3, 3, 41)[:, None]
-        np.testing.assert_allclose(B_bar(0.0, x), B(0.0, x), atol=1e-12)
-        np.testing.assert_allclose(B_hat(0.0, x), 0.0, atol=1e-12)
-
-    def test_reconstruction_identity(self):
-        B = lambda t, x: np.sin(3 * x) - x
-        B_bar, B_hat = smooth_split(B, width=0.3, d=1)
-        x = np.linspace(-4, 4, 201)[:, None]
-        assert np.abs(B(0.0, x) - B_bar(0.0, x) - B_hat(0.0, x)).max() < 1e-12
-        assert np.abs(B_hat(0.0, x)).max() < 1.0  # remainder stays bounded
-
-    def test_remainder_shrinks_with_width(self):
-        B = lambda t, x: np.sin(3 * x)
-        sups = []
-        for w in (0.4, 0.2, 0.1):
-            _, B_hat = smooth_split(B, width=w, d=1)
-            x = np.linspace(-3, 3, 201)[:, None]
-            sups.append(np.abs(B_hat(0.0, x)).max())
-        assert sups[0] > sups[1] > sups[2]
-
-    def test_quadrature_failure_detected(self):
-        B = lambda t, x: x
-        with pytest.raises(MollifierError):
-            smooth_split(B, width=0.5, d=1, order=2, tol=1e-14)
-
-    def test_2d(self):
-        B = lambda t, x: np.stack([x[:, 1], -x[:, 0]], axis=1)
-        B_bar, B_hat = smooth_split(B, width=0.4, d=2)
-        pts = np.random.default_rng(0).uniform(-2, 2, (32, 2))
-        np.testing.assert_allclose(B_bar(0.0, pts), B(0.0, pts), atol=1e-12)
-
-
 class TestConfigRoundTrip:
     def test_round_trip(self):
         cfg = ou_singular_config(kappa=0.7)
         model = model_from_config(cfg)
-        assert model_to_config(model) == cfg
+        assert model.config == cfg
         assert model.kappa1 == 0.7
 
     def test_fingerprint_stable(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,7 +236,7 @@ class TestMetrics:
         rng = np.random.default_rng(2)
         A = rng.normal(size=(4, 50, 2))
         B = rng.normal(size=(3, 50, 2))
-        C = path_sup_cost(A, B, block=7)
+        C = path_sup_cost(A, B)
         for i in range(4):
             for j in range(3):
                 direct = np.linalg.norm(A[i] - B[j], axis=1).max()
@@ -247,8 +248,19 @@ class TestMetrics:
         A = rng.normal(size=(9, 70, d))
         B = rng.normal(size=(6, 70, d))
         norms = np.linalg.norm(A[:, None] - B[None, :], axis=3).max(axis=2)
-        for block in (7, 64, 70):
-            np.testing.assert_array_equal(path_sup_cost(A, B, block=block), norms)
+        np.testing.assert_array_equal(path_sup_cost(A, B), norms)
+
+    def test_path_sup_cost_memory_does_not_grow_with_nodes(self):
+        # a pairwise-difference array over all nodes would take ~65 MiB here
+        rng = np.random.default_rng(0)
+        A, B = rng.normal(size=(2, 256, 65, 1))
+        tracemalloc.start()
+        try:
+            path_sup_cost(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestEntropy:

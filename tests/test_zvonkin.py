@@ -208,11 +208,20 @@ class TestHomeomorphism:
             np.testing.assert_array_equal(phi.phi_inv(y), alone)
 
     def test_inverse_contracts_geometrically(self):
+        # in d = 2 phi_inv iterates from y, as this loop does
         phi = _sin_phi_2d()
-        hist = []
-        phi.phi_inv(np.array([[1.0, -0.5]]), tol=1e-12, history=hist)
-        assert len(hist) > 5
-        assert max(hist[1:]) < 0.5  # ratio bounded by the gradient bound
+        y = np.array([[1.0, -0.5]])
+        x, steps = y.copy(), []
+        for _ in range(200):
+            x_new = y - phi.u(x)
+            steps.append(np.abs(x_new - x).max())
+            x = x_new
+            if steps[-1] < 1e-12:
+                break
+        ratios = np.divide(steps[1:], steps[:-1])
+        assert len(ratios) > 5
+        assert ratios[1:].max() < 0.5  # ratio bounded by the gradient bound
+        np.testing.assert_array_equal(phi.phi_inv(y, tol=1e-12), x)
 
     @settings(max_examples=40)
     @given(a=st.floats(0.0, 0.45), timed=st.booleans(), t=st.floats(0.0, 1.0),
