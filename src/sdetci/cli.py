@@ -4,8 +4,9 @@ Subcommands: validate, simulate, zvonkin, tci, invariance.  Each reads a
 YAML config, runs the corresponding pipeline and writes a deterministic JSON
 report (sorted keys, no timestamps) tagged with the config hash and seed.
 Exit codes: 0 success, 1 a check failed, 2 usage/config error (also a value
-out of range, such as ``n_paths: 0``, or not a number, such as
-``n_paths: abc``), 3 numerical failure.
+out of range, such as ``n_paths: 0``, not a number, such as ``n_paths:
+abc``, or not an integer, such as ``model: {d: 2.5}``), 3 numerical
+failure.  Numbers and the model are read through ``models.config_value``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import yaml
 from . import tci as tci_mod
 from . import zvonkin
 from .errors import ConfigError, SdetciError
-from .models import model_from_config, validate_model
+from .models import (check_keys, config_value, floats, integer,
+                     model_from_config, validate_model)
 from .simulate import TimeGrid, ensemble_to_csv, simulate_ensemble
 from .tci import TCIReport
 
@@ -48,10 +50,7 @@ def _load_config(path, command):
         raise ConfigError(f"not valid YAML: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
-    allowed = _SCHEMAS[command]
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r}", key)
+    check_keys(cfg, _SCHEMAS[command])
     return cfg
 
 
@@ -61,31 +60,10 @@ def _config_hash(cfg):
     ).hexdigest()[:16]
 
 
-def _value(cfg, key, default, convert=float):
-    """``convert(cfg.get(key, default))``; a value it rejects is a config error."""
-    value = cfg.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"cannot read {value!r}: {e}", key) from None
-
-
-def _point(value):
-    return np.atleast_1d(np.asarray(value, dtype=float))
-
-
-def _ints(value):
-    return [int(v) for v in value]
-
-
-def _floats(value):
-    return [float(v) for v in value]
-
-
 def _meta(cfg):
     return {
         "config_sha256": _config_hash(cfg),
-        "seed": _value(cfg, "seed", 0, int),
+        "seed": config_value(cfg, "seed", 0, integer),
     }
 
 
@@ -99,21 +77,22 @@ def _emit(report, cfg):
 
 def _path_setup(cfg):
     """Model, time grid and start point ``x0`` of a path-space command."""
-    model = model_from_config(cfg["model"])
-    x0 = _value(cfg, "x0", [0.0] * model.d, _point)
+    model = config_value(cfg, "model", None, model_from_config)
+    x0 = config_value(cfg, "x0", [0.0] * model.d,
+                      lambda v: np.atleast_1d(np.asarray(v, dtype=float)))
     if x0.shape != (model.d,):
         raise ConfigError(f"need {model.d} coordinates, got shape {x0.shape}", "x0")
-    return model, TimeGrid(model.T, _value(cfg, "n_steps", 256, int)), x0
+    return model, TimeGrid(model.T, config_value(cfg, "n_steps", 256, integer)), x0
 
 
 def _cmd_validate(cfg):
-    model = model_from_config(cfg["model"])
+    model = config_value(cfg, "model", None, model_from_config)
     rep = validate_model(
         model,
-        n_grid=_value(cfg, "n_grid", 512, int),
-        radius=_value(cfg, "radius", 5.0),
-        tol=_value(cfg, "tol", 1e-7),
-        seed=_value(cfg, "seed", 0, int),
+        n_grid=config_value(cfg, "n_grid", 512, integer),
+        radius=config_value(cfg, "radius", 5.0),
+        tol=config_value(cfg, "tol", 1e-7),
+        seed=config_value(cfg, "seed", 0, integer),
     )
     report = TCIReport(meta=_meta(cfg))
     report.add("validation", rep.as_dict())
@@ -124,8 +103,8 @@ def _cmd_validate(cfg):
 def _cmd_simulate(cfg):
     model, grid, x0 = _path_setup(cfg)
     ens = simulate_ensemble(
-        model, x0, grid, _value(cfg, "seed", 0, int),
-        _value(cfg, "n_paths", 128, int), cfg.get("scheme", "em"),
+        model, x0, grid, config_value(cfg, "seed", 0, integer),
+        config_value(cfg, "n_paths", 128, integer), cfg.get("scheme", "em"),
     )
     if cfg.get("csv"):
         ensemble_to_csv(ens, cfg["csv"])
@@ -142,43 +121,39 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_zvonkin(cfg):
-    model = model_from_config(cfg["model"])
+    model = config_value(cfg, "model", None, model_from_config)
     sgrid = zvonkin.SpaceGrid(
-        _value(cfg, "grid_R", 8.0), _value(cfg, "grid_m", 257, int), model.d
+        config_value(cfg, "grid_R", 8.0), config_value(cfg, "grid_m", 257, integer),
+        model.d,
     )
-    tol = _value(cfg, "tol", 1e-8)
+    tol = config_value(cfg, "tol", 1e-8)
+    threshold = config_value(cfg, "threshold", zvonkin.DINI_GRAD_THRESHOLD
+                             if model.kind == "dini" else zvonkin.SINGULAR_GRAD_THRESHOLD)
     report = TCIReport(meta=_meta(cfg))
     if model.kind == "dini":
-        n_time = _value(cfg, "n_time", 64, int)
+        n_time = config_value(cfg, "n_time", 64, integer)
         if cfg.get("auto", True):
             phi, history, trace = zvonkin.solve_u_parabolic_auto(
                 model, sgrid, n_time=n_time, tol=tol,
-                lam0=_value(cfg, "lam", 8.0),
-                threshold=_value(cfg, "threshold", zvonkin.DINI_GRAD_THRESHOLD),
+                lam0=config_value(cfg, "lam", 8.0), threshold=threshold,
             )
             report.add("auto_trace", [
                 {"lam": t[0], "status": t[1], "grad_bound": t[2]} for t in trace
             ])
         else:
-            lam = _value(cfg, "lam", None)
+            lam = config_value(cfg, "lam", None)
             u, history = zvonkin.solve_u_parabolic(model, lam, sgrid,
                                                    n_time=n_time, tol=tol)
-            phi = zvonkin.build_phi(
-                u, lam=lam,
-                threshold=_value(cfg, "threshold", zvonkin.DINI_GRAD_THRESHOLD),
-            )
+            phi = zvonkin.build_phi(u, lam=lam, threshold=threshold)
         report.add("picard", {
             "iterations": len(history),
             "final_change": history[-1][0],
             "ratios": [r for _, r in history if r is not None],
         })
     else:
-        lam = _value(cfg, "lam", 8.0)
+        lam = config_value(cfg, "lam", 8.0)
         u = zvonkin.solve_u_elliptic(model, lam, sgrid, tol=tol)
-        phi = zvonkin.build_phi(
-            u, lam=lam,
-            threshold=_value(cfg, "threshold", zvonkin.SINGULAR_GRAD_THRESHOLD),
-        )
+        phi = zvonkin.build_phi(u, lam=lam, threshold=threshold)
     report.add("phi", {
         "lam": phi.lam,
         "grad_bound": phi.grad_bound,
@@ -191,12 +166,10 @@ def _cmd_zvonkin(cfg):
 
 def _cmd_tci(cfg):
     model, grid, x0 = _path_setup(cfg)
-    seed = _value(cfg, "seed", 0, int)
+    seed = config_value(cfg, "seed", 0, integer)
     report = TCIReport(meta=_meta(cfg))
     failed = False
     if cfg.get("thresholds", True) and model.kind == "singular":
-        kappas = dict(r=model.r, kappa1=model.kappa1, kappa3=model.kappa3,
-                      kappa4=model.kappa4)
         # the declared ellipticity bound sigma sigma* <= c0 gives
         # sigma_sup = sqrt(c0); a model whose sampled sigma breaks it is refused
         rep = validate_model(model)
@@ -206,17 +179,19 @@ def _cmd_tci(cfg):
                 "model.c0",
             )
         ts = tci_mod.threshold_set(model.tag, math.sqrt(model.c0), model.T,
-                                   **kappas)
+                                   r=model.r, kappa1=model.kappa1,
+                                   kappa3=model.kappa3, kappa4=model.kappa4)
         report.add("thresholds", {
             "tag": ts.tag, "lambda_max": ts.lambda_max,
             "lambda_strict": ts.lambda_strict, "delta_max": ts.delta_max,
         })
     if "delta" in cfg:
-        delta = _value(cfg, "delta", None)
+        delta = config_value(cfg, "delta", None)
         if "n_list" in cfg:
-            n_list = _value(cfg, "n_list", None, _ints)
+            n_list = config_value(cfg, "n_list", None,
+                                  lambda v: [integer(n) for n in v])
         else:  # one sample size, refused under the key the config holds
-            n_list = [_value(cfg, "n_paths", 10000, int)]
+            n_list = [config_value(cfg, "n_paths", 10000, integer)]
             if n_list[0] < 2:
                 raise ConfigError(f"need n_paths >= 2, got {n_list[0]}", "n_paths")
         sweep = tci_mod.gaussian_tail_sweep(model, x0, grid, delta, n_list, seed)
@@ -229,8 +204,8 @@ def _cmd_tci(cfg):
         })
     if "shifts" in cfg:
         res = tci_mod.t2_check(
-            model, x0, grid, _value(cfg, "shifts", None, _floats),
-            _value(cfg, "n_paths", 4096, int), seed,
+            model, x0, grid, config_value(cfg, "shifts", None, floats),
+            config_value(cfg, "n_paths", 4096, integer), seed,
         )
         report.add("t2", res)
     _emit(report, cfg)
@@ -239,11 +214,11 @@ def _cmd_tci(cfg):
 
 def _cmd_invariance(cfg):
     res = tci_mod.invariance_suite(
-        n_trials=_value(cfg, "n_trials", 1000, int),
-        seed=_value(cfg, "seed", 0, int),
-        p=_value(cfg, "p", 2.0),
-        w_tol=_value(cfg, "w_tol", 1e-10),
-        h_tol=_value(cfg, "h_tol", 1e-12),
+        n_trials=config_value(cfg, "n_trials", 1000, integer),
+        seed=config_value(cfg, "seed", 0, integer),
+        p=config_value(cfg, "p", 2.0),
+        w_tol=config_value(cfg, "w_tol", 1e-10),
+        h_tol=config_value(cfg, "h_tol", 1e-12),
     )
     report = TCIReport(meta=_meta(cfg))
     report.add("invariance", res)

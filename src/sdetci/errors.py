@@ -74,5 +74,6 @@ class ConfigError(SdetciError, ValueError):
     """A configuration or argument value is malformed or out of range."""
 
     def __init__(self, message, key_path=""):
+        self.message = message
         self.key_path = key_path
         super().__init__(f"{key_path}: {message}" if key_path else message)

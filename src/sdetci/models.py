@@ -10,8 +10,9 @@ Two SDE families are supported:
 Every coefficient of both families is a vectorized callable ``f(t, x)`` on
 ``(n, d)`` state arrays; an autonomous one ignores ``t``.  A coefficient
 built from a config declares what its family states: a ``zero`` field
-carries ``zero = True``, and a ``constant`` sigma carries its (d, d)
-matrix as ``matrix``.  Consumers read these attributes with
+carries ``zero = True``, a ``log_square_bench`` field carries the config
+of the modulus it meets as ``modulus``, and a ``constant`` sigma carries
+its (d, d) matrix as ``matrix``.  Consumers read these attributes with
 ``getattr``, so a wrapper that copies ``__dict__`` (``functools.wraps``)
 keeps them, and evaluate an undeclared coefficient as before.
 Validation is sampled, not proved: margins are reported for each assumption
@@ -20,6 +21,7 @@ on finite grids.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -221,7 +223,7 @@ class DiniModelSpec:
         return self.B(t, x) + self.b(t, x)
 
     def sim_functions(self, grid):
-        return (lambda t, x: self.drift(t, x)), self.sigma
+        return self.drift, self.sigma
 
     def reference_sim_functions(self, grid):
         """Drift/diffusion of the reference equation (irregular part dropped)."""
@@ -251,14 +253,12 @@ class SingularModelSpec:
     sigma: Callable
     p: float
     c0: float
-    beta: float
     tag: str
-    r: float = 0.0
-    kappa1: float = 0.0
-    kappa2: float = 0.0
-    kappa3: float = 0.0
-    kappa4: float = 0.0
-    b1_cap_scale: float = 1.0
+    r: float
+    kappa1: float
+    kappa2: float
+    kappa3: float
+    kappa4: float
     config: Optional[dict] = None
 
     kind = "singular"
@@ -276,9 +276,7 @@ class SingularModelSpec:
     def sim_functions(self, grid):
         if getattr(self.b1, "zero", False):
             return self.b2, self.sigma
-        # singular part capped at h^{-1/4}, scaled by the configured factor
-        cap = self.b1_cap_scale * grid.h ** (-0.25)
-        b1c = self.capped_b1(cap)
+        b1c = self.capped_b1(grid.h ** (-0.25))  # singular part capped at h^{-1/4}
 
         def drift(t, x):
             return b1c(t, x) + self.b2(t, x)
@@ -406,8 +404,46 @@ def validate_model(spec, n_grid=512, radius=5.0, tol=1e-7, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# named coefficient families
+# config reading and named coefficient families
 # ---------------------------------------------------------------------------
+
+
+def config_value(cfg, key, default, convert=float):
+    """``convert(cfg.get(key, default))``, where a ``None`` default means required.
+
+    A missing or rejected value is a ConfigError naming ``key``, and one from a
+    nested reader in ``convert`` gets ``key`` put before its path: ``b2.value``.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"need a mapping, got {cfg!r}")
+    if default is None and key not in cfg:
+        raise ConfigError("missing value", key)
+    value = cfg.get(key, default)
+    try:
+        return convert(value)
+    except ConfigError as e:
+        path = f"{key}.{e.key_path}" if e.key_path else key
+        raise ConfigError(e.message, path) from None
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"cannot read {value!r}: {e}", key) from None
+
+
+def check_keys(cfg, allowed):
+    """Refuse a key of ``cfg`` that is not in ``allowed``."""
+    for key in cfg:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r}", key)
+
+
+def integer(value):
+    """``int(value)``, refusing a fraction such as 2.5."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def floats(value):
+    return tuple(float(v) for v in value)
 
 
 def _as_matrix(value, d):
@@ -421,38 +457,36 @@ def _as_matrix(value, d):
 
 def _field_from_config(cfg, d):
     """Build a vectorized vector field ``(t, x) -> (n, d)`` from a family config."""
-    fam = cfg.get("family")
-    params = {k: v for k, v in cfg.items() if k != "family"}
+    fam = config_value(cfg, "family", None, str)
+    read = functools.partial(config_value, cfg)
 
     if fam == "zero":
         fn = lambda x: np.zeros_like(x)
     elif fam == "constant":
-        v = np.asarray(params["value"], dtype=float).reshape(d)
+        v = read("value", None, lambda v: np.asarray(v, dtype=float).reshape(d))
         fn = lambda x: np.broadcast_to(v, x.shape).copy()
     elif fam == "linear":
-        A = _as_matrix(params["matrix"], d)
+        A = read("matrix", None, lambda m: _as_matrix(m, d))
         # np.dot, not @: on a tall (n, 1) x (1, 1) product @ is several
         # times slower
         fn = lambda x: np.dot(x, A.T)
     elif fam == "cubic_drag":
-        a = float(params.get("coef", 1.0))
+        a = read("coef", 1.0)
         fn = lambda x: -a * x * np.sum(x**2, axis=-1, keepdims=True)
     elif fam == "bounded_sin":
-        a = float(params.get("amplitude", 1.0))
+        a = read("amplitude", 1.0)
         fn = lambda x: a * np.sin(x)
     elif fam == "log_square_bench":
-        sup = float(params.get("sup", 1.0))
-        cutoff = float(params.get("cutoff", math.exp(-5.0)))
-        base = ModulusSpec("log_square", cutoff=cutoff)
-        peak = float(base(cutoff))
+        # the log-square modulus scaled so that the drift's sup-norm is ``sup``
+        cutoff = read("cutoff", math.exp(-5.0))
+        scale = read("sup", 1.0) / float(_log_square(cutoff, cutoff))
 
-        def fn(x, _c=sup / peak):
+        def fn(x):
             g = np.minimum(np.abs(np.sin(x)), cutoff)
-            return _c * _log_square(g, cutoff)
+            return scale * _log_square(g, cutoff)
 
     elif fam == "radial_singularity":
-        c = float(params.get("c", 1.0))
-        gamma = float(params["gamma"])
+        c, gamma = read("c", 1.0), read("gamma", None)
 
         def fn(x):
             r = np.linalg.norm(x, axis=-1, keepdims=True)
@@ -469,25 +503,22 @@ def _field_from_config(cfg, d):
 
     if fam == "zero":
         field.zero = True
+    if fam == "log_square_bench":
+        field.modulus = {"family": "log_square", "cutoff": cutoff, "scale": scale}
     return field
 
 
 def _sigma_from_config(cfg, d):
-    fam = cfg.get("family")
-    m = None
+    fam = config_value(cfg, "family", None, str)
+    m = config_value(cfg, "value", 1.0, lambda v: _as_matrix(v, d))
     if fam == "constant":
-        m = _as_matrix(cfg.get("value", 1.0), d)
-
-        def fn(x):
-            return np.broadcast_to(m, (len(x), d, d)).copy()
-
+        fn = lambda x: np.broadcast_to(m, (len(x), d, d)).copy()
     elif fam == "sin_perturbed":
-        base = _as_matrix(cfg.get("value", 1.0), d)
-        eps = float(cfg.get("eps", 0.1))
+        eps = config_value(cfg, "eps", 0.1)
 
         def fn(x):
             s = 1.0 + eps * np.sin(np.asarray(x)[..., 0])
-            return base[None] * s[:, None, None]
+            return m[None] * s[:, None, None]
 
     else:
         raise ConfigError(f"unknown sigma family {fam!r}", "family")
@@ -495,75 +526,69 @@ def _sigma_from_config(cfg, d):
     def sigma(t, x):
         return fn(np.asarray(x, dtype=float))
 
-    if m is not None:
+    if fam == "constant":
         sigma.matrix = m
     return sigma
 
 
 def modulus_from_config(cfg):
-    fam = cfg.get("family")
-    kwargs = {k: v for k, v in cfg.items() if k != "family"}
-    if fam == "custom_table":
-        kwargs["table_s"] = tuple(kwargs.pop("s"))
-        kwargs["table_phi"] = tuple(kwargs.pop("phi"))
-    return ModulusSpec(fam, **kwargs)
+    family = config_value(cfg, "family", None, str)
+    table = ("s", "phi") if family == "custom_table" else ()
+    check_keys(cfg, {"family", "alpha", "L", "scale", "cutoff", *table})
+    kwargs = {key: config_value(cfg, key, None)
+              for key in ("alpha", "L", "scale", "cutoff") if key in cfg}
+    kwargs.update({f"table_{key}": config_value(cfg, key, None, floats)
+                   for key in table})
+    return ModulusSpec(family, **kwargs)
+
+
+def _read_all(cfg, defaults, other=()):
+    """Each key of ``defaults``, read as the type of its default.
+
+    A key of ``cfg`` outside ``defaults`` and ``other`` is refused.
+    """
+    values = {key: config_value(cfg, key, default,
+                                integer if type(default) is int else type(default))
+              for key, default in defaults.items()}
+    check_keys(cfg, {*defaults, *other})
+    return values
+
+
+# the scalars of a model spec per kind, and their config defaults
+_SCALARS = {
+    "dini": {"d": 1, "T": 1.0, "b_sup": 1.0},
+    "singular": {"d": 1, "T": 1.0, "p": 4.0, "c0": 1.0, "tag": "dissipative",
+                 "r": 0.0, "kappa1": 0.0, "kappa2": 0.0, "kappa3": 0.0, "kappa4": 0.0},
+}
+_COEFFICIENTS = {"dini": ("B", "b", "sigma", "modulus", "bounds"),
+                 "singular": ("b1", "b2", "sigma")}
+# the finite constants a Dini model declares, and their defaults
+_BOUNDS = {"grad_B": 1.0, "sigma": 1.0, "grad_sigma": 0.0, "grad2_sigma": 0.0,
+           "inv_a": 1.0}
 
 
 def model_from_config(cfg):
     """Build a model spec from a config tree (see the CLI schema docs)."""
-    kind = cfg.get("kind")
-    d = int(cfg.get("d", 1))
-    T = float(cfg.get("T", 1.0))
-    if kind == "dini":
-        mod = modulus_from_config(cfg.get("modulus", {"family": "lipschitz", "L": 1.0}))
-        b_cfg = cfg.get("b", {"family": "zero"})
-        if b_cfg.get("family") == "log_square_bench" and "modulus" not in cfg:
-            cutoff = float(b_cfg.get("cutoff", math.exp(-5.0)))
-            base = ModulusSpec("log_square", cutoff=cutoff)
-            mod = ModulusSpec(
-                "log_square",
-                cutoff=cutoff,
-                scale=float(b_cfg.get("sup", 1.0)) / float(base(cutoff)),
-            )
-        return DiniModelSpec(
-            d=d,
-            T=T,
-            B=_field_from_config(cfg.get("B", {"family": "zero"}), d),
-            b=_field_from_config(b_cfg, d),
-            sigma=_sigma_from_config(cfg.get("sigma", {"family": "constant"}), d),
-            modulus=mod,
-            b_sup=float(cfg.get("b_sup", 1.0)),
-            bounds=dict(
-                cfg.get(
-                    "bounds",
-                    {"grad_B": 1.0, "sigma": 1.0, "grad_sigma": 0.0,
-                     "grad2_sigma": 0.0, "inv_a": 1.0},
-                )
-            ),
-            config=cfg,
-        )
+    kind = config_value(cfg, "kind", None, str)
+    if kind not in _SCALARS:
+        raise ConfigError(f"unknown model kind {kind!r}", "kind")
+    scalars = _read_all(cfg, _SCALARS[kind], ("kind", *_COEFFICIENTS[kind]))
+    d = scalars["d"]
+    field = lambda key: config_value(cfg, key, {"family": "zero"},
+                                     lambda c: _field_from_config(c, d))
+    sigma = config_value(cfg, "sigma", {"family": "constant"},
+                         lambda c: _sigma_from_config(c, d))
     if kind == "singular":
-        b2_cfg = cfg.get("b2", {"family": "zero"})
-        tag = cfg.get("tag", "dissipative")
-        return SingularModelSpec(
-            d=d,
-            T=T,
-            b1=_field_from_config(cfg.get("b1", {"family": "zero"}), d),
-            b2=_field_from_config(b2_cfg, d),
-            sigma=_sigma_from_config(cfg.get("sigma", {"family": "constant"}), d),
-            p=float(cfg.get("p", 4.0)),
-            c0=float(cfg.get("c0", 1.0)),
-            beta=float(cfg.get("beta", 0.5)),
-            tag=tag,
-            r=float(cfg.get("r", 0.0)),
-            kappa1=float(cfg.get("kappa1", 0.0)),
-            kappa2=float(cfg.get("kappa2", 0.0)),
-            kappa3=float(cfg.get("kappa3", 0.0)),
-            kappa4=float(cfg.get("kappa4", 0.0)),
-            b1_cap_scale=float(cfg.get("b1_cap_scale", 1.0)),
-            config=cfg,
-        )
-    raise ConfigError(f"unknown model kind {kind!r}", "model.kind")
+        return SingularModelSpec(b1=field("b1"), b2=field("b2"), sigma=sigma,
+                                 config=cfg, **scalars)
+    b = field("b")
+    # a benchmark drift declares the modulus it meets
+    modulus = config_value(cfg, "modulus",
+                           getattr(b, "modulus", {"family": "lipschitz"}),
+                           modulus_from_config)
+    bounds = config_value(cfg, "bounds", {}, lambda c: _read_all(c, _BOUNDS))
+    return DiniModelSpec(B=field("B"), b=b, sigma=sigma, modulus=modulus,
+                         bounds=bounds, config=cfg, **scalars)
 
 
 def ou_singular_config(kappa=1.0, d=1, T=1.0):
@@ -577,7 +602,6 @@ def ou_singular_config(kappa=1.0, d=1, T=1.0):
         "sigma": {"family": "constant", "value": np.eye(d).tolist()},
         "p": 4.0,
         "c0": 1.0,
-        "beta": 0.5,
         "tag": "dissipative",
         "r": 0.0,
         "kappa1": kappa,

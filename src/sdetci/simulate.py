@@ -165,7 +165,7 @@ def _chunk_size(grid, d, held):
     return max(1, _CHUNK_BUDGET // (grid.n_steps * d * held))
 
 
-def _path_chunks(fns, x0s, grid, seed, ids, scheme, held, shape, reduce,
+def _path_chunks(fns, x0s, grid, seed, ids, scheme, shape, reduce,
                  finish=lambda acc: acc, keep=None):
     """Run coupled states over chunks of path ids; return ``finish(acc)`` joined.
 
@@ -173,7 +173,8 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, held, shape, reduce,
     xs)`` fills a chunk's zeroed ``acc`` of shape (n,) + ``shape`` from the
     start states (k = -1) and each step.  ``keep``, an array (len(fns),
     n_steps + 1, m, d), receives every state of the first m paths at every
-    node.
+    node.  A path holds its (n_steps, d) increments and its row of ``acc``,
+    which counts as the whole (n_steps, d) arrays it fills.
     """
     if scheme not in ("em", "tamed"):
         raise ConfigError(f"unknown scheme {scheme!r}, use 'em' or 'tamed'", "scheme")
@@ -181,7 +182,7 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, held, shape, reduce,
         raise ConfigError(f"need at least one path, got {len(ids)}", "n_paths")
     x0s = [np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in x0s]
     d = len(x0s[0])
-    n = _chunk_size(grid, d, held)
+    n = _chunk_size(grid, d, 1 + math.prod(shape) // (grid.n_steps * d))
     m = 0 if keep is None else keep.shape[2]
 
     def run(lo):
@@ -210,9 +211,8 @@ def _states(model, x0, grid, seed, n_paths, scheme, path_id0, fn=lambda s: s):
     def store(states, k, t, xs):
         states[:, k + 1] = xs[0]
 
-    # states and increments: two arrays per path
     return _path_chunks([model.sim_functions(grid)], [x0], grid, seed,
-                        range(path_id0, path_id0 + n_paths), scheme, 2,
+                        range(path_id0, path_id0 + n_paths), scheme,
                         (grid.n_steps + 1, np.size(x0)), store, finish=fn)
 
 
@@ -237,15 +237,12 @@ def ensemble_reduce(model, x0, grid, seed, n_paths, step, shape=None,
     """
     if shape is None:
         return _states(model, x0, grid, seed, n_paths, scheme, path_id0, step)
-    # the accumulator counts as the whole (n_steps, d) arrays it fills
-    held = 1 + math.prod(shape) // (grid.n_steps * np.size(x0))
     return _path_chunks([model.sim_functions(grid)], [x0], grid, seed,
-                        range(path_id0, path_id0 + n_paths), scheme, held, shape,
+                        range(path_id0, path_id0 + n_paths), scheme, shape,
                         lambda acc, k, t, xs: step(acc, k, t, xs[0]), finish=finish)
 
 
-def time_integrals(model, x0, grid, seed, n_paths, power=2.0, scheme="em",
-                   path_id0=0):
+def time_integrals(model, x0, grid, seed, n_paths, power=2.0):
     """Per-path trapezoid of |X_t|^power over [0, T].
 
     Each path holds |X_t|^power at every node, not its states.
@@ -257,8 +254,7 @@ def time_integrals(model, x0, grid, seed, n_paths, power=2.0, scheme="em",
 
     return ensemble_reduce(model, x0, grid, seed, n_paths, step,
                            (grid.n_steps + 1,),
-                           lambda mag: np.trapezoid(mag, nodes, axis=1),
-                           scheme, path_id0)
+                           lambda mag: np.trapezoid(mag, nodes, axis=1))
 
 
 def _sup_distances(fns, x0s, grid, seed, ids, scheme,
@@ -273,8 +269,7 @@ def _sup_distances(fns, x0s, grid, seed, ids, scheme,
     def track(sup, k, t, xs):
         np.maximum(sup, np.stack([dist(t, xs[0], x) for x in xs[1:]], axis=1), out=sup)
 
-    # one increment array per path
-    return _path_chunks(fns, x0s, grid, seed, ids, scheme, 1, (len(fns) - 1,),
+    return _path_chunks(fns, x0s, grid, seed, ids, scheme, (len(fns) - 1,),
                         track, keep=keep)
 
 

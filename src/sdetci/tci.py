@@ -333,12 +333,12 @@ def coupling_lipschitz_check(phi, states_a, states_b, t_nodes=None, slack=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def _random_affine(rng, d, cond_cap=4.0):
-    """Invertible affine map y = A x + c with singular values in a sane band."""
+def _random_affine(rng, d):
+    """Invertible affine map y = A x + c with condition number below 4."""
     while True:
         A = rng.standard_normal((d, d))
         s = np.linalg.svd(A, compute_uv=False)
-        if s.min() > 1e-2 and s.max() / s.min() < cond_cap:
+        if s.min() > 1e-2 and s.max() / s.min() < 4.0:
             break
     c = rng.uniform(-1.0, 1.0, d)
     Ainv = np.linalg.inv(A)

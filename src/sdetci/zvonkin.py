@@ -459,6 +459,8 @@ def _grad_b_u(u, b_vals, sgrid):
 # Paths per RNG block of estimate_P0; block k draws from path_rng(seed,
 # k * P0_BLOCK), so the estimate is fixed by (seed, n) alone.
 P0_BLOCK = 65536
+# check_gradient_estimate shifts x by FD_SCALE * sqrt(gap) either way
+FD_SCALE = 0.2
 
 
 def _block_increments(seed, lo, size, grid, d):
@@ -509,8 +511,7 @@ def estimate_P0(model, f, s, t, x, n=10000, seed=0):
     return _mean_stderr((vals for (vals,) in blocks), n)
 
 
-def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, fd_scale=0.2,
-                            n_steps=32):
+def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, n_steps=32):
     """Finite-difference semigroup gradients across a (t - s) sweep.
 
     The +/- shifts run as two coupled states on the same n paths (common
@@ -523,7 +524,7 @@ def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, fd_scale=0.2,
     d = len(x)
     grads, stderrs = [], []
     for gi, gap in enumerate(gaps):
-        eps = fd_scale * math.sqrt(gap)
+        eps = FD_SCALE * math.sqrt(gap)
         comps = np.zeros(d)
         errs = np.zeros(d)
         for c in range(d):

@@ -25,7 +25,6 @@ def _ou_cfg():
         "sigma": {"family": "constant", "value": [[1.0]]},
         "p": 4.0,
         "c0": 1.0,
-        "beta": 0.5,
         "tag": "dissipative",
         "r": 0.0,
         "kappa1": 1.0,
@@ -123,6 +122,29 @@ class TestExitCodes:
         assert main([command, f]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("model, key", [
+        ({**_ou_cfg(), "T": "abc"}, "model.T"),
+        ({**_dini_cfg(), "modulus": {"family": "holder", "alhpa": 0.5}},
+         "model.modulus.alhpa"),
+        ({**_dini_cfg(), "modulus": {"family": "holder", "alpha": "abc"}},
+         "model.modulus.alpha"),
+        ({**_dini_cfg(), "b": {"family": "bounded_sin", "amplitude": [1, 2]}},
+         "model.b.amplitude"),
+        ({**_ou_cfg(), "sigma": {"family": "constant", "value": "abc"}},
+         "model.sigma.value"),
+        ({**_ou_cfg(), "d": 2.5}, "model.d"),
+        ({**_ou_cfg(), "b2": {"family": "constant"}}, "model.b2.value"),
+        ([1, 2], "model"),
+        (None, "model"),  # no model key at all
+        ({**_ou_cfg(), "kapa1": 1.0}, "model.kapa1"),
+    ])
+    def test_malformed_model_value_names_its_path(self, tmp_path, capsys, model,
+                                                   key):
+        cfg = {"seed": 0} if model is None else {"model": model, "seed": 0}
+        assert main(["validate", _write(tmp_path, "bad.yaml", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ") and "Traceback" not in err
 
 
 class TestPipelines:

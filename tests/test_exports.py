@@ -1,8 +1,12 @@
-"""Every public name is reached from outside its own unit tests."""
+"""Every public name is reached from outside its own unit tests, and every
+field of a model spec is read."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+from sdetci.models import DiniModelSpec, SingularModelSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +45,13 @@ def test_every_export_is_used_or_kept():
     assert sorted(exports - used - set(KEPT)) == []
     assert sorted(set(KEPT) & used) == []  # a kept name now in use leaves the list
     assert set(KEPT) <= exports
+
+
+def test_every_model_spec_field_is_read():
+    """A field of a model spec that no code reads is a knob that does nothing."""
+    read = {node.attr for f in (ROOT / "src" / "sdetci").glob("*.py")
+            for node in ast.walk(ast.parse(f.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for spec in (DiniModelSpec, SingularModelSpec):
+        fields = {f.name for f in dataclasses.fields(spec)}
+        assert sorted(fields - read) == [], spec.__name__

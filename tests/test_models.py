@@ -103,6 +103,13 @@ class TestValidateModel:
         rep = validate_model(model_from_config(cfg), seed=2)
         assert rep.margin("b_sup_bound") < 0
 
+    def test_partial_bounds_keep_their_defaults(self):
+        cfg = dini_benchmark_config(sup=1.0)
+        cfg["bounds"] = {"sigma": 2.0}
+        model = model_from_config(cfg)
+        assert model.bounds["sigma"] == 2.0 and model.bounds["inv_a"] == 1.0
+        assert validate_model(model, seed=2).passed
+
     def test_nonfinite_coefficient_raises(self):
         model = model_from_config(ou_singular_config())
         model.b2 = lambda t, x: x * np.nan

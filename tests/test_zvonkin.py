@@ -554,13 +554,12 @@ class TestSemigroupMonteCarlo:
         # {|W_gap| < eps} and 0 elsewhere, a scaled Bernoulli(p)
         from scipy.stats import norm
 
-        n, gaps, fd_scale = 40000, [0.1, 0.2, 0.4], 0.2
+        n, gaps = 40000, [0.1, 0.2, 0.4]
         res = check_gradient_estimate(
             self._bm(), lambda x: np.sign(x[:, 0]), [0.0], gaps, n=n, seed=11,
-            fd_scale=fd_scale,
         )
         for gap, se in zip(gaps, res["stderrs"]):
-            eps = fd_scale * math.sqrt(gap)
+            eps = zvonkin.FD_SCALE * math.sqrt(gap)
             p = 2.0 * norm.cdf(eps / math.sqrt(gap)) - 1.0
             assert se == pytest.approx(math.sqrt(p * (1 - p) / n) / eps, rel=0.03)
 
