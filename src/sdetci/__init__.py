@@ -42,6 +42,7 @@ from .transport import (
     TransportPlan,
     brute_force_wp,
     exact_wp,
+    exact_wp_many,
     girsanov_entropy,
     pushforward,
     relative_entropy_discrete,

@@ -5,8 +5,9 @@ YAML config, runs the corresponding pipeline and writes a deterministic JSON
 report (sorted keys, no timestamps) tagged with the config hash and seed.
 Exit codes: 0 success, 1 a check failed, 2 usage/config error (also a value
 out of range, such as ``n_paths: 0``, not a number, such as ``n_paths:
-abc``, or not an integer, such as ``model: {d: 2.5}``), 3 numerical
-failure.  Numbers and the model are read through ``models.config_value``.
+abc``, not an integer, such as ``model: {d: 2.5}``, or not a boolean,
+such as ``auto: "false"``), 3 numerical failure.  Numbers, switches and the
+model are read through ``models.config_value``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import yaml
 from . import tci as tci_mod
 from . import zvonkin
 from .errors import ConfigError, SdetciError
-from .models import (check_keys, config_value, floats, integer,
+from .models import (boolean, check_keys, config_value, floats, integer,
                      model_from_config, validate_model)
 from .simulate import TimeGrid, ensemble_to_csv, simulate_ensemble
 from .tci import TCIReport
@@ -132,7 +133,7 @@ def _cmd_zvonkin(cfg):
     report = TCIReport(meta=_meta(cfg))
     if model.kind == "dini":
         n_time = config_value(cfg, "n_time", 64, integer)
-        if cfg.get("auto", True):
+        if config_value(cfg, "auto", True, boolean):
             phi, history, trace = zvonkin.solve_u_parabolic_auto(
                 model, sgrid, n_time=n_time, tol=tol,
                 lam0=config_value(cfg, "lam", 8.0), threshold=threshold,
@@ -169,7 +170,7 @@ def _cmd_tci(cfg):
     seed = config_value(cfg, "seed", 0, integer)
     report = TCIReport(meta=_meta(cfg))
     failed = False
-    if cfg.get("thresholds", True) and model.kind == "singular":
+    if config_value(cfg, "thresholds", True, boolean) and model.kind == "singular":
         # the declared ellipticity bound sigma sigma* <= c0 gives
         # sigma_sup = sqrt(c0); a model whose sampled sigma breaks it is refused
         rep = validate_model(model)

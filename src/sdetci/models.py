@@ -442,6 +442,13 @@ def integer(value):
     return int(value)
 
 
+def boolean(value):
+    """``value`` itself when it is ``True`` or ``False``; a quoted "false" is refused."""
+    if not isinstance(value, bool):
+        raise ValueError("not a boolean")
+    return value
+
+
 def floats(value):
     return tuple(float(v) for v in value)
 

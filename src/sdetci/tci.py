@@ -22,7 +22,8 @@ from .errors import ConfigError, InconclusiveEstimate
 from .simulate import _sup_distances, ensemble_reduce, with_drift_shift
 from .transport import (
     EmpiricalMeasure,
-    exact_wp,
+    exact_wp,  # not called here; perfbench asserts that tci binds it
+    exact_wp_many,
     girsanov_entropy,
     pushforward,
     relative_entropy_discrete,
@@ -360,9 +361,9 @@ def invariance_suite(n_trials=1000, seed=0, p=2.0, w_tol=1e-10, h_tol=1e-12):
     if n_trials < 1:
         raise ConfigError(f"need at least one trial, got {n_trials}", "n_trials")
     rng = np.random.default_rng(seed)
-    worst_w = 0.0
+    pairs = []  # per trial: (a) w0 and w1, (c) w_push
+    lipschitz = []
     worst_h = 0.0
-    worst_sandwich = -np.inf
     for trial in range(n_trials):
         d = int(rng.integers(1, 3))
         n = int(rng.integers(2, _MAX_ATOMS + 1))
@@ -370,16 +371,16 @@ def invariance_suite(n_trials=1000, seed=0, p=2.0, w_tol=1e-10, h_tol=1e-12):
         mu = EmpiricalMeasure(rng.uniform(-2, 2, (n, d)), _simplex(rng, n))
         nu = EmpiricalMeasure(rng.uniform(-2, 2, (m, d)), _simplex(rng, m))
         fwd, inv, smin, smax = _random_affine(rng, d)
+        lipschitz.append((smin, smax))
 
-        w0, _ = exact_wp(mu, nu, p)
         mu_p = pushforward(mu, fwd)
         nu_p = pushforward(nu, fwd)
         # transported cost: measure distances after pulling atoms back
         back_mu = np.stack([inv(a) for a in mu_p.atoms])
         back_nu = np.stack([inv(a) for a in nu_p.atoms])
         cost = np.linalg.norm(back_mu[:, None] - back_nu[None, :], axis=2)
-        w1, _ = exact_wp(mu_p, nu_p, p, metric=cost)
-        worst_w = max(worst_w, abs(w1 - w0))
+        # the sandwich keeps the ambient Euclidean metric
+        pairs += [(mu, nu, None), (mu_p, nu_p, cost), (mu_p, nu_p, None)]
 
         # entropy invariance on a shared atom index
         k = int(rng.integers(2, _MAX_ATOMS + 1))
@@ -394,8 +395,11 @@ def invariance_suite(n_trials=1000, seed=0, p=2.0, w_tol=1e-10, h_tol=1e-12):
         )
         worst_h = max(worst_h, abs(h1 - h0))
 
-        # sandwich with the ambient Euclidean metric
-        w_push, _ = exact_wp(mu_p, nu_p, p)
+    w = [value for value, _ in exact_wp_many(pairs, p)]
+    worst_w = 0.0
+    worst_sandwich = -np.inf
+    for (smin, smax), w0, w1, w_push in zip(lipschitz, w[0::3], w[1::3], w[2::3]):
+        worst_w = max(worst_w, abs(w1 - w0))
         margin = min(w_push - smin * w0 + w_tol, smax * w0 - w_push + w_tol)
         worst_sandwich = max(worst_sandwich, -margin)
     return {

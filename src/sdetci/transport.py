@@ -2,10 +2,15 @@
 
 Exact optimal transport picks its solver from the input.  Uniform measures
 of equal size have a permutation among their optimal plans (Birkhoff-von
-Neumann), so they are solved as an assignment problem; every other instance
-is an LP, handed straight to the HiGHS core that scipy bundles.  Both
-solvers pass the same dual certificate: potentials
-f, g with f_i + g_j <= c_ij and a duality gap within ``DUAL_TOL``.  Larger
+Neumann), so they are solved as an assignment problem.  Every other pair is
+one block of a block-diagonal LP, handed straight to the HiGHS core that
+scipy bundles.  The blocks share no variable and no constraint, so one solve
+returns each block's optimum and duals.  Consecutive blocks share a solve
+until the next would take it past ``LP_BLOCK_VARS`` variables: a few hundred
+variables per solve spread HiGHS's fixed cost per call, while larger solves
+take longer per block and hold more memory.  Each pair, solved alone or in a
+batch, passes the same dual certificate: potentials f, g with
+f_i + g_j <= c_ij and a duality gap within ``DUAL_TOL``.  Larger
 instances get a certified entropic bracket whose lower end is a feasible LP
 dual value and whose upper end is the cost of a rounded feasible plan, so the
 exact value always lies inside.
@@ -27,6 +32,7 @@ EXACT_ATOM_LIMIT = 512
 DUAL_TOL = 1e-7  # dual slack and relative duality gap an exact solve may leave
 # The solution test of scipy's linprog: 10 * sqrt(tol) with its default 1e-9
 LP_FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
+LP_BLOCK_VARS = 512  # variables per HiGHS solve of packed transport LPs
 
 
 @dataclass
@@ -53,11 +59,15 @@ class EmpiricalMeasure:
 @dataclass
 class TransportPlan:
     matrix: np.ndarray  # (n, m) nonnegative
-    row_residual: float
-    col_residual: float
 
     def check(self, mu, nu, tol=1e-9):
-        return max(self.row_residual, self.col_residual) <= tol
+        """True when the plan's row and column sums are ``mu``'s and ``nu``'s
+        weights within ``tol``; a plan of another shape fails."""
+        pi = self.matrix
+        if pi.shape != mu.weights.shape + nu.weights.shape:
+            return False
+        return bool(np.abs(pi.sum(axis=1) - mu.weights).max() <= tol
+                    and np.abs(pi.sum(axis=0) - nu.weights).max() <= tol)
 
 
 def euclidean_cost(x, y):
@@ -87,34 +97,51 @@ def _cost_matrix(mu, nu, metric):
 
 
 def exact_wp(mu, nu, p=2.0, metric=None):
-    """Exact discrete W_p; returns (value, plan).
+    """Exact discrete W_p; returns (value, plan).  ``exact_wp_many`` of one pair."""
+    return exact_wp_many([(mu, nu, metric)], p)[0]
+
+
+def exact_wp_many(pairs, p=2.0):
+    """Exact discrete W_p of each ``(mu, nu, metric)``; returns [(value, plan)].
 
     Two uniform measures of equal size are solved as an assignment problem
-    with shortest-path potentials as duals; any other pair is an LP (HiGHS).
-    ``metric`` is None (Euclidean) or a precomputed cost matrix.  The
-    optimal plan carries marginal residuals; on either path, dual
+    with shortest-path potentials as duals; every other pair is a block of
+    an LP (HiGHS), packed with the pairs after it into one solve of at most
+    ``LP_BLOCK_VARS`` variables (a larger pair is solved alone).  ``metric``
+    is None (Euclidean) or a precomputed cost matrix.  Per pair, dual
     feasibility and the duality gap are checked to ``DUAL_TOL`` and a
     violation raises ``RuntimeError``.
     """
-    n, m = len(mu.atoms), len(nu.atoms)
-    if n > EXACT_ATOM_LIMIT or m > EXACT_ATOM_LIMIT:
-        raise UseSinkhorn(f"instance {n}x{m} exceeds {EXACT_ATOM_LIMIT} atoms")
-    rho = _cost_matrix(mu, nu, metric)
-    cost = rho**p
-    if n == m and all((w == w[0]).all() for w in (mu.weights, nu.weights)):
-        total, pi, f, g = _assignment_wp(cost)
-    else:
-        total, pi, f, g = _lp_wp(cost, mu.weights, nu.weights)
-    slack = (f[:, None] + g[None, :]) - cost
-    gap = abs(float(cost.ravel() @ pi.ravel()) - float(f @ mu.weights + g @ nu.weights))
-    if slack.max() > DUAL_TOL or gap > DUAL_TOL * max(1.0, abs(total)):
-        raise RuntimeError("dual certificate violated beyond tolerance")
-    plan = TransportPlan(
-        pi,
-        float(np.abs(pi.sum(axis=1) - mu.weights).max()),
-        float(np.abs(pi.sum(axis=0) - nu.weights).max()),
-    )
-    return max(total, 0.0) ** (1.0 / max(p, 1.0)), plan
+    costs = []
+    for mu, nu, metric in pairs:
+        n, m = len(mu.atoms), len(nu.atoms)
+        if n > EXACT_ATOM_LIMIT or m > EXACT_ATOM_LIMIT:
+            raise UseSinkhorn(f"instance {n}x{m} exceeds {EXACT_ATOM_LIMIT} atoms")
+        costs.append(_cost_matrix(mu, nu, metric) ** p)
+    solved = [None] * len(pairs)
+    batches, size = [], 0
+    for k, ((mu, nu, _), cost) in enumerate(zip(pairs, costs)):
+        if len(mu.weights) == len(nu.weights) and all(
+                (w == w[0]).all() for w in (mu.weights, nu.weights)):
+            solved[k] = _assignment_wp(cost)
+            continue
+        if not batches or size + cost.size > LP_BLOCK_VARS:
+            batches.append([])
+            size = 0
+        batches[-1].append(k)
+        size += cost.size
+    for batch in batches:
+        blocks = [(costs[k], pairs[k][0].weights, pairs[k][1].weights) for k in batch]
+        for k, out in zip(batch, _lp_blocks(blocks)):
+            solved[k] = out
+    results = []
+    for (mu, nu, _), cost, (total, pi, f, g) in zip(pairs, costs, solved):
+        slack = (f[:, None] + g[None, :]) - cost
+        gap = abs(float(cost.ravel() @ pi.ravel()) - float(f @ mu.weights + g @ nu.weights))
+        if slack.max() > DUAL_TOL or gap > DUAL_TOL * max(1.0, abs(total)):
+            raise RuntimeError("dual certificate violated beyond tolerance")
+        results.append((max(total, 0.0) ** (1.0 / max(p, 1.0)), TransportPlan(pi)))
+    return results
 
 
 def _assignment_wp(cost):
@@ -235,16 +262,60 @@ def linprog(c, A_eq, b_eq):
     return fun, x, np.array(solution.row_dual)
 
 
-def _lp_wp(cost, mu_w, nu_w):
-    """Optimal transport between arbitrary weights as an LP (``linprog``).
+def _block_incidence(shapes):
+    """Marginal constraints of transport LPs of these shapes, block-diagonal.
 
-    Returns (optimal cost, plan, f, g) with f, g the duals of the row and
-    column marginal constraints.
+    One shape gets its cached ``_incidence`` matrix itself.  Otherwise the
+    cached CSC arrays are stacked, each block's row indices and column
+    starts offset by the rows and entries of the blocks before it.
     """
-    n, m = cost.shape
-    fun, x, duals = linprog(cost.ravel(), A_eq=_incidence(n, m),
-                            b_eq=np.concatenate([mu_w, nu_w]))
-    return float(fun), x.reshape(n, m), duals[:n], duals[n:]
+    parts = [_incidence(n, m) for n, m in shapes]
+    if len(parts) == 1:
+        return parts[0]
+    indices, indptr = [], [np.zeros(1, dtype=np.int32)]
+    rows = cols = nnz = 0
+    for A in parts:
+        indices.append(A.indices + rows)
+        indptr.append(A.indptr[1:] + nnz)
+        rows += A.shape[0]
+        cols += A.shape[1]
+        nnz += A.nnz
+    return sparse.csc_matrix(
+        (np.ones(nnz), np.concatenate(indices), np.concatenate(indptr)),
+        shape=(rows, cols),
+    )
+
+
+def _lp_blocks(blocks):
+    """Optimal transport for each ``(cost, mu_w, nu_w)``, as one LP (``linprog``).
+
+    The blocks sit on the diagonal of one constraint matrix, so the LP's
+    optimum and duals restricted to a block are that block's own.  Returns
+    [(optimal cost, plan, f, g)] with f, g the duals of the block's row and
+    column marginal constraints.  A block's cost is its cost . plan, except
+    that a lone block keeps HiGHS's objective: a pair solved alone returns
+    exactly what one ``linprog`` call on its own LP returns.
+    """
+    fun, x, duals = linprog(
+        np.concatenate([cost.ravel() for cost, _, _ in blocks]),
+        A_eq=_block_incidence([cost.shape for cost, _, _ in blocks]),
+        b_eq=np.concatenate([w for _, mu_w, nu_w in blocks for w in (mu_w, nu_w)]),
+    )
+    out = []
+    v0 = r0 = 0
+    for cost, _, _ in blocks:
+        n, m = cost.shape
+        pi = x[v0:v0 + n * m].reshape(n, m)
+        total = float(fun) if len(blocks) == 1 else float(cost.ravel() @ pi.ravel())
+        out.append((total, pi, duals[r0:r0 + n], duals[r0 + n:r0 + n + m]))
+        v0 += n * m
+        r0 += n + m
+    return out
+
+
+def _lp_wp(cost, mu_w, nu_w):
+    """One transport LP alone, ``_lp_blocks`` of one block (the tests' LP reference)."""
+    return _lp_blocks([(cost, mu_w, nu_w)])[0]
 
 
 def brute_force_wp(mu, nu, p=2.0, metric=None):

@@ -146,6 +146,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("zvonkin", {"model": _dini_cfg(), "auto": "false"}, "auto"),
+        ("tci", {"model": _ou_cfg(), "thresholds": "no"}, "thresholds"),
+    ])
+    def test_switch_must_be_a_boolean(self, tmp_path, capsys, command, cfg, key):
+        # a quoted "false" is a true string: read as a switch it would run the search
+        assert main([command, _write(tmp_path, "bad.yaml", {"seed": 0, **cfg})]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ") and "Traceback" not in err
+
+    def test_auto_false_takes_the_fixed_lambda(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "z.yaml", {
+            "model": _dini_cfg(), "auto": False, "lam": 8.0, "grid_m": 33,
+            "n_time": 8, "seed": 0,
+        })
+        assert main(["zvonkin", cfg]) == 0
+        sections = json.loads(capsys.readouterr().out)["sections"]
+        assert "auto_trace" not in sections
+        assert sections["phi"]["lam"] == 8.0
+
 
 class TestPipelines:
     def test_simulate_writes_csv(self, tmp_path, capsys):

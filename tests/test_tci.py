@@ -24,7 +24,7 @@ from sdetci import (
     threshold_set,
     with_drift_shift,
 )
-from sdetci import simulate
+from sdetci import simulate, tci, transport
 from sdetci.errors import ConfigError, InconclusiveEstimate
 from sdetci.tci import GIRSANOV_PATHS, coupling_lipschitz_check
 from sdetci.transport import girsanov_entropy
@@ -277,6 +277,31 @@ class TestInvarianceSuite:
         assert res["passed"], res
         assert res["worst_w_identity_error"] <= 1e-10
         assert res["worst_entropy_error"] <= 1e-12
+
+    def test_transport_lps_share_solves_up_to_the_cap(self, monkeypatch):
+        sizes, solves = [], []
+        real_many, real_lp = tci.exact_wp_many, transport.linprog
+
+        def many(pairs, p):
+            sizes.extend(len(mu.atoms) * len(nu.atoms) for mu, nu, _ in pairs)
+            return real_many(pairs, p)
+
+        def lp(c, A_eq, b_eq):
+            solves.append(A_eq.shape[1])
+            return real_lp(c, A_eq=A_eq, b_eq=b_eq)
+
+        monkeypatch.setattr(tci, "exact_wp_many", many)
+        monkeypatch.setattr(transport, "linprog", lp)
+        assert invariance_suite(n_trials=40, seed=2)["passed"]
+        # random simplex weights: every pair is an LP, packed greedily in order
+        packed = []
+        for size in sizes:
+            if not packed or packed[-1] + size > transport.LP_BLOCK_VARS:
+                packed.append(0)
+            packed[-1] += size
+        assert len(sizes) == 120
+        assert solves == packed
+        assert max(solves) <= transport.LP_BLOCK_VARS and len(solves) <= 12
 
     def test_deterministic(self):
         a = invariance_suite(n_trials=10, seed=9)

@@ -13,6 +13,7 @@ from sdetci import (
     TimeGrid,
     brute_force_wp,
     exact_wp,
+    exact_wp_many,
     girsanov_entropy,
     pushforward,
     relative_entropy_discrete,
@@ -74,6 +75,17 @@ class TestExactWp:
         _, plan = exact_wp(mu, nu, 2.0)
         assert plan.check(mu, nu, tol=1e-9)
         assert (plan.matrix >= -1e-12).all()
+
+    def test_plan_check_reads_its_measures(self):
+        rng = np.random.default_rng(4)
+        mu = _random_measure(rng, 2, 1)
+        nu = _random_measure(rng, 3, 1)
+        _, plan = exact_wp(mu, nu, 2.0)
+        assert plan.check(mu, nu, tol=1e-9)
+        assert not plan.check(nu, mu)
+        assert not plan.check(EmpiricalMeasure.uniform(mu.atoms), nu)
+        with pytest.raises(AttributeError):
+            plan.check(None, None)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(9)
@@ -187,6 +199,50 @@ class TestSolverSelection:
         cost = euclidean_cost(np.arange(3.0)[:, None], np.arange(2.0)[:, None])
         with pytest.raises(RuntimeError, match="transport LP failed: Infeasible"):
             transport._lp_wp(cost, np.full(3, 1 / 3), np.array([0.2, 0.3]))
+
+
+class TestBatchedLp:
+    @settings(max_examples=40, deadline=None)
+    @given(n_pairs=st.integers(1, 80), p=st.sampled_from([1.0, 2.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_pair_as_if_solved_alone(self, n_pairs, p, seed):
+        # a quarter uniform and equal-size; 80 pairs carry about 1 200 LP
+        # variables, so about half the lists take more than one solve
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(n_pairs):
+            n, m, d = (int(v) for v in rng.integers(1, [9, 9, 3]))
+            uniform = bool(rng.random() < 0.25)
+            pairs.append((_random_measure(rng, n, d, uniform),
+                          _random_measure(rng, n if uniform else m, d, uniform), None))
+        batched = exact_wp_many(pairs, p)
+        assert len(batched) == len(pairs)
+        for (mu, nu, _), (w, plan) in zip(pairs, batched):
+            alone, _ = exact_wp(mu, nu, p)
+            assert abs(w - alone) <= 1e-12 * abs(alone)
+            assert plan.check(mu, nu, 1e-9)
+
+    def test_each_block_passes_its_own_certificate(self, monkeypatch):
+        # a far-apart pair makes the batch's objective large, so a duality gap
+        # checked on the whole batch would hide the small block's violation
+        rng = np.random.default_rng(6)
+        far = _random_measure(rng, 3, 1)
+        far_nu = EmpiricalMeasure(far.atoms[:2] + 1e3, np.array([0.3, 0.7]))
+        mu, nu = _random_measure(rng, 2, 1), _random_measure(rng, 3, 1)
+        solves = []
+        real = transport.linprog
+
+        def perturbed(c, A_eq, b_eq):
+            fun, x, duals = real(c, A_eq=A_eq, b_eq=b_eq)
+            solves.append(A_eq.shape)
+            duals = duals.copy()
+            duals[5:7] -= 1e-3  # f of the second block: still feasible, gap 1e-3
+            return fun, x, duals
+
+        monkeypatch.setattr(transport, "linprog", perturbed)
+        with pytest.raises(RuntimeError, match="dual certificate"):
+            exact_wp_many([(far, far_nu, None), (mu, nu, None)], 2.0)
+        assert solves == [(10, 12)]
 
 
 class TestSinkhorn:
