@@ -73,6 +73,7 @@ from .tci import (
     lambda_threshold,
     t1_constant,
     t2_check,
+    tail_sweep_and_t2,
     threshold_set,
 )
 

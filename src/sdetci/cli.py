@@ -130,10 +130,11 @@ def _cmd_zvonkin(cfg):
     tol = config_value(cfg, "tol", 1e-8)
     threshold = config_value(cfg, "threshold", zvonkin.DINI_GRAD_THRESHOLD
                              if model.kind == "dini" else zvonkin.SINGULAR_GRAD_THRESHOLD)
+    n_time = config_value(cfg, "n_time", 64, integer)
+    auto = config_value(cfg, "auto", True, boolean)
     report = TCIReport(meta=_meta(cfg))
     if model.kind == "dini":
-        n_time = config_value(cfg, "n_time", 64, integer)
-        if config_value(cfg, "auto", True, boolean):
+        if auto:
             phi, history, trace = zvonkin.solve_u_parabolic_auto(
                 model, sgrid, n_time=n_time, tol=tol,
                 lam0=config_value(cfg, "lam", 8.0), threshold=threshold,
@@ -186,6 +187,7 @@ def _cmd_tci(cfg):
             "tag": ts.tag, "lambda_max": ts.lambda_max,
             "lambda_strict": ts.lambda_strict, "delta_max": ts.delta_max,
         })
+    sweep = t2 = None
     if "delta" in cfg:
         delta = config_value(cfg, "delta", None)
         if "n_list" in cfg:
@@ -195,7 +197,17 @@ def _cmd_tci(cfg):
             n_list = [config_value(cfg, "n_paths", 10000, integer)]
             if n_list[0] < 2:
                 raise ConfigError(f"need n_paths >= 2, got {n_list[0]}", "n_paths")
+    if "shifts" in cfg:
+        shifts = config_value(cfg, "shifts", None, floats)
+        n_paths = config_value(cfg, "n_paths", 4096, integer)
+    if "delta" in cfg and "shifts" in cfg:  # T2's base paths are the sweep's first
+        sweep, t2 = tci_mod.tail_sweep_and_t2(model, x0, grid, delta, n_list,
+                                              shifts, n_paths, seed)
+    elif "delta" in cfg:
         sweep = tci_mod.gaussian_tail_sweep(model, x0, grid, delta, n_list, seed)
+    elif "shifts" in cfg:
+        t2 = tci_mod.t2_check(model, x0, grid, shifts, n_paths, seed)
+    if sweep is not None:
         report.add("gaussian_tail", sweep)
         failed = failed or not sweep["stable"]
         report.add("t1", {
@@ -203,12 +215,8 @@ def _cmd_tci(cfg):
             "transformed_constant": tci_mod.t1_constant(delta),
             "original_constant": tci_mod.t1_constant(delta, original_space=True),
         })
-    if "shifts" in cfg:
-        res = tci_mod.t2_check(
-            model, x0, grid, config_value(cfg, "shifts", None, floats),
-            config_value(cfg, "n_paths", 4096, integer), seed,
-        )
-        report.add("t2", res)
+    if t2 is not None:
+        report.add("t2", t2)
     _emit(report, cfg)
     return 1 if failed else 0
 

@@ -19,8 +19,8 @@ stream per ``zvonkin.P0_BLOCK`` paths: their samples are fixed by
 ``(seed, n)``, but a path's noise depends on n.  Paths run in chunks
 through one loop, ``_path_chunks``, which hands the states after every
 step to a reducer.  ``ensemble_reduce(..., step, shape, finish)`` streams
-them into a per-path accumulator of ``shape`` (a running sup, a value per
-node), so a path holds its increments, not its states; only
+them into a per-path accumulator of ``shape`` (a running sup, a running
+sum), so a path holds its increments, not its states; only
 ``simulate_ensemble``, and ``ensemble_reduce`` given a function of full
 states instead of a ``shape``, store every node.  One memory budget,
 ``_CHUNK_BUDGET``, sets every chunk size, so no function takes a ``chunk``
@@ -90,13 +90,17 @@ def _increment_block(seed, grid, d, ids):
 
     One generator serves the block: per path its Philox key word 1 is set to
     the path id and its counter and buffer are reset, which gives the same
-    stream as a fresh ``path_rng(seed, pid)`` without building one.
+    stream as a fresh ``path_rng(seed, pid)`` without building one.  The
+    state is a dict of plain ints, which the setter reads faster than the
+    numpy arrays of a ``philox.state`` snapshot.
     """
     out = np.empty((len(ids), grid.n_steps, d))
     gen = path_rng(seed, ids[0])
     philox = gen.bit_generator
-    fresh = philox.state  # zero counter, empty buffer
-    key = fresh["state"]["key"]
+    key = [int(seed) & _MASK, 0]
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for j, pid in enumerate(ids):
         key[1] = int(pid) & _MASK
         philox.state = fresh
@@ -245,32 +249,30 @@ def ensemble_reduce(model, x0, grid, seed, n_paths, step, shape=None,
 def time_integrals(model, x0, grid, seed, n_paths, power=2.0):
     """Per-path trapezoid of |X_t|^power over [0, T].
 
-    Each path holds |X_t|^power at every node, not its states.
+    The trapezoid is summed node by node, so a path holds one running sum,
+    not its values at every node.
     """
-    nodes = grid.nodes
+    weights = np.full(grid.n_steps + 1, grid.h)
+    weights[[0, -1]] *= 0.5
 
-    def step(mag, k, t, x):
-        mag[:, k + 1] = np.linalg.norm(x, axis=1) ** power
+    def step(integral, k, t, x):
+        integral += weights[k + 1] * np.linalg.norm(x, axis=1) ** power
 
-    return ensemble_reduce(model, x0, grid, seed, n_paths, step,
-                           (grid.n_steps + 1,),
-                           lambda mag: np.trapezoid(mag, nodes, axis=1))
+    return ensemble_reduce(model, x0, grid, seed, n_paths, step, ())
 
 
 def _sup_distances(fns, x0s, grid, seed, ids, scheme,
-                   dist=lambda t, xa, xb: np.linalg.norm(xa - xb, axis=1),
-                   keep=None):
+                   dist=lambda t, xa, xb: np.linalg.norm(xa - xb, axis=1)):
     """sup_t dist(t, X^0_t, X^i_t) of state 0 against each other state, (n, k).
 
     ``dist`` gives (n,) distances, by default the Euclidean gap.  The states
-    are coupled, and ``keep`` filled, as in ``_path_chunks``.
+    are coupled as in ``_path_chunks``.
     """
 
     def track(sup, k, t, xs):
         np.maximum(sup, np.stack([dist(t, xs[0], x) for x in xs[1:]], axis=1), out=sup)
 
-    return _path_chunks(fns, x0s, grid, seed, ids, scheme, (len(fns) - 1,),
-                        track, keep=keep)
+    return _path_chunks(fns, x0s, grid, seed, ids, scheme, (len(fns) - 1,), track)
 
 
 def coupled_sup_distances(model_a, model_b, x0a, x0b, grid, seed, n_paths,

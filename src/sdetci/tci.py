@@ -4,9 +4,10 @@ Closed-form regularization/tail thresholds, plug-in exponential-moment
 estimators with stability diagnostics, Gaussian-tail sweeps, and the
 T1/T2-style checks relating Wasserstein distance to relative entropy.
 Paths are keyed by id, so the sweep and the T2 check simulate each path
-once: the sweep at its largest sample size, T2 with the base model and
-every drift-shifted twin coupled in one run.  Everything is seed-stable and
-serializes without timestamps.
+once, alone and together: the sweep at its largest sample size, T2 with the
+base model and every drift-shifted twin coupled in one run, and
+``tail_sweep_and_t2`` takes the sweep's first paths from that coupled run.
+Everything is seed-stable and serializes without timestamps.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigError, InconclusiveEstimate
-from .simulate import _sup_distances, ensemble_reduce, with_drift_shift
+from .simulate import _path_chunks, ensemble_reduce, with_drift_shift
 from .transport import (
     EmpiricalMeasure,
     exact_wp,  # not called here; perfbench asserts that tci binds it
@@ -179,19 +180,56 @@ def _log_mean_stderr(g):
     return float(w.std(ddof=1) / math.sqrt(len(g)))
 
 
+def _shared_run(model, x0, grid, seed, n_tail, shifts, n_t2):
+    """One run of paths 0..max(n_tail, n_t2)-1 for the tail sweep and T2.
+
+    Returns sup_t |X_t - x0| of paths 0..n_tail-1; for paths 0..n_t2-1,
+    sup_t |X_t - X^i_t| against twin i, whose drift is shifted by
+    ``shifts[i]`` e_1 (n_t2, len(shifts)); every state of the first
+    ``GIRSANOV_PATHS`` paths, base first (len(shifts) + 1, n_steps + 1, m,
+    d); the shift functions; and the diffusion.  Paths n_t2..n_tail-1 run
+    base-only through ``ensemble_reduce``, before paths 0..n_t2-1 run the
+    base and every twin as coupled states, so the kept states are not
+    allocated during the larger run.  Each path is simulated once, and each
+    result equals that of its half run alone.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    d = len(x0)
+    e = np.zeros(d)
+    e[0] = 1.0
+    shift_fns = [lambda t, x, _h=hmag: _h * np.broadcast_to(e, x.shape)
+                 for hmag in shifts]
+    fns = [m.sim_functions(grid)
+           for m in [model] + [with_drift_shift(model, s) for s in shift_fns]]
+
+    def tail_step(sup, k, t, x):
+        np.maximum(sup, np.linalg.norm(x - x0, axis=1), out=sup)
+
+    tail = np.empty(0)
+    if n_tail > n_t2:
+        tail = ensemble_reduce(model, x0, grid, seed, n_tail - n_t2, tail_step, (),
+                               path_id0=n_t2)
+    kept = np.empty((len(fns), grid.n_steps + 1, min(n_t2, GIRSANOV_PATHS), d))
+    gaps = np.empty((0, len(shifts)))
+    if n_t2 > 0:
+        def track(sup, k, t, xs):
+            dists = [np.linalg.norm(xs[0] - x, axis=1) for x in [x0] + xs[1:]]
+            np.maximum(sup, np.stack(dists, axis=1), out=sup)
+
+        sups = _path_chunks(fns, [x0] * len(fns), grid, seed, range(n_t2), "em",
+                            (len(fns),), track, keep=kept)
+        tail = np.concatenate([sups[:n_tail, 0], tail])
+        gaps = sups[:, 1:]
+    return tail, gaps, kept, shift_fns, fns[0][1]
+
+
 def _tail_exponents(model, x0, grid, delta, n_paths, seed):
     """Per-path delta sup_t |X_t - x0|^2 over an EM ensemble.
 
     The sup is a running max from the start state on, so no path holds its
     states.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    def step(sup, k, t, x):
-        np.maximum(sup, np.linalg.norm(x - x0, axis=1), out=sup)
-
-    return ensemble_reduce(model, x0, grid, seed, n_paths, step, (),
-                           lambda sup: delta * sup**2)
+    return delta * _shared_run(model, x0, grid, seed, n_paths, [], 0)[0] ** 2
 
 
 def _tail_row(exponents, delta):
@@ -206,15 +244,8 @@ def gaussian_tail_estimate(model, x0, grid, delta, n_paths, seed=0):
     return _tail_row(exps, delta)
 
 
-def gaussian_tail_sweep(model, x0, grid, delta, n_list, seed=0):
-    """Tail estimate across nested sample sizes with an overall verdict.
-
-    Paths are keyed by id, so a run of n paths is the prefix of the largest
-    run: the sweep simulates ``max(n_list)`` paths once and estimates each
-    row from a prefix of their exponents.  Every row equals
-    ``gaussian_tail_estimate`` at its n.  The sweep is "stable" when every
-    run is individually stable and the log-estimates agree within log 1.5.
-    """
+def _sweep_sizes(delta, n_list):
+    """The sorted sample sizes of a sweep; refuses a bad ``delta`` or size."""
     n_list = sorted(int(n) for n in n_list)
     if not n_list:
         raise ConfigError("need at least one sample size", "n_list")
@@ -222,7 +253,12 @@ def gaussian_tail_sweep(model, x0, grid, delta, n_list, seed=0):
         raise ConfigError(f"need sample sizes >= 2, got {n_list[0]}", "n_list")
     if not delta > 0:
         raise ConfigError(f"need delta > 0, got {delta}", "delta")
-    exps = _tail_exponents(model, x0, grid, delta, n_list[-1], seed)
+    return n_list
+
+
+def _sweep(delta, n_list, tail):
+    """The sweep's rows from the sups of the largest run, ``tail``."""
+    exps = delta * tail**2
     rows = [_tail_row(exps[:n], delta) for n in n_list]
     logs = [r["log_estimate"] for r in rows]
     spread = max(logs) - min(logs)
@@ -236,46 +272,40 @@ def gaussian_tail_sweep(model, x0, grid, delta, n_list, seed=0):
     }
 
 
+def gaussian_tail_sweep(model, x0, grid, delta, n_list, seed=0):
+    """Tail estimate across nested sample sizes with an overall verdict.
+
+    Paths are keyed by id, so a run of n paths is the prefix of the largest
+    run: the sweep simulates ``max(n_list)`` paths once and estimates each
+    row from a prefix of their exponents.  Every row equals
+    ``gaussian_tail_estimate`` at its n.  The sweep is "stable" when every
+    run is individually stable and the log-estimates agree within log 1.5.
+    """
+    n_list = _sweep_sizes(delta, n_list)
+    tail = _shared_run(model, x0, grid, seed, n_list[-1], [], 0)[0]
+    return _sweep(delta, n_list, tail)
+
+
 # ---------------------------------------------------------------------------
 # T2-style ratio check via synchronous coupling
 # ---------------------------------------------------------------------------
 
 
-def t2_check(model, x0, grid, shifts, n_paths, seed=0):
-    """Ratio of squared sup-distance to entropy across drift-shift sizes.
-
-    For each shift magnitude h > 0, a twin equation with drift shifted by
-    h e_1 runs under synchronous coupling; the mean of sup_t |Delta|^2
-    upper-bounds W2^2 in the sup metric, and the relative entropy of the
-    two path laws comes from the Girsanov formula
-    over the first ``GIRSANOV_PATHS`` twin paths.  The base model and every
-    twin are coupled states of one run, which keeps the states of those
-    first paths, so each path is simulated once; row i equals
-    ``coupled_sup_distances`` of the base and twin i, and
-    ``girsanov_entropy`` on ``simulate_ensemble`` of twin i.  Entropy should
-    scale quadratically in the shift and the ratio should be stable.
-    """
+def _check_t2(shifts, n_paths):
     if n_paths < 2:
         raise ConfigError(f"need n_paths >= 2 for a stderr, got {n_paths}", "n_paths")
     if len(shifts) == 0:
         raise ConfigError("need at least one shift", "shifts")
     if not min(shifts) > 0:
         raise ConfigError(f"need shifts > 0, got {min(shifts)}", "shifts")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = len(x0)
-    e = np.zeros(d)
-    e[0] = 1.0
-    shift_fns = [lambda t, x, _h=hmag: _h * np.broadcast_to(e, x.shape)
-                 for hmag in shifts]
-    twins = [with_drift_shift(model, shift) for shift in shift_fns]
-    fns = [m.sim_functions(grid) for m in [model] + twins]
-    kept = np.empty((len(fns), grid.n_steps + 1, min(n_paths, GIRSANOV_PATHS), d))
-    sups = _sup_distances(fns, [x0] * len(fns), grid, seed, range(n_paths), "em",
-                          keep=kept)
+
+
+def _t2(shifts, n_paths, grid, run):
+    """The T2 rows and summary from the coupled half of a ``_shared_run``."""
+    _, gaps, kept, shift_fns, sigma_fn = run
     rows = []
-    _, sigma_fn = fns[0]
     for i, (hmag, shift) in enumerate(zip(shifts, shift_fns)):
-        sq = sups[:, i] ** 2
+        sq = gaps[:, i] ** 2
         w2_sq = float(np.mean(sq))
         w2_se = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
         states = kept[i + 1].swapaxes(0, 1)  # (paths, nodes, d)
@@ -299,6 +329,39 @@ def t2_check(model, x0, grid, shifts, n_paths, seed=0):
         "ratio_spread": float(ratios.max() / ratios.min()),
         "entropy_scaling_exponent": scaling,
     }
+
+
+def t2_check(model, x0, grid, shifts, n_paths, seed=0):
+    """Ratio of squared sup-distance to entropy across drift-shift sizes.
+
+    For each shift magnitude h > 0, a twin equation with drift shifted by
+    h e_1 runs under synchronous coupling; the mean of sup_t |Delta|^2
+    upper-bounds W2^2 in the sup metric, and the relative entropy of the
+    two path laws comes from the Girsanov formula
+    over the first ``GIRSANOV_PATHS`` twin paths.  The base model and every
+    twin are coupled states of one run, which keeps the states of those
+    first paths, so each path is simulated once; row i equals
+    ``coupled_sup_distances`` of the base and twin i, and
+    ``girsanov_entropy`` on ``simulate_ensemble`` of twin i.  Entropy should
+    scale quadratically in the shift and the ratio should be stable.
+    """
+    _check_t2(shifts, n_paths)
+    return _t2(shifts, n_paths, grid,
+               _shared_run(model, x0, grid, seed, 0, shifts, n_paths))
+
+
+def tail_sweep_and_t2(model, x0, grid, delta, n_list, shifts, n_paths, seed=0):
+    """``gaussian_tail_sweep`` and ``t2_check`` of the same paths, run once.
+
+    Returns the pair of their results, equal to the two separate calls.
+    Both are refused before anything is simulated.  The T2 run's base
+    states are the sweep's first ``n_paths`` paths, so the two together
+    draw ``max(max(n_list), n_paths)`` paths, not their sum.
+    """
+    n_list = _sweep_sizes(delta, n_list)
+    _check_t2(shifts, n_paths)
+    run = _shared_run(model, x0, grid, seed, n_list[-1], shifts, n_paths)
+    return _sweep(delta, n_list, run[0]), _t2(shifts, n_paths, grid, run)
 
 
 def coupling_lipschitz_check(phi, states_a, states_b, t_nodes=None, slack=1e-9):

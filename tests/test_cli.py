@@ -149,6 +149,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, cfg, key", [
         ("zvonkin", {"model": _dini_cfg(), "auto": "false"}, "auto"),
         ("tci", {"model": _ou_cfg(), "thresholds": "no"}, "thresholds"),
+        # a singular model never reads the switch, but a malformed one is refused
+        ("zvonkin", {"model": _ou_cfg(), "auto": "maybe"}, "auto"),
     ])
     def test_switch_must_be_a_boolean(self, tmp_path, capsys, command, cfg, key):
         # a quoted "false" is a true string: read as a switch it would run the search

@@ -97,7 +97,8 @@ class TestRngDiscipline:
 
     @settings(max_examples=40)
     @given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**64 - 1)),
-           first=st.one_of(st.integers(0, 64), st.integers(2**32, 2**62)),
+           first=st.one_of(st.integers(0, 64), st.integers(2**32, 2**62),
+                           st.integers(2**63, 2**64 - 64)),
            n=st.integers(1, 6), step=st.integers(1, 3),
            kind=st.sampled_from(["range", "array", "split"]),
            n_steps=st.integers(1, 12), d=st.sampled_from([1, 2]))
@@ -107,7 +108,8 @@ class TestRngDiscipline:
         # draws; "split" is the ``ids + 1`` array of a split pair's state 1
         ids = range(first, first + n * step, step)
         if kind == "array":
-            ids = np.arange(first, first + n * step, step, dtype=np.int64)
+            ids = np.arange(first, first + n * step, step,
+                            dtype=np.int64 if first < 2**63 else np.uint64)
         elif kind == "split":
             ids = np.add(ids, 1)
         g = TimeGrid(0.7, n_steps)

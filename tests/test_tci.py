@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdetci import (
     CallableModel,
@@ -21,14 +24,17 @@ from sdetci import (
     simulate_ensemble,
     t1_constant,
     t2_check,
+    tail_sweep_and_t2,
     threshold_set,
     with_drift_shift,
 )
 from sdetci import simulate, tci, transport
+from sdetci.cli import main
 from sdetci.errors import ConfigError, InconclusiveEstimate
 from sdetci.tci import GIRSANOV_PATHS, coupling_lipschitz_check
 from sdetci.transport import girsanov_entropy
 from sdetci.zvonkin import GridFunction, Homeomorphism, SpaceGrid
+from test_declared import VALUE_ULPS, _ulps
 
 
 def _count_states(monkeypatch):
@@ -257,6 +263,58 @@ class TestT2Check:
         # chunks that split the kept paths, the last one partly kept
         monkeypatch.setattr(simulate, "_chunk_size", lambda grid, d, held: 1000)
         assert t2_check(model, x0, g, shifts, n, seed) == res
+
+
+class TestSharedRun:
+    @staticmethod
+    def _model(d):
+        cfg = ou_singular_config(d=d)
+        if d == 2:  # a sigma that mixes coordinates, as in test_declared
+            cfg["b2"] = {"family": "linear", "matrix": [[-1.0, 0.4], [-0.3, -0.8]]}
+            cfg["sigma"] = {"family": "constant", "value": [[1.0, 0.3], [-0.2, 0.7]]}
+            cfg["c0"] = 10.0
+        return model_from_config(cfg)
+
+    @settings(max_examples=15)
+    @given(d=st.sampled_from([1, 2]), n_paths=st.integers(2, 60),
+           rel=st.sampled_from([-1, 0, 1]), gap=st.integers(1, 40),
+           seed=st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**64 - 1)))
+    def test_shared_run_equals_separate_calls(self, d, n_paths, rel, gap, seed):
+        # the sweep's largest n below, at and above the T2 run's n_paths
+        n_max = max(2, n_paths + rel * gap)
+        n_list = [max(2, n_max // 2), n_max]
+        model, g, x0, shifts = self._model(d), TimeGrid(1.0, 8), [0.3, -0.2][:d], [0.1, 0.3]
+        sweep, t2 = tail_sweep_and_t2(model, x0, g, 0.05, n_list, shifts, n_paths, seed)
+        alone = (gaussian_tail_sweep(model, x0, g, 0.05, n_list, seed),
+                 t2_check(model, x0, g, shifts, n_paths, seed))
+        if d == 1:
+            assert (sweep, t2) == alone
+            return
+        # d = 2: the coupled run may sum a matrix product in another order
+        shared = tci._shared_run(model, x0, g, seed, n_max, shifts, n_paths)
+        tail = tci._shared_run(model, x0, g, seed, n_max, [], 0)[0]
+        assert _ulps(shared[0], tail) <= VALUE_ULPS
+        assert [r["n"] for r in sweep["rows"]] == [r["n"] for r in alone[0]["rows"]]
+        for ra, rb in zip(t2["rows"], alone[1]["rows"]):
+            for key in ("w2_sq_bound", "entropy", "ratio"):
+                assert _ulps(ra[key], rb[key]) <= VALUE_ULPS
+
+    def test_cli_draws_each_path_once(self, tmp_path, monkeypatch, capsys):
+        drawn = []
+        block = simulate._increment_block
+
+        def recorded(seed, grid, d, ids):
+            drawn.extend(int(i) for i in ids)
+            return block(seed, grid, d, ids)
+
+        monkeypatch.setattr(simulate, "_increment_block", recorded)
+        cfg = tmp_path / "t.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "model": ou_singular_config(), "seed": 3, "n_steps": 8, "delta": 0.05,
+            "n_list": [300, 700], "shifts": [0.1, 0.2], "n_paths": 500,
+        }))
+        assert main(["tci", str(cfg)]) == 0
+        assert sorted(drawn) == list(range(700))
 
 
 class TestCouplingLipschitz:
