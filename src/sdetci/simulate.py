@@ -8,23 +8,20 @@ that matrix, computed once per step for all states that share it, and
 never calls sigma.
 
 ``brownian_increments``, ``simulate_ensemble``, ``ensemble_reduce``,
-``time_integrals`` and ``coupled_sup_distances`` draw noise from
-counter-based Philox streams keyed by ``(master seed, path id)``: any path
-is reproducible in isolation, a run of n paths is a prefix of a longer run,
-and results do not depend on how paths are chunked.  A chunk draws from one
-generator, re-keyed per path (``_increment_block``), which gives each path
-the stream of its own ``path_rng(seed, path_id)``.  ``zvonkin.estimate_P0``
-and ``zvonkin.check_gradient_estimate`` are keyed by block instead, one
-stream per ``zvonkin.P0_BLOCK`` paths: their samples are fixed by
-``(seed, n)``, but a path's noise depends on n.  Paths run in chunks
-through one loop, ``_path_chunks``, which hands the states after every
-step to a reducer.  ``ensemble_reduce(..., step, shape, finish)`` streams
-them into a per-path accumulator of ``shape`` (a running sup, a running
-sum), so a path holds its increments, not its states; only
-``simulate_ensemble``, and ``ensemble_reduce`` given a function of full
-states instead of a ``shape``, store every node.  One memory budget,
-``_CHUNK_BUDGET``, sets every chunk size, so no function takes a ``chunk``
-argument.
+``time_integrals``, ``coupled_sup_distances`` and the semigroup Monte Carlo
+of ``zvonkin`` draw noise from counter-based Philox streams keyed by
+``(master seed, path id)``: any path is reproducible in isolation, a run of
+n paths is a prefix of a longer run, and results do not depend on how
+paths are chunked.  A chunk draws from one generator, re-keyed per path
+(``_increment_block``), which gives each path the stream of its own
+``path_rng(seed, path_id)``.  Paths run in chunks through one loop,
+``_path_chunks``, which hands the states after every step to a reducer.
+``ensemble_reduce(..., step, shape)`` streams them into a per-path
+accumulator of ``shape`` (a running sup, a running sum), so a path holds
+its increments, not its states; only ``simulate_ensemble``, and
+``ensemble_reduce`` given a function of full states instead of a
+``shape``, store every node.  One memory budget, ``_CHUNK_BUDGET``, sets
+every chunk size, so no function takes a ``chunk`` argument.
 """
 
 from __future__ import annotations
@@ -114,7 +111,7 @@ def _fingerprint(model):
     return fp() if callable(fp) else str(fp)
 
 
-def run_em(fns, x0s, grid, dw, tamed=False, t0=0.0, on_step=None):
+def run_em(fns, x0s, grid, dw, tamed=False, on_step=None):
     """Euler-Maruyama (or tamed) recursion of coupled states over one chunk.
 
     State ``i`` starts at ``x0s[i]`` (n, d) and steps with ``fns[i] =
@@ -134,7 +131,7 @@ def run_em(fns, x0s, grid, dw, tamed=False, t0=0.0, on_step=None):
     h = grid.h
     xs = [np.array(x0, dtype=float) for x0 in x0s]
     mats = [getattr(sigma, "matrix", None) for _, sigma in fns]
-    t = t0
+    t = 0.0
     for k in range(grid.n_steps):
         # Column k of the increments is strided.  Coupled states read one
         # contiguous copy; a lone state reads it in place, which is cheaper
@@ -169,9 +166,8 @@ def _chunk_size(grid, d, held):
     return max(1, _CHUNK_BUDGET // (grid.n_steps * d * held))
 
 
-def _path_chunks(fns, x0s, grid, seed, ids, scheme, shape, reduce,
-                 finish=lambda acc: acc, keep=None):
-    """Run coupled states over chunks of path ids; return ``finish(acc)`` joined.
+def _path_chunks(fns, x0s, grid, seed, ids, scheme, shape, reduce, keep=None):
+    """Run coupled states over chunks of path ids; return the joined ``acc``.
 
     Path ``ids[j]`` keys the noise every state shares.  ``reduce(acc, k, t,
     xs)`` fills a chunk's zeroed ``acc`` of shape (n,) + ``shape`` from the
@@ -203,21 +199,20 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, shape, reduce,
 
         step(-1, 0.0, xs)
         run_em(fns, xs, grid, dw, scheme == "tamed", on_step=step)
-        del dw  # free the increments before ``finish`` makes its temporaries
-        return finish(acc)
+        return acc
 
     return np.concatenate([run(lo) for lo in range(0, len(ids), n)])
 
 
-def _states(model, x0, grid, seed, n_paths, scheme, path_id0, fn=lambda s: s):
-    """``fn`` of the full (n, n_steps+1, d) states of each path-id chunk, joined."""
+def _states(model, x0, grid, seed, n_paths, scheme, path_id0):
+    """The full (n_paths, n_steps + 1, d) states of the paths from ``path_id0``."""
 
     def store(states, k, t, xs):
         states[:, k + 1] = xs[0]
 
     return _path_chunks([model.sim_functions(grid)], [x0], grid, seed,
                         range(path_id0, path_id0 + n_paths), scheme,
-                        (grid.n_steps + 1, np.size(x0)), store, finish=fn)
+                        (grid.n_steps + 1, np.size(x0)), store)
 
 
 def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0):
@@ -228,22 +223,21 @@ def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0):
 
 
 def ensemble_reduce(model, x0, grid, seed, n_paths, step, shape=None,
-                    finish=lambda acc: acc, scheme="em", path_id0=0):
-    """Stream ``step(acc, k, t, x)`` over the paths; return ``finish(acc)`` joined.
+                    scheme="em", path_id0=0):
+    """Stream ``step(acc, k, t, x)`` over the paths; return the joined ``acc``.
 
     Per chunk of n paths, ``acc`` is a zeroed (n,) + ``shape`` array and
     ``step`` sees the start states x (n, d) at k = -1, t = 0, then the
     states after each step k at time t.  A path holds its increments and
-    its row of ``acc``, never its states.  ``finish(acc)`` gives (n, ...)
-    values per chunk.  Without ``shape``, ``step`` is instead a function of
-    a chunk's full (n, n_steps + 1, d) states, the earlier contract, and
-    each chunk holds its states.
+    its row of ``acc``, never its states.  Without ``shape``, ``step`` is
+    instead a function of the full (n_paths, n_steps + 1, d) states, the
+    earlier contract, and the whole run holds its states.
     """
     if shape is None:
-        return _states(model, x0, grid, seed, n_paths, scheme, path_id0, step)
+        return step(_states(model, x0, grid, seed, n_paths, scheme, path_id0))
     return _path_chunks([model.sim_functions(grid)], [x0], grid, seed,
                         range(path_id0, path_id0 + n_paths), scheme, shape,
-                        lambda acc, k, t, xs: step(acc, k, t, xs[0]), finish=finish)
+                        lambda acc, k, t, xs: step(acc, k, t, xs[0]))
 
 
 def time_integrals(model, x0, grid, seed, n_paths, power=2.0):

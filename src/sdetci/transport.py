@@ -8,16 +8,19 @@ scipy bundles.  The blocks share no variable and no constraint, so one solve
 returns each block's optimum and duals.  Consecutive blocks share a solve
 until the next would take it past ``LP_BLOCK_VARS`` variables: a few hundred
 variables per solve spread HiGHS's fixed cost per call, while larger solves
-take longer per block and hold more memory.  Each pair, solved alone or in a
-batch, passes the same dual certificate: potentials f, g with
-f_i + g_j <= c_ij and a duality gap within ``DUAL_TOL``.  Larger
-instances get a certified entropic bracket whose lower end is a feasible LP
-dual value and whose upper end is the cost of a rounded feasible plan, so the
-exact value always lies inside.
+take longer per block and hold more memory.  HiGHS's tolerances are
+absolute, so each block's cost is divided by its largest entry before the
+solve, and its dual feasibility tolerance is the smallest HiGHS accepts.
+Each pair, solved alone or in a batch, passes the same dual certificate in
+those units: potentials f, g with f_i + g_j <= c_ij and a duality gap
+within ``DUAL_TOL``.  Larger instances get a certified entropic bracket
+whose lower end is a feasible LP dual value and whose upper end is the cost
+of a rounded feasible plan, so the exact value always lies inside.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +32,10 @@ from scipy.optimize._highspy import _core as _highs
 from .errors import OutOfDomain, UseSinkhorn
 
 EXACT_ATOM_LIMIT = 512
-DUAL_TOL = 1e-7  # dual slack and relative duality gap an exact solve may leave
+DUAL_TOL = 1e-7  # dual slack and duality gap an exact solve may leave, per largest cost
+# HiGHS's smallest dual feasibility tolerance.  At its default 1e-7 a solve may
+# stop at a vertex whose value is 1e-8 off, while the invariance suite needs 1e-10.
+LP_DUAL_FEASIBILITY_TOL = 1e-10
 # The solution test of scipy's linprog: 10 * sqrt(tol) with its default 1e-9
 LP_FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
 LP_BLOCK_VARS = 512  # variables per HiGHS solve of packed transport LPs
@@ -108,16 +114,18 @@ def exact_wp_many(pairs, p=2.0):
     with shortest-path potentials as duals; every other pair is a block of
     an LP (HiGHS), packed with the pairs after it into one solve of at most
     ``LP_BLOCK_VARS`` variables (a larger pair is solved alone).  ``metric``
-    is None (Euclidean) or a precomputed cost matrix.  Per pair, dual
-    feasibility and the duality gap are checked to ``DUAL_TOL`` and a
-    violation raises ``RuntimeError``.
+    is None (Euclidean) or a precomputed cost matrix; a non-finite cost
+    raises ``ValueError``.  Per pair, dual feasibility and the duality gap
+    are checked to ``DUAL_TOL`` in units of the pair's largest cost, the
+    units its LP is solved in, and a violation raises ``RuntimeError``.
     """
-    costs = []
+    costs, units = [], []
     for mu, nu, metric in pairs:
         n, m = len(mu.atoms), len(nu.atoms)
         if n > EXACT_ATOM_LIMIT or m > EXACT_ATOM_LIMIT:
             raise UseSinkhorn(f"instance {n}x{m} exceeds {EXACT_ATOM_LIMIT} atoms")
         costs.append(_cost_matrix(mu, nu, metric) ** p)
+        units.append(_cost_unit(costs[-1]))
     solved = [None] * len(pairs)
     batches, size = [], 0
     for k, ((mu, nu, _), cost) in enumerate(zip(pairs, costs)):
@@ -132,13 +140,13 @@ def exact_wp_many(pairs, p=2.0):
         size += cost.size
     for batch in batches:
         blocks = [(costs[k], pairs[k][0].weights, pairs[k][1].weights) for k in batch]
-        for k, out in zip(batch, _lp_blocks(blocks)):
+        for k, out in zip(batch, _lp_blocks(blocks, [units[k] for k in batch])):
             solved[k] = out
     results = []
-    for (mu, nu, _), cost, (total, pi, f, g) in zip(pairs, costs, solved):
-        slack = (f[:, None] + g[None, :]) - cost
-        gap = abs(float(cost.ravel() @ pi.ravel()) - float(f @ mu.weights + g @ nu.weights))
-        if slack.max() > DUAL_TOL or gap > DUAL_TOL * max(1.0, abs(total)):
+    for (mu, nu, _), cost, unit, (total, pi, f, g) in zip(pairs, costs, units, solved):
+        slack = ((f[:, None] + g[None, :]) - cost).max() / unit
+        gap = abs(total - float(f @ mu.weights + g @ nu.weights)) / unit
+        if slack > DUAL_TOL or gap > DUAL_TOL:
             raise RuntimeError("dual certificate violated beyond tolerance")
         results.append((max(total, 0.0) ** (1.0 / max(p, 1.0)), TransportPlan(pi)))
     return results
@@ -198,10 +206,12 @@ def _incidence(n, m):
 
 
 def _highs_options():
-    """The settings ``scipy.optimize.linprog(method="highs")`` passes to HiGHS.
+    """The settings ``scipy.optimize.linprog(method="highs")`` passes to HiGHS,
+    with the dual feasibility tolerance at ``LP_DUAL_FEASIBILITY_TOL``.
 
     Every other option keeps its HiGHS default, as under scipy, so a solve
-    with them follows the same pivots as scipy's and returns the same bits.
+    with them follows the same pivots as scipy's given the same tolerance,
+    and returns the same bits.
     """
     options = _highs.HighsOptions()
     options.presolve = "on"
@@ -209,6 +219,7 @@ def _highs_options():
     options.output_flag = False
     options.log_to_console = False
     options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.dual_feasibility_tolerance = LP_DUAL_FEASIBILITY_TOL
     return options
 
 
@@ -220,13 +231,13 @@ def linprog(c, A_eq, b_eq):
 
     Returns (optimal value, x, duals of the equality rows).  ``A_eq`` is a
     CSC matrix.  The LP reaches HiGHS as ``scipy.optimize.linprog`` would
-    build it, with the same settings, but without its input cleaning and
-    matrix stacking; the checks it makes are kept: non-finite ``c`` or
-    ``b_eq`` raise ``ValueError``, and a status other than optimal, or a
-    solution off the constraints by more than ``LP_FEASIBILITY_TOL``, raises
-    ``RuntimeError``.  The name is scipy's so that code which patches or
-    spies on ``transport.linprog`` (the benchmark's tracer, the tests) sees
-    every LP solve.
+    build it, with its settings (``_highs_options``), but without its input
+    cleaning and matrix stacking; the checks it makes are kept: non-finite
+    ``c`` or ``b_eq`` raise ``ValueError``, and a status other than optimal,
+    or a solution off the constraints by more than ``LP_FEASIBILITY_TOL``,
+    raises ``RuntimeError``.  The name is scipy's so that code which patches
+    or spies on ``transport.linprog`` (the benchmark's tracer, the tests)
+    sees every LP solve.
     """
     c = np.asarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
@@ -286,28 +297,41 @@ def _block_incidence(shapes):
     )
 
 
-def _lp_blocks(blocks):
+def _cost_unit(cost):
+    """The largest |c_ij|, or 1 when every cost is zero: the unit a transport
+    LP is solved and certified in.  A non-finite cost raises ``ValueError``."""
+    top = float(np.abs(cost).max())
+    if not math.isfinite(top):
+        raise ValueError("exact transport needs finite costs")
+    return top or 1.0
+
+
+def _lp_blocks(blocks, units):
     """Optimal transport for each ``(cost, mu_w, nu_w)``, as one LP (``linprog``).
 
     The blocks sit on the diagonal of one constraint matrix, so the LP's
-    optimum and duals restricted to a block are that block's own.  Returns
-    [(optimal cost, plan, f, g)] with f, g the duals of the block's row and
-    column marginal constraints.  A block's cost is its cost . plan, except
-    that a lone block keeps HiGHS's objective: a pair solved alone returns
-    exactly what one ``linprog`` call on its own LP returns.
+    optimum and duals restricted to a block are that block's own.  HiGHS's
+    tolerances are absolute, so each block's cost reaches it divided by its
+    entry of ``units`` (its ``_cost_unit``): a block of costs near 1e-3 is
+    solved as closely, relative to them, as one of costs near 1.  Returns
+    [(cost . plan, plan, f, g)] in the block's own units, with f, g the
+    duals of its row and column marginal constraints.
     """
-    fun, x, duals = linprog(
-        np.concatenate([cost.ravel() for cost, _, _ in blocks]),
-        A_eq=_block_incidence([cost.shape for cost, _, _ in blocks]),
+    shapes = [cost.shape for cost, _, _ in blocks]
+    _, x, duals = linprog(
+        np.concatenate([cost.ravel() for cost, _, _ in blocks])
+        / np.repeat(units, [n * m for n, m in shapes]),
+        A_eq=_block_incidence(shapes),
         b_eq=np.concatenate([w for _, mu_w, nu_w in blocks for w in (mu_w, nu_w)]),
     )
+    duals = duals * np.repeat(units, [n + m for n, m in shapes])
     out = []
     v0 = r0 = 0
     for cost, _, _ in blocks:
         n, m = cost.shape
         pi = x[v0:v0 + n * m].reshape(n, m)
-        total = float(fun) if len(blocks) == 1 else float(cost.ravel() @ pi.ravel())
-        out.append((total, pi, duals[r0:r0 + n], duals[r0 + n:r0 + n + m]))
+        out.append((float(cost.ravel() @ pi.ravel()), pi, duals[r0:r0 + n],
+                    duals[r0 + n:r0 + n + m]))
         v0 += n * m
         r0 += n + m
     return out
@@ -315,7 +339,7 @@ def _lp_blocks(blocks):
 
 def _lp_wp(cost, mu_w, nu_w):
     """One transport LP alone, ``_lp_blocks`` of one block (the tests' LP reference)."""
-    return _lp_blocks([(cost, mu_w, nu_w)])[0]
+    return _lp_blocks([(cost, mu_w, nu_w)], [_cost_unit(cost)])[0]
 
 
 def brute_force_wp(mu, nu, p=2.0, metric=None):

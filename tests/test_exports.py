@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # exported names that only the unit tests call, each kept for one reason
 KEPT = {
     "gaussian_tail_estimate": "the reference each tail-sweep row is tested against",
-    "estimate_P0": "pins the block sampler of check_gradient_estimate to a closed form",
+    "estimate_P0": "pins the semigroup sampler to the path streams and a closed form",
 }
 
 

@@ -1,5 +1,7 @@
+import ast
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from sdetci import (
     TransformedModel,
     brownian_increments,
     build_phi,
+    check_gradient_estimate,
     coupled_sup_distances,
     ensemble_reduce,
     model_from_config,
@@ -95,6 +98,19 @@ class TestRngDiscipline:
             for b in draws[i + 1:]:
                 assert np.abs(a - b).max() > 0
 
+    def test_only_simulate_builds_generators(self):
+        # every sampler draws through the path-keyed loop, so no other module
+        # calls ``path_rng`` or builds a Philox generator itself
+        callers = set()
+        for path in Path(simulate.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+                    if name in ("path_rng", "Philox"):
+                        callers.add(path.name)
+        assert callers == {"simulate.py"}
+
     @settings(max_examples=40)
     @given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**64 - 1)),
            first=st.one_of(st.integers(0, 64), st.integers(2**32, 2**62),
@@ -137,8 +153,8 @@ class TestRngDiscipline:
 
         runs = [
             lambda k: ensemble_reduce(
-                model, x0, g, 5, k, max_plus_terminal, (2,),
-                lambda acc: acc[:, 0] + acc[:, 1], scheme=scheme, path_id0=3),
+                model, x0, g, 5, k, max_plus_terminal, (2,), scheme=scheme,
+                path_id0=3).sum(axis=1),
             lambda k: ensemble_reduce(
                 model, x0, g, 5, k, lambda s: s[:, :, 0].max(axis=1) + s[:, -1, 1],
                 scheme=scheme, path_id0=3),
@@ -157,6 +173,13 @@ class TestRngDiscipline:
         pathwise = lambda: pathwise_consistency(  # noqa: E731
             ou, _sin_transformed(ou).phi, 2.0, [0.3], [2, 4], seed=5, n_paths=n)
         assert _chunked(1, pathwise)["rows"] == _chunked(n, pathwise)["rows"]
+        # so does the finite difference of the semigroup gradient check
+        ref = CallableModel(2, lambda t, x: -0.7 * x,
+                            lambda t, x: np.broadcast_to(np.eye(2), (len(x), 2, 2)))
+        gradient = lambda: check_gradient_estimate(  # noqa: E731
+            ref, lambda x: (x**2).sum(axis=1), [3.0, 2.0], [0.1, 0.2], n=n,
+            seed=5, n_steps=4)
+        assert _chunked(1, gradient) == _chunked(n, gradient)
 
 
 class TestSchemes:

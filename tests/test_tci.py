@@ -336,6 +336,20 @@ class TestInvarianceSuite:
         assert res["worst_w_identity_error"] <= 1e-10
         assert res["worst_entropy_error"] <= 1e-12
 
+    @pytest.mark.parametrize("seed", [
+        # trial 50 pushes a d = 1 pair by a slope of 0.031, where the sandwich
+        # is an equality; its squared costs are below 8e-3, and solved in
+        # absolute units its W2 came out 5.2e-8 off, far past w_tol
+        1216830992,
+        # costs near 3, where HiGHS's default dual tolerance of 1e-7 let one
+        # solve stop at a vertex 1.5e-8 above the optimum
+        910169331,
+    ])
+    def test_lp_tolerance_failures_are_gone(self, seed):
+        res = invariance_suite(n_trials=200, seed=seed)
+        assert res["passed"], res
+        assert res["worst_sandwich_violation"] == 0.0
+
     def test_transport_lps_share_solves_up_to_the_cap(self, monkeypatch):
         sizes, solves = [], []
         real_many, real_lp = tci.exact_wp_many, transport.linprog

@@ -179,7 +179,8 @@ class TestSolverSelection:
         b_eq = np.concatenate([mu_w / mu_w.sum(), nu_w / nu_w.sum()])
         A_eq = transport._incidence(n, m)
         fun, x, duals = transport.linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq)
-        res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                      options={"dual_feasibility_tolerance": transport.LP_DUAL_FEASIBILITY_TOL})
         assert res.success
         assert np.array_equal(fun, res.fun)
         assert np.array_equal(x, res.x)
@@ -194,6 +195,20 @@ class TestSolverSelection:
         cost[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             exact_wp(mu, nu, 2.0, metric=cost)
+
+    @settings(max_examples=30)
+    @given(n=st.integers(2, 8), m=st.integers(2, 8), d=st.integers(1, 2),
+           scale=st.sampled_from([1e-6, 1e-3, 1e3, 1e6]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lp_value_scales_with_its_cost(self, n, m, d, scale, seed):
+        # the LP is solved in units of its cost, so HiGHS's absolute
+        # tolerances cost the same relative accuracy at every scale
+        rng = np.random.default_rng(seed)
+        mu, nu = _random_measure(rng, n, d), _random_measure(rng, m, d)
+        cost = euclidean_cost(mu.atoms, nu.atoms) ** 2
+        w, _ = exact_wp(mu, nu, 1.0, metric=cost)
+        scaled, _ = exact_wp(mu, nu, 1.0, metric=scale * cost)
+        assert scaled == pytest.approx(scale * w, rel=1e-12)
 
     def test_inconsistent_marginals_fail(self):
         cost = euclidean_cost(np.arange(3.0)[:, None], np.arange(2.0)[:, None])

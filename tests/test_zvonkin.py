@@ -16,7 +16,9 @@ from sdetci import (
     Homeomorphism,
     NotContractive,
     SpaceGrid,
+    TimeGrid,
     TransformedModel,
+    brownian_increments,
     build_phi,
     check_gradient_estimate,
     dini_benchmark_config,
@@ -29,7 +31,7 @@ from sdetci import (
     solve_u_parabolic_auto,
     verify_tilde_conditions,
 )
-from sdetci import zvonkin
+from sdetci import simulate, zvonkin
 from sdetci.errors import FitFailure, OutOfDomain
 from sdetci.models import DiniModelSpec, ModulusSpec
 from sdetci.zvonkin import (
@@ -516,7 +518,7 @@ class TestSemigroupMonteCarlo:
         # P_{0,t} 1_{x > 0} at x0 = 0.25, t = 0.25: N((0.25 - 0) / 0.5)
         bm = self._bm()
         f = lambda x: (x[:, 0] > 0).astype(float)
-        val, se = estimate_P0(bm, f, 0.0, 0.25, [0.25], n=40000, seed=3)
+        val, se = estimate_P0(bm, f, 0.25, [0.25], n=40000, seed=3)
         from scipy.stats import norm
 
         assert val == pytest.approx(norm.cdf(0.5), abs=4 * se + 1e-3)
@@ -532,22 +534,32 @@ class TestSemigroupMonteCarlo:
             assert grad == pytest.approx(exact, rel=0.08)
         assert res["exponent"] == pytest.approx(-0.5, abs=0.15)
 
+    def test_estimate_P0_draws_the_path_streams(self):
+        # path j of the estimate is the path-keyed stream of id j, whatever n
+        grid = TimeGrid(0.5, 64)
+        n, x0 = 300, 0.25
+        val, _ = estimate_P0(self._bm(), lambda x: x[:, 0], 0.5, [x0], n=n, seed=7)
+        ends = [x0 + brownian_increments(7, grid, 1, j).sum() for j in range(n)]
+        assert val == pytest.approx(np.mean(ends), rel=1e-12)
+
     def test_gradient_simulates_each_path_once(self, monkeypatch):
-        # x + e and x - e are two coupled states of one run per block, so a
-        # component at one gap steps 2n states, across two blocks here
+        # x + e and x - e are two coupled states of one run, so a component
+        # at one gap steps 2n states, here over three chunks; f is an
+        # indicator, whose bool values the finite difference takes as floats
         states = []
-        run = zvonkin.run_em
+        run = simulate.run_em
 
         def counted(fns, x0s, *args, **kwargs):
             states.append(sum(len(x0) for x0 in x0s))
             return run(fns, x0s, *args, **kwargs)
 
-        monkeypatch.setattr(zvonkin, "run_em", counted)
-        n = zvonkin.P0_BLOCK + 1000
-        gaps = [0.1, 0.2]
-        check_gradient_estimate(self._bm(), lambda x: np.sign(x[:, 0]), [0.0],
-                                gaps, n=n, seed=5, n_steps=4)
-        assert sum(states) == 2 * n * len(gaps)
+        monkeypatch.setattr(simulate, "run_em", counted)
+        monkeypatch.setattr(simulate, "_chunk_size", lambda grid, d, held: 400)
+        n, gaps = 1000, [0.1, 0.2]
+        res = check_gradient_estimate(self._bm(), lambda x: x[:, 0] > 0, [0.0],
+                                      gaps, n=n, seed=5, n_steps=4)
+        assert states == [800, 800, 400] * len(gaps)
+        assert all(g > 0 for g in res["gradients"])
 
     def test_gradient_stderr_is_the_crn_difference_stderr(self):
         # for f = sign at x = 0 the per-path difference is 1/eps on
