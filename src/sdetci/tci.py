@@ -7,7 +7,9 @@ Paths are keyed by id, so the sweep and the T2 check simulate each path
 once, alone and together: the sweep at its largest sample size, T2 with the
 base model and every drift-shifted twin coupled in one run, and
 ``tail_sweep_and_t2`` takes the sweep's first paths from that coupled run.
-Everything is seed-stable and serializes without timestamps.
+Everything is seed-stable and serializes without timestamps.  The sweep and
+T2 need only numpy (log-sum-exp included); scipy loads only if an exact
+transport solve runs, as in the invariance suite.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, InconclusiveEstimate
 from .simulate import _path_chunks, ensemble_reduce, with_drift_shift
@@ -153,9 +154,9 @@ def exp_functional_estimate(exponents):
         sizes.append(k)
         k *= 2
     sizes.append(n)
-    trace = [float(logsumexp(g[:k]) - math.log(k)) for k in sizes]
+    trace = [float(_logsumexp(g[:k]) - math.log(k)) for k in sizes]
     log_est = trace[-1]
-    max_share = float(math.exp(g.max() - logsumexp(g)))
+    max_share = float(math.exp(g.max() - _logsumexp(g)))
     if len(trace) >= 2:
         rel_change = abs(math.expm1(trace[-1] - trace[-2]))
     else:
@@ -173,9 +174,21 @@ def exp_functional_estimate(exponents):
     }
 
 
+def _logsumexp(g):
+    """log sum exp(g) of a finite 1-D array, computed as scipy 1.17's
+    ``logsumexp``: the m maximal entries leave the sum, s is the sum of
+    exp(g - max) over the others divided by m, and the result is
+    log1p(s) + log(m) + max."""
+    top = g.max()
+    at_top = g == top
+    m = np.array([np.count_nonzero(at_top)], dtype=float)
+    s = np.exp(np.where(at_top, -np.inf, g) - top).sum(keepdims=True) / m
+    return float((np.log1p(s) + np.log(m) + top)[0])
+
+
 def _log_mean_stderr(g):
     # delta-method stderr of log mean(e^g), computed stably
-    lm = logsumexp(g) - math.log(len(g))
+    lm = _logsumexp(g) - math.log(len(g))
     w = np.exp(g - lm)
     return float(w.std(ddof=1) / math.sqrt(len(g)))
 

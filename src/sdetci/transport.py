@@ -16,6 +16,10 @@ those units: potentials f, g with f_i + g_j <= c_ij and a duality gap
 within ``DUAL_TOL``.  Larger instances get a certified entropic bracket
 whose lower end is a feasible LP dual value and whose upper end is the cost
 of a rounded feasible plan, so the exact value always lies inside.
+
+scipy loads at the first exact solve: ``scipy.sparse`` with the first
+constraint matrix, HiGHS with the first LP and the assignment solver with
+the first uniform pair.  Importing this module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment
-from scipy.optimize._highspy import _core as _highs
 
 from .errors import OutOfDomain, UseSinkhorn
 
@@ -152,6 +153,13 @@ def exact_wp_many(pairs, p=2.0):
     return results
 
 
+def linear_sum_assignment(cost):
+    """Rows and columns of a minimal assignment (``scipy.optimize.linear_sum_assignment``)."""
+    from scipy.optimize import linear_sum_assignment as assign
+
+    return assign(cost)
+
+
 def _assignment_wp(cost):
     """Optimal transport between uniform measures of equal size.
 
@@ -191,6 +199,8 @@ def _incidence(n, m):
     Column i*m + j (the mass moved from atom i to atom j) has a one in row i
     and in row n + j.  Entries are cached by shape and shared by every call.
     """
+    from scipy import sparse
+
     size = n * m
     cells = np.arange(size)
     rows = np.empty(2 * size, dtype=np.int32)
@@ -205,14 +215,17 @@ def _incidence(n, m):
     return A
 
 
+@lru_cache(maxsize=1)
 def _highs_options():
     """The settings ``scipy.optimize.linprog(method="highs")`` passes to HiGHS,
     with the dual feasibility tolerance at ``LP_DUAL_FEASIBILITY_TOL``.
 
     Every other option keeps its HiGHS default, as under scipy, so a solve
     with them follows the same pivots as scipy's given the same tolerance,
-    and returns the same bits.
+    and returns the same bits.  Built at the first solve and shared.
     """
+    from scipy.optimize._highspy import _core as _highs
+
     options = _highs.HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
@@ -221,9 +234,6 @@ def _highs_options():
     options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.dual_feasibility_tolerance = LP_DUAL_FEASIBILITY_TOL
     return options
-
-
-_HIGHS_OPTIONS = _highs_options()
 
 
 def linprog(c, A_eq, b_eq):
@@ -239,6 +249,8 @@ def linprog(c, A_eq, b_eq):
     or spies on ``transport.linprog`` (the benchmark's tracer, the tests)
     sees every LP solve.
     """
+    from scipy.optimize._highspy import _core as _highs
+
     c = np.asarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
     if not (np.isfinite(c).all() and np.isfinite(b_eq).all()):
@@ -256,7 +268,7 @@ def linprog(c, A_eq, b_eq):
     lp.col_upper_ = np.full(cols, np.inf)
     lp.row_lower_ = lp.row_upper_ = b_eq
     highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs.passOptions(_highs_options())
     highs.passModel(lp)
     highs.run()
     status = highs.getModelStatus()
@@ -280,6 +292,8 @@ def _block_incidence(shapes):
     cached CSC arrays are stacked, each block's row indices and column
     starts offset by the rows and entries of the blocks before it.
     """
+    from scipy import sparse
+
     parts = [_incidence(n, m) for n, m in shapes]
     if len(parts) == 1:
         return parts[0]

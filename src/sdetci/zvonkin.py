@@ -5,6 +5,10 @@ integral equation (time-dependent model, Picard iteration over a backward
 finite-difference sweep) or an elliptic equation (autonomous model, sparse
 resolvent solves).  Accepted maps carry a measured gradient bound that
 certifies the bi-Lipschitz sandwich used downstream.
+
+``scipy.sparse`` and SuperLU load at the first operator assembly and the
+first factorization, so importing this module, and every command that
+builds no map, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from functools import cached_property, reduce
 from operator import mul
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import (
     ConfigError,
@@ -243,6 +245,17 @@ def build_phi(u, lam=0.0, threshold=DINI_GRAD_THRESHOLD):
 # ---------------------------------------------------------------------------
 
 
+def splu(A):
+    """SuperLU factorization of the CSC matrix ``A`` (``scipy.sparse.linalg.splu``).
+
+    Every factorization goes through this name, so code that patches or
+    spies on ``zvonkin.splu`` (the benchmark's tracer, the tests) sees each.
+    """
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(A)
+
+
 def _operator_matrix(grid, a_vals, b_vals, neumann):
     """Sparse discretization of 1/2 a : grad^2 + b . grad on the box.
 
@@ -252,6 +265,8 @@ def _operator_matrix(grid, a_vals, b_vals, neumann):
     out-of-box neighbours are dropped (homogeneous Dirichlet) or mirrored
     across the boundary node (reflecting Neumann, zero normal gradient).
     """
+    from scipy import sparse
+
     m, d, dx = grid.m, grid.d, grid.dx
     M = m**d
     eye = np.eye(d, dtype=int)
@@ -306,6 +321,8 @@ def _parabolic_map(model, lam, sgrid, times):
     reference equation is factored once.  ``u`` and ``M(u)`` have shape
     ``(len(times), M, d)``.
     """
+    from scipy import sparse
+
     pts = sgrid.points()
     M = len(pts)
     n_time = len(times) - 1
@@ -413,6 +430,8 @@ def solve_u_elliptic(model, lam, sgrid, tol=1e-10):
     Homogeneous Dirichlet far field; the caller chooses an enlarged box so
     boundary effects are negligible near the region of interest.
     """
+    from scipy import sparse
+
     pts = sgrid.points()
     M, d = len(pts), sgrid.d
     a_vals = _diffusion_values(model.sigma, pts)
@@ -460,8 +479,8 @@ def _grad_b_u(u, b_vals, sgrid):
 FD_SCALE = 0.2
 
 
-def _at_horizon(model, value, t, starts, n, seed, n_steps):
-    """Per-path ``value(states)`` of the reference equation at time t, (n,).
+def _at_horizon(model, value, t, starts, n, seed, n_steps, shape=()):
+    """Per-path ``value(states)`` of the reference equation at time t, (n,) + shape.
 
     Every start in ``starts`` is a state of one run over path ids 0..n-1,
     so all of them share each path's noise (common random numbers).
@@ -473,7 +492,7 @@ def _at_horizon(model, value, t, starts, n, seed, n_steps):
             acc[:] = value(zs)
 
     fns = [model.reference_sim_functions(grid)] * len(starts)
-    return _path_chunks(fns, starts, grid, seed, range(n), "em", (), at_last_step)
+    return _path_chunks(fns, starts, grid, seed, range(n), "em", shape, at_last_step)
 
 
 def estimate_P0(model, f, t, x, n=10000, seed=0):
@@ -489,28 +508,33 @@ def estimate_P0(model, f, t, x, n=10000, seed=0):
 def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, n_steps=32):
     """Finite-difference semigroup gradients of P_{0,gap} f at x across gaps.
 
-    The +/- shifts run as two coupled states on path ids 0..n-1 (common
-    random numbers); each component and its stderr come from the per-path
-    difference.  Fits the log-log growth exponent of |grad P0 f| in the gap
-    and reports the implied constant of a c / sqrt(gap) law.  Raises
-    InconclusiveEstimate when noise dominates.
+    Per gap, the 2d shifts x +/- eps e_c run as coupled states of one run
+    on path ids 0..n-1 (common random numbers), so each path is drawn and
+    stepped once; component c and its stderr come from the per-path
+    difference of the pair x +/- eps e_c.  Fits the log-log growth exponent
+    of |grad P0 f| in the gap and reports the implied constant of a
+    c / sqrt(gap) law.  Raises InconclusiveEstimate when noise dominates.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = len(x)
     grads, stderrs = [], []
     for gi, gap in enumerate(gaps):
         eps = FD_SCALE * math.sqrt(gap)
-        comps = np.zeros(d)
-        errs = np.zeros(d)
-        for c in range(d):
-            e = np.zeros(d)
-            e[c] = eps
+        starts = []
+        for e in eps * np.eye(d):
+            starts += [x + e, x - e]
+
+        def differences(zs):
             # dtype=float also takes an indicator f, whose bools do not subtract
-            diffs = _at_horizon(
-                model,
-                lambda zs: np.subtract(f(zs[0]), f(zs[1]), dtype=float) / (2 * eps),
-                gap, [x + e, x - e], n, seed + 7919 * gi, n_steps)
-            comps[c], errs[c] = diffs.mean(), diffs.std() / math.sqrt(n)
+            return np.stack([np.subtract(f(zs[2 * c]), f(zs[2 * c + 1]), dtype=float)
+                             for c in range(d)], axis=1) / (2 * eps)
+
+        diffs = _at_horizon(model, differences, gap, starts, n, seed + 7919 * gi,
+                            n_steps, (d,))
+        # one contiguous row per component: each reduces as a 1-D array would
+        per_comp = np.ascontiguousarray(diffs.T)
+        comps = per_comp.mean(axis=1)
+        errs = per_comp.std(axis=1) / math.sqrt(n)
         grads.append(float(np.linalg.norm(comps)))
         stderrs.append(float(np.linalg.norm(errs)))
     grads_a, stderrs_a = np.array(grads), np.array(stderrs)

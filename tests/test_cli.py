@@ -5,7 +5,7 @@ import sys
 import pytest
 import yaml
 
-from sdetci import ou_singular_config
+from sdetci import dini_benchmark_config, ou_singular_config
 from sdetci.cli import main
 
 
@@ -223,6 +223,50 @@ class TestPipelines:
     def test_invariance_command(self, tmp_path, capsys):
         cfg = _write(tmp_path, "i.yaml", {"seed": 1, "n_trials": 15})
         assert main(["invariance", cfg]) == 0
+
+
+# Runs ``main`` on argv, then prints the scipy modules loaded by then.
+_COLD_CHILD = """
+import sys
+from sdetci.cli import main
+code = main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+def _cold_run(tmp_path, child_env, command, cfg):
+    """Exit code and scipy modules of ``command`` run in a fresh interpreter."""
+    path = _write(tmp_path, "cold.yaml", {**cfg, "output": str(tmp_path / "r.json")})
+    proc = subprocess.run([sys.executable, "-c", _COLD_CHILD, command, path],
+                          env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestColdStart:
+    """Each command from a fresh process: scipy loads only where it solves."""
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("validate", {"model": _ou_cfg(), "seed": 1}),
+        ("simulate", {"model": _ou_cfg(), "seed": 1, "n_steps": 16, "n_paths": 50}),
+        ("tci", {"model": _ou_cfg(), "seed": 0, "n_steps": 16, "delta": 0.05,
+                 "n_list": [300, 600], "shifts": [0.1], "n_paths": 300}),
+    ], ids=["validate", "simulate", "tci"])
+    def test_numpy_only_commands_load_no_scipy(self, tmp_path, child_env, command,
+                                               cfg):
+        assert _cold_run(tmp_path, child_env, command, cfg) == "[]"
+
+    @pytest.mark.parametrize("command, cfg, backend", [
+        ("zvonkin", {"model": dini_benchmark_config(), "grid_m": 65, "n_time": 16},
+         "scipy.sparse.linalg"),
+        ("zvonkin", {"model": ou_singular_config(d=2), "grid_R": 4.0, "grid_m": 17},
+         "scipy.sparse.linalg"),
+        ("invariance", {"seed": 1, "n_trials": 10}, "scipy.optimize._highspy._core"),
+    ], ids=["zvonkin-dini", "zvonkin-singular-2d", "invariance"])
+    def test_solvers_load_their_backend(self, tmp_path, child_env, command, cfg,
+                                        backend):
+        assert f"'{backend}'" in _cold_run(tmp_path, child_env, command, cfg)
 
 
 class TestDeterminism:

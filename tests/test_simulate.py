@@ -111,6 +111,28 @@ class TestRngDiscipline:
                         callers.add(path.name)
         assert callers == {"simulate.py"}
 
+    def test_no_module_imports_scipy_at_top_level(self):
+        # scipy loads inside the functions that call its solvers, so importing
+        # sdetci, and a command that needs only numpy, loads none of it
+        def run_at_import(node):
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                          ast.Lambda)):
+                    yield child
+                    yield from run_at_import(child)
+
+        eager = []
+        for path in Path(simulate.__file__).parent.glob("*.py"):
+            for node in run_at_import(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                eager += [(path.name, n) for n in names if n.partition(".")[0] == "scipy"]
+        assert eager == []
+
     @settings(max_examples=40)
     @given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**64 - 1)),
            first=st.one_of(st.integers(0, 64), st.integers(2**32, 2**62),

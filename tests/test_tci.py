@@ -125,6 +125,20 @@ class TestExpFunctional:
         with pytest.raises(InconclusiveEstimate):
             exp_functional_estimate([1.0])
 
+    @settings(max_examples=200)
+    @given(n=st.integers(1, 3000), ties=st.integers(0, 8),
+           spread=st.floats(1e-3, 1e3), offset=st.floats(-800.0, 800.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_logsumexp_matches_scipy(self, n, ties, spread, offset, seed):
+        # the numpy logsumexp splits out the maximal entries as scipy does,
+        # so it agrees to the last bits, ties at the max included
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(seed)
+        g = offset + spread * rng.standard_normal(n)
+        g[rng.integers(0, n, size=ties)] = g.max()
+        np.testing.assert_array_max_ulp(tci._logsumexp(g), logsumexp(g), maxulp=2)
+
 
 class TestGaussianTail:
     def _ou(self):

@@ -151,7 +151,10 @@ class TestGridFunction:
             np.testing.assert_array_equal(u(x, times[-1] + 1.0), u(x, times[-1]))
 
     def test_import_leaves_scipy_interpolate_unloaded(self, child_env):
-        code = "import sdetci, sys; assert 'scipy.interpolate' not in sys.modules"
+        # nor any other scipy module: the solvers load theirs at first use
+        code = ("import sdetci, sys\n"
+                "loaded = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+                "assert not loaded, loaded")
         proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -559,6 +562,27 @@ class TestSemigroupMonteCarlo:
         res = check_gradient_estimate(self._bm(), lambda x: x[:, 0] > 0, [0.0],
                                       gaps, n=n, seed=5, n_steps=4)
         assert states == [800, 800, 400] * len(gaps)
+        assert all(g > 0 for g in res["gradients"])
+
+    def test_gradient_draws_each_path_once_per_gap_in_2d(self, monkeypatch):
+        # the 2d starts x +/- eps e_c are coupled states of one run per gap,
+        # so in d = 2 a path id is drawn once per gap, not once per component
+        drawn = []
+        block = simulate._increment_block
+
+        def counted(seed, grid, d, ids):
+            drawn.append(len(ids))
+            return block(seed, grid, d, ids)
+
+        monkeypatch.setattr(simulate, "_increment_block", counted)
+        bm2 = CallableModel(
+            2, lambda t, x: np.zeros_like(x),
+            lambda t, x: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
+        )
+        n, gaps = 500, [0.1, 0.2]
+        res = check_gradient_estimate(bm2, lambda x: np.sign(x[:, 0] + x[:, 1]),
+                                      [0.0, 0.0], gaps, n=n, seed=5, n_steps=4)
+        assert sum(drawn) == n * len(gaps)
         assert all(g > 0 for g in res["gradients"])
 
     def test_gradient_stderr_is_the_crn_difference_stderr(self):
