@@ -219,11 +219,8 @@ class DiniModelSpec:
 
     kind = "dini"
 
-    def drift(self, t, x):
-        return self.B(t, x) + self.b(t, x)
-
     def sim_functions(self, grid):
-        return self.drift, self.sigma
+        return _field_sum(self.B, self.b), self.sigma
 
     def reference_sim_functions(self, grid):
         """Drift/diffusion of the reference equation (irregular part dropped)."""
@@ -242,8 +239,7 @@ class SingularModelSpec:
     coefficients take ``t`` like the Dini ones, and ignore it.  ``tag`` is
     ``dissipative`` (with ``r``, ``kappa1..3``) or ``linear_growth`` (with
     ``kappa4``).  When ``b1`` declares ``zero`` (the ``zero`` family),
-    ``sim_functions`` returns ``b2`` itself as the drift and never caps
-    ``b1``.
+    ``sim_functions`` never caps it.
     """
 
     d: int
@@ -274,17 +270,22 @@ class SingularModelSpec:
         return f
 
     def sim_functions(self, grid):
-        if getattr(self.b1, "zero", False):
-            return self.b2, self.sigma
-        b1c = self.capped_b1(grid.h ** (-0.25))  # singular part capped at h^{-1/4}
-
-        def drift(t, x):
-            return b1c(t, x) + self.b2(t, x)
-
-        return drift, self.sigma
+        b1 = self.b1
+        if not getattr(b1, "zero", False):
+            b1 = self.capped_b1(grid.h ** (-0.25))  # singular part capped at h^{-1/4}
+        return _field_sum(b1, self.b2), self.sigma
 
     def fingerprint(self):
         return _fingerprint(self.config, fallback=("singular", self.d, self.T))
+
+
+def _field_sum(f, g):
+    """The drift f + g; a field that declares ``zero`` is left out, never called."""
+    if getattr(g, "zero", False):
+        return f
+    if getattr(f, "zero", False):
+        return g
+    return lambda t, x: f(t, x) + g(t, x)
 
 
 def _fingerprint(config, fallback):
@@ -307,6 +308,12 @@ def _check_finite(name, values, points):
         raise InvalidCoefficient(name, np.asarray(points)[idx])
 
 
+def _worst(name, slack, points):
+    """The check ``name`` at its smallest slack; the first point wins a tie."""
+    i = int(np.argmin(slack))
+    return CheckResult(name, float(slack[i]), points[i])
+
+
 def validate_model(spec, n_grid=512, radius=5.0, tol=1e-7, seed=0):
     """Check the standing assumptions of a model spec on sampled grids.
 
@@ -326,15 +333,12 @@ def validate_model(spec, n_grid=512, radius=5.0, tol=1e-7, seed=0):
         if spec.tag == "dissipative":
             inner = np.einsum("nd,nd->n", pts, b2)
             slack = -spec.kappa1 * norm_x ** (2.0 + spec.r) + spec.kappa2 - inner
-            i = int(np.argmin(slack))
-            checks.append(CheckResult("dissipativity", float(slack[i]), pts[i]))
+            checks.append(_worst("dissipativity", slack, pts))
             growth = spec.kappa3 * (1.0 + norm_x ** (1.0 + spec.r)) - norm_b2
-            i = int(np.argmin(growth))
-            checks.append(CheckResult("growth_bound", float(growth[i]), pts[i]))
+            checks.append(_worst("growth_bound", growth, pts))
         elif spec.tag == "linear_growth":
             slack = spec.kappa4 * (1.0 + norm_x) - norm_b2
-            i = int(np.argmin(slack))
-            checks.append(CheckResult("linear_growth", float(slack[i]), pts[i]))
+            checks.append(_worst("linear_growth", slack, pts))
         else:
             raise ConfigError(f"unknown b2 tag {spec.tag!r}")
 
@@ -344,12 +348,8 @@ def validate_model(spec, n_grid=512, radius=5.0, tol=1e-7, seed=0):
         xi /= np.linalg.norm(xi, axis=1, keepdims=True)
         s_xi = np.einsum("nji,nj->ni", sig, xi)  # sigma^* xi
         q = np.einsum("ni,ni->n", s_xi, s_xi)
-        lower = q - 1.0 / spec.c0
-        upper = spec.c0 - q
-        i = int(np.argmin(lower))
-        checks.append(CheckResult("ellipticity_lower", float(lower[i]), pts[i]))
-        i = int(np.argmin(upper))
-        checks.append(CheckResult("ellipticity_upper", float(upper[i]), pts[i]))
+        checks.append(_worst("ellipticity_lower", q - 1.0 / spec.c0, pts))
+        checks.append(_worst("ellipticity_upper", spec.c0 - q, pts))
 
         b1v = spec.b1(0.0, pts)
         _check_finite("b1", b1v, pts)
@@ -360,40 +360,26 @@ def validate_model(spec, n_grid=512, radius=5.0, tol=1e-7, seed=0):
 
     elif spec.kind == "dini":
         times = rng.uniform(0.0, spec.T, size=8)
-        inv_a = spec.bounds["inv_a"]
-        worst_eig = np.inf
-        worst = None
-        for t in times:
-            sig = spec.sigma(t, pts)
-            _check_finite("sigma", sig, pts)
-            a = np.einsum("nij,nkj->nik", sig, sig)
-            eigs = np.linalg.eigvalsh(a)[:, 0]
-            i = int(np.argmin(eigs))
-            if eigs[i] < worst_eig:
-                worst_eig, worst = float(eigs[i]), pts[i]
-        checks.append(
-            CheckResult("sigma_nondegenerate", worst_eig - 1.0 / inv_a, worst)
-        )
+        # each check below runs over the sampled times, stacked time by time
+        at_times = lambda fn, x: np.concatenate([fn(t, x) for t in times])
+        every_pts = np.tile(pts, (len(times), 1))
+        sig = at_times(spec.sigma, pts)
+        _check_finite("sigma", sig, every_pts)
+        eigs = np.linalg.eigvalsh(np.einsum("nij,nkj->nik", sig, sig))[:, 0]
+        checks.append(_worst("sigma_nondegenerate", eigs - 1.0 / spec.bounds["inv_a"],
+                             every_pts))
         # modulus compliance of b on random pairs
         x = rng.uniform(-radius, radius, size=(n_grid, d))
         y = x + rng.uniform(-1.0, 1.0, size=(n_grid, d)) * rng.uniform(
             0.0, 1.0, size=(n_grid, 1)
         )
-        worst_m = np.inf
-        worst = None
-        for t in times:
-            bx, by = spec.b(t, x), spec.b(t, y)
-            _check_finite("b", bx, x)
-            diff = np.linalg.norm(bx - by, axis=1)
-            allowed = spec.modulus(np.linalg.norm(x - y, axis=1)) * (1.0 + tol) + tol
-            slack = allowed - diff
-            i = int(np.argmin(slack))
-            if slack[i] < worst_m:
-                worst_m, worst = float(slack[i]), x[i]
-        checks.append(CheckResult("b_modulus", worst_m, worst))
-        bsup = max(
-            float(np.linalg.norm(spec.b(t, pts), axis=1).max()) for t in times
-        )
+        every_x = np.tile(x, (len(times), 1))
+        bx = at_times(spec.b, x)
+        _check_finite("b", bx, every_x)
+        diff = np.linalg.norm(bx - at_times(spec.b, y), axis=1)
+        allowed = spec.modulus(np.linalg.norm(x - y, axis=1)) * (1.0 + tol) + tol
+        checks.append(_worst("b_modulus", np.tile(allowed, len(times)) - diff, every_x))
+        bsup = float(np.linalg.norm(at_times(spec.b, pts), axis=1).max())
         checks.append(CheckResult("b_sup_bound", spec.b_sup + tol - bsup))
         mod_report = spec.modulus.validate()
         checks.extend(mod_report.checks)

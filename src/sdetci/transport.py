@@ -3,19 +3,20 @@
 Exact optimal transport picks its solver from the input.  Uniform measures
 of equal size have a permutation among their optimal plans (Birkhoff-von
 Neumann), so they are solved as an assignment problem.  Every other pair is
-one block of a block-diagonal LP, handed straight to the HiGHS core that
-scipy bundles.  The blocks share no variable and no constraint, so one solve
-returns each block's optimum and duals.  Consecutive blocks share a solve
-until the next would take it past ``LP_BLOCK_VARS`` variables: a few hundred
-variables per solve spread HiGHS's fixed cost per call, while larger solves
-take longer per block and hold more memory.  HiGHS's tolerances are
-absolute, so each block's cost is divided by its largest entry before the
-solve, and its dual feasibility tolerance is the smallest HiGHS accepts.
-Each pair, solved alone or in a batch, passes the same dual certificate in
-those units: potentials f, g with f_i + g_j <= c_ij and a duality gap
-within ``DUAL_TOL``.  Larger instances get a certified entropic bracket
-whose lower end is a feasible LP dual value and whose upper end is the cost
-of a rounded feasible plan, so the exact value always lies inside.
+one block of a block-diagonal LP, written from the shapes for each solve and
+handed straight to the HiGHS core that scipy bundles.  The blocks share no
+variable and no constraint, so one solve returns each block's optimum and
+duals.  Consecutive blocks share a solve until the next would take it past
+``LP_BLOCK_VARS`` variables: a few hundred variables per solve spread
+HiGHS's fixed cost per call, while larger solves take longer per block and
+hold more memory.  HiGHS's tolerances are absolute, so each block's cost is
+divided by its largest entry before the solve, and its dual feasibility
+tolerance is the smallest HiGHS accepts.  Each pair, solved alone or in a
+batch, passes the same dual certificate in those units: potentials f, g with
+f_i + g_j <= c_ij and a duality gap within ``DUAL_TOL``.  Larger instances
+get a certified entropic bracket whose lower end is a feasible LP dual value
+and whose upper end is the cost of a rounded feasible plan, so the exact
+value always lies inside.
 
 scipy loads at the first exact solve: ``scipy.sparse`` with the first
 constraint matrix, HiGHS with the first LP and the assignment solver with
@@ -192,29 +193,6 @@ def _assignment_wp(cost):
     return float(tight.mean()), pi, f, g
 
 
-@lru_cache(maxsize=64)
-def _incidence(n, m):
-    """Marginal constraints of the n x m transport LP, as a read-only CSC matrix.
-
-    Column i*m + j (the mass moved from atom i to atom j) has a one in row i
-    and in row n + j.  Entries are cached by shape and shared by every call.
-    """
-    from scipy import sparse
-
-    size = n * m
-    cells = np.arange(size)
-    rows = np.empty(2 * size, dtype=np.int32)
-    rows[0::2] = cells // m
-    rows[1::2] = n + cells % m
-    A = sparse.csc_matrix(
-        (np.ones(2 * size), rows, np.arange(0, 2 * size + 1, 2, dtype=np.int32)),
-        shape=(n + m, size),
-    )
-    for arr in (A.data, A.indices, A.indptr):
-        arr.flags.writeable = False
-    return A
-
-
 @lru_cache(maxsize=1)
 def _highs_options():
     """The settings ``scipy.optimize.linprog(method="highs")`` passes to HiGHS,
@@ -286,28 +264,23 @@ def linprog(c, A_eq, b_eq):
 
 
 def _block_incidence(shapes):
-    """Marginal constraints of transport LPs of these shapes, block-diagonal.
+    """Marginal constraints of transport LPs of these shapes, block-diagonal, as CSC.
 
-    One shape gets its cached ``_incidence`` matrix itself.  Otherwise the
-    cached CSC arrays are stacked, each block's row indices and column
-    starts offset by the rows and entries of the blocks before it.
+    Column i*m + j of an n x m block (the mass moved from atom i to atom j)
+    has a one in row offset + i and in row offset + n + j, where offset
+    counts the rows of the blocks before it.  Built anew for each solve.
     """
     from scipy import sparse
 
-    parts = [_incidence(n, m) for n, m in shapes]
-    if len(parts) == 1:
-        return parts[0]
-    indices, indptr = [], [np.zeros(1, dtype=np.int32)]
-    rows = cols = nnz = 0
-    for A in parts:
-        indices.append(A.indices + rows)
-        indptr.append(A.indptr[1:] + nnz)
-        rows += A.shape[0]
-        cols += A.shape[1]
-        nnz += A.nnz
+    n, m = np.array(shapes).T
+    size, rows = n * m, np.cumsum(n + m)
+    offset = np.repeat(rows - n - m, size)
+    cell = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # i*m + j
+    i, j = np.divmod(cell, np.repeat(m, size))
+    indices = np.stack([offset + i, offset + np.repeat(n, size) + j], axis=1).astype(np.int32)
     return sparse.csc_matrix(
-        (np.ones(nnz), np.concatenate(indices), np.concatenate(indptr)),
-        shape=(rows, cols),
+        (np.ones(indices.size), indices.ravel(), 2 * np.arange(len(cell) + 1, dtype=np.int32)),
+        shape=(int(rows[-1]), len(cell)),
     )
 
 
@@ -323,11 +296,12 @@ def _cost_unit(cost):
 def _lp_blocks(blocks, units):
     """Optimal transport for each ``(cost, mu_w, nu_w)``, as one LP (``linprog``).
 
-    The blocks sit on the diagonal of one constraint matrix, so the LP's
-    optimum and duals restricted to a block are that block's own.  HiGHS's
-    tolerances are absolute, so each block's cost reaches it divided by its
-    entry of ``units`` (its ``_cost_unit``): a block of costs near 1e-3 is
-    solved as closely, relative to them, as one of costs near 1.  Returns
+    The blocks sit on the diagonal of one constraint matrix
+    (``_block_incidence``), so the LP's optimum and duals restricted to a
+    block are that block's own.  HiGHS's tolerances are absolute, so each
+    block's cost reaches it divided by its entry of ``units`` (its
+    ``_cost_unit``): a block of costs near 1e-3 is solved as closely,
+    relative to them, as one of costs near 1.  Returns
     [(cost . plan, plan, f, g)] in the block's own units, with f, g the
     duals of its row and column marginal constraints.
     """

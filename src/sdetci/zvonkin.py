@@ -155,11 +155,27 @@ class GridFunction:
         return float(np.linalg.norm(self.values, axis=-1).max())
 
     def grad_bound(self):
-        """Measured sup of the operator norm of the Jacobian of u."""
-        jac = self.gradient_values()
+        """Lipschitz constant of the interpolant: its largest cell slope.
+
+        In a cell, the Jacobian of the multilinear interpolant is affine in
+        the point and, between two time nodes, in t, so its operator norm,
+        convex in each, peaks at a cell corner and a time node.  There the
+        partial derivatives are forward differences along the cell's edges.
+        The norm of a 2 x 2 matrix [[a, b], [c, d]] is half the sum of
+        hypot(a + d, b - c) and hypot(a - d, b + c).
+        """
+        ax = 0 if self.times is None else 1
+        s1 = np.diff(self.values, axis=ax) / self.grid.dx  # slopes along x1
         if self.grid.d == 1:
-            return float(np.abs(jac).max())
-        return float(np.linalg.norm(jac, ord=2, axis=(-2, -1)).max())
+            return float(np.abs(s1).max())
+        s2 = np.diff(self.values, axis=ax + 1) / self.grid.dx  # slopes along x2
+        norms = [
+            np.hypot(p[..., 0] + q[..., 1], p[..., 1] - q[..., 0])
+            + np.hypot(p[..., 0] - q[..., 1], p[..., 1] + q[..., 0])
+            for p in (s1[..., :-1, :], s1[..., 1:, :])  # cell edges at x2 = lower, upper node
+            for q in (s2[..., :-1, :, :], s2[..., 1:, :, :])  # at x1 = lower, upper node
+        ]
+        return float(max(n.max() for n in norms) / 2)
 
 
 # ---------------------------------------------------------------------------

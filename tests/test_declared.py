@@ -1,4 +1,4 @@
-"""Declared coefficients: a ``zero`` b1 and a ``constant`` sigma matrix.
+"""Declared coefficients: a ``zero`` field and a ``constant`` sigma matrix.
 
 A model built from a config declares these, and ``sim_functions``,
 ``run_em`` and ``girsanov_entropy`` read the declaration instead of
@@ -15,6 +15,7 @@ import pytest
 from sdetci import (
     CallableModel,
     TimeGrid,
+    dini_benchmark_config,
     gaussian_tail_sweep,
     model_from_config,
     ou_singular_config,
@@ -143,3 +144,21 @@ def test_tci_never_evaluates_a_declared_sigma_or_caps_a_zero_b1():
     # the counters do count: a direct call is seen
     model.sigma(0.0, np.zeros((2, 1)))
     assert calls == {"sigma": 1}
+
+
+def test_dini_drift_leaves_out_a_zero_B():
+    model = model_from_config(dini_benchmark_config())
+    calls, B = Counter(), model.B
+
+    @functools.wraps(B)
+    def counted(t, x):
+        calls["B"] += 1
+        return B(t, x)
+
+    model.B = counted
+    g = TimeGrid(1.0, 32)
+    declared = simulate_ensemble(model, [0.3], g, seed=5, n_paths=64)
+    assert calls == {}
+    summed = CallableModel(1, lambda t, x: np.zeros_like(x) + model.b(t, x), model.sigma)
+    plain = simulate_ensemble(summed, [0.3], g, seed=5, n_paths=64)
+    np.testing.assert_array_equal(declared.states, plain.states)

@@ -32,6 +32,13 @@ def _random_measure(rng, n, d, uniform=False):
     return EmpiricalMeasure(atoms, w / w.sum())
 
 
+def _incidence_reference(n, m):
+    """Row sums then column sums of an n x m plan, as a sparse matrix."""
+    rows = sparse.kron(sparse.eye(n), np.ones((1, m)))
+    cols = sparse.kron(np.ones((1, n)), sparse.eye(m))
+    return sparse.vstack([rows, cols]).tocsc()
+
+
 class TestEmpiricalMeasure:
     @pytest.mark.parametrize("weights", [[-0.5, 1.5], [0.5, 0.6], [np.nan, np.nan],
                                          [np.inf, -np.inf], [np.nan, 1.0]])
@@ -142,7 +149,7 @@ class TestSolverSelection:
         with pytest.raises(RuntimeError, match="dual certificate"):
             exact_wp(mu, nu, 2.0)
 
-    def test_weighted_input_takes_the_cached_lp(self, monkeypatch):
+    def test_weighted_input_takes_the_lp(self, monkeypatch):
         solved = []
         real = transport.linprog
 
@@ -157,16 +164,21 @@ class TestSolverSelection:
         exact_wp(mu, nu, 2.0)
         exact_wp(nu, mu, 1.0)
         exact_wp(EmpiricalMeasure.uniform(mu.atoms), EmpiricalMeasure.uniform(nu.atoms))
-        assert len(solved) == 2 and solved[0] is solved[1]
-        A = solved[0]
-        assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr))
-        with pytest.raises(ValueError):
-            A.data[0] = 2.0
-        rows = sparse.kron(sparse.eye(3), np.ones((1, 4)))
-        cols = sparse.kron(np.ones((1, 3)), sparse.eye(4))
-        ref = sparse.vstack([rows, cols]).tocsc()
-        assert (transport._incidence(3, 4) != ref).nnz == 0
+        assert len(solved) == 2
+        assert all((A != _incidence_reference(5, 5)).nnz == 0 for A in solved)
+        A = transport._block_incidence([(3, 4)])
+        assert (A != _incidence_reference(3, 4)).nnz == 0
 
+    @settings(max_examples=100)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                           min_size=1, max_size=30))
+    def test_block_incidence_is_the_block_diagonal_of_its_shapes(self, shapes):
+        A = transport._block_incidence(shapes)
+        ref = sparse.block_diag([_incidence_reference(n, m) for n, m in shapes]).tocsc()
+        assert A.format == "csc" and A.shape == ref.shape
+        assert A.indices.dtype == A.indptr.dtype == np.int32
+        assert np.array_equal(A.indptr, 2 * np.arange(A.shape[1] + 1))
+        assert (A != ref).nnz == 0
 
     @settings(max_examples=200)
     @given(n=st.integers(1, 8), m=st.integers(1, 8), tied=st.booleans(),
@@ -177,7 +189,7 @@ class TestSolverSelection:
         cost = rng.integers(0, 3, (n, m)).astype(float) if tied else rng.random((n, m))
         mu_w, nu_w = rng.random(n), rng.random(m)
         b_eq = np.concatenate([mu_w / mu_w.sum(), nu_w / nu_w.sum()])
-        A_eq = transport._incidence(n, m)
+        A_eq = transport._block_incidence([(n, m)])
         fun, x, duals = transport.linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq)
         res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                       options={"dual_feasibility_tolerance": transport.LP_DUAL_FEASIBILITY_TOL})

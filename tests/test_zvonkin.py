@@ -308,6 +308,29 @@ class TestHomeomorphism:
         g = phi.grad_bound
         assert r.min() >= 1 - g - 1e-8 and r.max() <= 1 + g + 1e-8
 
+    @settings(max_examples=100)
+    @given(d=st.integers(1, 2), m=st.integers(3, 6), n_t=st.sampled_from([0, 2, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sandwich_holds_for_the_interpolant(self, d, m, n_t, seed):
+        # phi evaluates the multilinear interpolant, so g must bound its
+        # slope inside every cell, not only at the nodes
+        rng = np.random.default_rng(seed)
+        sg = SpaceGrid(1.0, m, d)
+        times = np.cumsum(rng.uniform(0.1, 1.0, n_t)) if n_t else None
+        u = GridFunction(sg, rng.uniform(-0.2, 0.2, (n_t,) * bool(n_t) + sg.shape + (d,)),
+                         times)
+        g = u.grad_bound()
+        phi = Homeomorphism(u, g, 0.0, 1.0)
+        t = rng.uniform(times[0], times[-1]) if n_t else None
+        x = rng.uniform(-1.0 + sg.dx / 2, 1.0 - sg.dx / 2, (400, d))
+        step = rng.normal(size=(400, d))
+        step *= rng.uniform(0.05, 0.5, (400, 1)) * sg.dx / np.linalg.norm(step, axis=1)[:, None]
+        for y in (x + step, rng.uniform(-1.0, 1.0, (400, d))):
+            dist = np.linalg.norm(x - y, axis=1)
+            r = np.linalg.norm(phi.phi(x, t) - phi.phi(y, t), axis=1)
+            assert (r <= (1 + g) * dist * (1 + 1e-12)).all()
+            assert (r >= (1 - g) * dist * (1 - 1e-12)).all()
+
     def test_jacobian_identity_for_zero_u(self):
         sg = SpaceGrid(2.0, 21, 1)
         u = GridFunction(sg, np.zeros((21, 1)))
