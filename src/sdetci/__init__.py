@@ -67,7 +67,6 @@ from .tci import (
     ThresholdSet,
     delta_threshold,
     exp_functional_estimate,
-    gaussian_tail_estimate,
     gaussian_tail_sweep,
     invariance_suite,
     lambda_threshold,

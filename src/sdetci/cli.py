@@ -3,11 +3,13 @@
 Subcommands: validate, simulate, zvonkin, tci, invariance.  Each reads a
 YAML config, runs the corresponding pipeline and writes a deterministic JSON
 report (sorted keys, no timestamps) tagged with the config hash and seed.
-Exit codes: 0 success, 1 a check failed, 2 usage/config error (also a value
-out of range, such as ``n_paths: 0``, not a number, such as ``n_paths:
-abc``, not an integer, such as ``model: {d: 2.5}``, or not a boolean,
-such as ``auto: "false"``), 3 numerical failure.  Numbers, switches and the
-model are read through ``models.config_value``.
+``main`` builds the run's one report; a command adds its sections to it and
+returns whether its checks passed, and ``main`` writes the report once.
+Exit codes: 0 success, 1 a check failed, 2 usage/config error (also an
+unknown key, a value out of range, such as ``n_paths: 0``, not a number,
+such as ``n_paths: abc``, not an integer, such as ``model: {d: 2.5}``, or
+not a boolean, such as ``auto: "false"``), 3 numerical failure.  Numbers,
+switches and the model are read through ``models.config_value``.
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ from .tci import TCIReport
 
 _COMMON_KEYS = {"model", "seed", "output"}
 _SCHEMAS = {
-    "validate": _COMMON_KEYS | {"n_grid", "radius", "tol"},
+    "validate": _COMMON_KEYS,
     "simulate": _COMMON_KEYS | {"x0", "n_steps", "n_paths", "scheme", "csv"},
-    "zvonkin": _COMMON_KEYS | {"lam", "grid_R", "grid_m", "n_time", "tol",
-                               "threshold", "auto"},
-    "tci": _COMMON_KEYS | {"x0", "n_steps", "n_paths", "delta", "n_list",
-                           "shifts", "thresholds"},
-    "invariance": {"seed", "output", "n_trials", "p", "w_tol", "h_tol"},
+    "zvonkin": _COMMON_KEYS | {"lam", "grid_R", "grid_m", "n_time", "tol", "auto"},
+    "tci": _COMMON_KEYS | {"x0", "n_steps", "n_paths", "delta", "n_list", "shifts"},
+    "invariance": {"seed", "output", "n_trials"},
 }
 
 
@@ -55,17 +55,9 @@ def _load_config(path, command):
     return cfg
 
 
-def _config_hash(cfg):
-    return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode()
-    ).hexdigest()[:16]
-
-
 def _meta(cfg):
-    return {
-        "config_sha256": _config_hash(cfg),
-        "seed": config_value(cfg, "seed", 0, integer),
-    }
+    digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+    return {"config_sha256": digest[:16], "seed": config_value(cfg, "seed", 0, integer)}
 
 
 def _emit(report, cfg):
@@ -86,30 +78,21 @@ def _path_setup(cfg):
     return model, TimeGrid(model.T, config_value(cfg, "n_steps", 256, integer)), x0
 
 
-def _cmd_validate(cfg):
+def _cmd_validate(cfg, report):
     model = config_value(cfg, "model", None, model_from_config)
-    rep = validate_model(
-        model,
-        n_grid=config_value(cfg, "n_grid", 512, integer),
-        radius=config_value(cfg, "radius", 5.0),
-        tol=config_value(cfg, "tol", 1e-7),
-        seed=config_value(cfg, "seed", 0, integer),
-    )
-    report = TCIReport(meta=_meta(cfg))
+    rep = validate_model(model, seed=report.meta["seed"])
     report.add("validation", rep.as_dict())
-    _emit(report, cfg)
-    return 0 if rep.passed else 1
+    return rep.passed
 
 
-def _cmd_simulate(cfg):
+def _cmd_simulate(cfg, report):
     model, grid, x0 = _path_setup(cfg)
     ens = simulate_ensemble(
-        model, x0, grid, config_value(cfg, "seed", 0, integer),
+        model, x0, grid, report.meta["seed"],
         config_value(cfg, "n_paths", 128, integer), cfg.get("scheme", "em"),
     )
     if cfg.get("csv"):
         ensemble_to_csv(ens, cfg["csv"])
-    report = TCIReport(meta=_meta(cfg))
     report.add("simulate", {
         "n_paths": len(ens),
         "n_steps": grid.n_steps,
@@ -117,27 +100,23 @@ def _cmd_simulate(cfg):
         "terminal_mean": ens.states[:, -1].mean(axis=0).tolist(),
         "terminal_second_moment": float((ens.states[:, -1] ** 2).sum(axis=1).mean()),
     })
-    _emit(report, cfg)
-    return 0
+    return True
 
 
-def _cmd_zvonkin(cfg):
+def _cmd_zvonkin(cfg, report):
     model = config_value(cfg, "model", None, model_from_config)
     sgrid = zvonkin.SpaceGrid(
         config_value(cfg, "grid_R", 8.0), config_value(cfg, "grid_m", 257, integer),
         model.d,
     )
     tol = config_value(cfg, "tol", 1e-8)
-    threshold = config_value(cfg, "threshold", zvonkin.DINI_GRAD_THRESHOLD
-                             if model.kind == "dini" else zvonkin.SINGULAR_GRAD_THRESHOLD)
     n_time = config_value(cfg, "n_time", 64, integer)
     auto = config_value(cfg, "auto", True, boolean)
-    report = TCIReport(meta=_meta(cfg))
     if model.kind == "dini":
         if auto:
             phi, history, trace = zvonkin.solve_u_parabolic_auto(
                 model, sgrid, n_time=n_time, tol=tol,
-                lam0=config_value(cfg, "lam", 8.0), threshold=threshold,
+                lam0=config_value(cfg, "lam", 8.0),
             )
             report.add("auto_trace", [
                 {"lam": t[0], "status": t[1], "grad_bound": t[2]} for t in trace
@@ -146,7 +125,7 @@ def _cmd_zvonkin(cfg):
             lam = config_value(cfg, "lam", None)
             u, history = zvonkin.solve_u_parabolic(model, lam, sgrid,
                                                    n_time=n_time, tol=tol)
-            phi = zvonkin.build_phi(u, lam=lam, threshold=threshold)
+            phi = zvonkin.build_phi(u, lam=lam)
         report.add("picard", {
             "iterations": len(history),
             "final_change": history[-1][0],
@@ -155,32 +134,34 @@ def _cmd_zvonkin(cfg):
     else:
         lam = config_value(cfg, "lam", 8.0)
         u = zvonkin.solve_u_elliptic(model, lam, sgrid, tol=tol)
-        phi = zvonkin.build_phi(u, lam=lam, threshold=threshold)
+        phi = zvonkin.build_phi(u, lam=lam,
+                                threshold=zvonkin.SINGULAR_GRAD_THRESHOLD)
     report.add("phi", {
         "lam": phi.lam,
         "grad_bound": phi.grad_bound,
         "u_sup": phi.u.sup_norm(),
         "threshold": phi.threshold,
     })
-    _emit(report, cfg)
-    return 0
+    return True
 
 
-def _cmd_tci(cfg):
+def _cmd_tci(cfg, report):
     model, grid, x0 = _path_setup(cfg)
-    seed = config_value(cfg, "seed", 0, integer)
-    report = TCIReport(meta=_meta(cfg))
-    failed = False
-    if config_value(cfg, "thresholds", True, boolean) and model.kind == "singular":
-        # the declared ellipticity bound sigma sigma* <= c0 gives
-        # sigma_sup = sqrt(c0); a model whose sampled sigma breaks it is refused
+    seed = report.meta["seed"]
+    if model.kind == "singular":
+        # sigma_sup bounds |sigma(x)|: the spectral norm of a declared
+        # matrix, else sqrt(c0) from sigma sigma* <= c0; a model whose
+        # sampled sigma breaks that bound is refused
         rep = validate_model(model)
         if rep.margin("ellipticity_upper") < -rep.tol:
             raise ConfigError(
                 f"sigma sigma* exceeds c0 = {model.c0}; raise c0 to bound sigma",
                 "model.c0",
             )
-        ts = tci_mod.threshold_set(model.tag, math.sqrt(model.c0), model.T,
+        matrix = getattr(model.sigma, "matrix", None)
+        sigma_sup = (math.sqrt(model.c0) if matrix is None
+                     else float(np.linalg.norm(matrix, 2)))
+        ts = tci_mod.threshold_set(model.tag, sigma_sup, model.T,
                                    r=model.r, kappa1=model.kappa1,
                                    kappa3=model.kappa3, kappa4=model.kappa4)
         report.add("thresholds", {
@@ -209,7 +190,6 @@ def _cmd_tci(cfg):
         t2 = tci_mod.t2_check(model, x0, grid, shifts, n_paths, seed)
     if sweep is not None:
         report.add("gaussian_tail", sweep)
-        failed = failed or not sweep["stable"]
         report.add("t1", {
             "delta": delta,
             "transformed_constant": tci_mod.t1_constant(delta),
@@ -217,22 +197,16 @@ def _cmd_tci(cfg):
         })
     if t2 is not None:
         report.add("t2", t2)
-    _emit(report, cfg)
-    return 1 if failed else 0
+    return sweep is None or sweep["stable"]
 
 
-def _cmd_invariance(cfg):
+def _cmd_invariance(cfg, report):
     res = tci_mod.invariance_suite(
         n_trials=config_value(cfg, "n_trials", 1000, integer),
-        seed=config_value(cfg, "seed", 0, integer),
-        p=config_value(cfg, "p", 2.0),
-        w_tol=config_value(cfg, "w_tol", 1e-10),
-        h_tol=config_value(cfg, "h_tol", 1e-12),
+        seed=report.meta["seed"],
     )
-    report = TCIReport(meta=_meta(cfg))
     report.add("invariance", res)
-    _emit(report, cfg)
-    return 0 if res["passed"] else 1
+    return res["passed"]
 
 
 _COMMANDS = {
@@ -260,7 +234,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config, args.command)
-        return _COMMANDS[args.command](cfg)
+        report = TCIReport(meta=_meta(cfg))
+        passed = _COMMANDS[args.command](cfg, report)
+        _emit(report, cfg)
+        return 0 if passed else 1
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2

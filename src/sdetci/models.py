@@ -314,12 +314,14 @@ def _worst(name, slack, points):
     return CheckResult(name, float(slack[i]), points[i])
 
 
-def validate_model(spec, n_grid=512, radius=5.0, tol=1e-7, seed=0):
+def validate_model(spec, seed=0):
     """Check the standing assumptions of a model spec on sampled grids.
 
-    Deterministic for a fixed ``seed``.  Returns a report with one margin per
-    assumption; overall pass iff every margin >= -tol.
+    Deterministic for a fixed ``seed``.  Samples ``n_grid`` points in the box
+    [-radius, radius]^d and returns a report with one margin per assumption;
+    overall pass iff every margin >= -tol.
     """
+    n_grid, radius, tol = 512, 5.0, 1e-7
     rng = np.random.default_rng(seed)
     checks = []
     d = spec.d
@@ -448,6 +450,14 @@ def _as_matrix(value, d):
     return m
 
 
+# the keys each coefficient family takes besides ``family``
+_FIELD_KEYS = {"zero": (), "constant": ("value",), "linear": ("matrix",),
+               "cubic_drag": ("coef",), "bounded_sin": ("amplitude",),
+               "log_square_bench": ("cutoff", "sup"),
+               "radial_singularity": ("c", "gamma")}
+_SIGMA_KEYS = {"constant": ("value",), "sin_perturbed": ("value", "eps")}
+
+
 def _field_from_config(cfg, d):
     """Build a vectorized vector field ``(t, x) -> (n, d)`` from a family config."""
     fam = config_value(cfg, "family", None, str)
@@ -490,6 +500,7 @@ def _field_from_config(cfg, d):
 
     else:
         raise ConfigError(f"unknown field family {fam!r}", "family")
+    check_keys(cfg, {"family", *_FIELD_KEYS[fam]})
 
     def field(t, x):
         return fn(np.asarray(x, dtype=float))
@@ -515,6 +526,7 @@ def _sigma_from_config(cfg, d):
 
     else:
         raise ConfigError(f"unknown sigma family {fam!r}", "family")
+    check_keys(cfg, {"family", *_SIGMA_KEYS[fam]})
 
     def sigma(t, x):
         return fn(np.asarray(x, dtype=float))

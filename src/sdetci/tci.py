@@ -34,6 +34,7 @@ from .transport import (
 
 GIRSANOV_PATHS = 2048  # paths per Girsanov entropy in ``t2_check``
 _MAX_ATOMS = 7  # atoms per random measure in ``invariance_suite``
+_W_TOL, _H_TOL = 1e-10, 1e-12  # its W2 and entropy identity tolerances
 
 
 def _neg(x):
@@ -236,25 +237,10 @@ def _shared_run(model, x0, grid, seed, n_tail, shifts, n_t2):
     return tail, gaps, kept, shift_fns, fns[0][1]
 
 
-def _tail_exponents(model, x0, grid, delta, n_paths, seed):
-    """Per-path delta sup_t |X_t - x0|^2 over an EM ensemble.
-
-    The sup is a running max from the start state on, so no path holds its
-    states.
-    """
-    return delta * _shared_run(model, x0, grid, seed, n_paths, [], 0)[0] ** 2
-
-
 def _tail_row(exponents, delta):
     out = exp_functional_estimate(exponents)
     out["delta"] = float(delta)
     return out
-
-
-def gaussian_tail_estimate(model, x0, grid, delta, n_paths, seed=0):
-    """Plug-in E exp{delta sup_t |X_t - x0|^2} over an EM ensemble."""
-    exps = _tail_exponents(model, x0, grid, delta, n_paths, seed)
-    return _tail_row(exps, delta)
 
 
 def _sweep_sizes(delta, n_list):
@@ -290,8 +276,8 @@ def gaussian_tail_sweep(model, x0, grid, delta, n_list, seed=0):
 
     Paths are keyed by id, so a run of n paths is the prefix of the largest
     run: the sweep simulates ``max(n_list)`` paths once and estimates each
-    row from a prefix of their exponents.  Every row equals
-    ``gaussian_tail_estimate`` at its n.  The sweep is "stable" when every
+    row from a prefix of their exponents, delta sup_t |X_t - x0|^2, so every
+    row equals the one-size sweep at its n.  The sweep is "stable" when every
     run is individually stable and the log-estimates agree within log 1.5.
     """
     n_list = _sweep_sizes(delta, n_list)
@@ -424,11 +410,11 @@ def _random_affine(rng, d):
     return fwd, inv, float(s.min()), float(s.max())
 
 
-def invariance_suite(n_trials=1000, seed=0, p=2.0, w_tol=1e-10, h_tol=1e-12):
+def invariance_suite(n_trials=1000, seed=0):
     """Randomized verification of the pushforward identities.
 
     Per trial, on random discrete measures and a random invertible affine
-    map Phi: (a) the transported-cost Wasserstein value after pushing both
+    map Phi: (a) the transported-cost W2 value after pushing both
     measures forward equals the original value; (b) discrete relative
     entropy is unchanged by an injective pushforward; (c) with the ambient
     metric kept fixed, the pushed distance sits in the bi-Lipschitz
@@ -471,12 +457,12 @@ def invariance_suite(n_trials=1000, seed=0, p=2.0, w_tol=1e-10, h_tol=1e-12):
         )
         worst_h = max(worst_h, abs(h1 - h0))
 
-    w = [value for value, _ in exact_wp_many(pairs, p)]
+    w = [value for value, _ in exact_wp_many(pairs, 2.0)]
     worst_w = 0.0
     worst_sandwich = -np.inf
     for (smin, smax), w0, w1, w_push in zip(lipschitz, w[0::3], w[1::3], w[2::3]):
         worst_w = max(worst_w, abs(w1 - w0))
-        margin = min(w_push - smin * w0 + w_tol, smax * w0 - w_push + w_tol)
+        margin = min(w_push - smin * w0 + _W_TOL, smax * w0 - w_push + _W_TOL)
         worst_sandwich = max(worst_sandwich, -margin)
     return {
         "n_trials": int(n_trials),
@@ -484,7 +470,7 @@ def invariance_suite(n_trials=1000, seed=0, p=2.0, w_tol=1e-10, h_tol=1e-12):
         "worst_entropy_error": float(worst_h),
         "worst_sandwich_violation": float(max(worst_sandwich, 0.0)),
         "passed": bool(
-            worst_w <= w_tol and worst_h <= h_tol and worst_sandwich <= 0.0
+            worst_w <= _W_TOL and worst_h <= _H_TOL and worst_sandwich <= 0.0
         ),
     }
 

@@ -416,15 +416,15 @@ def apply_parabolic_map(model, lam, u_fn):
     return float(np.abs(step(u) - u).max())
 
 
-def solve_u_parabolic_auto(model, sgrid, n_time=64, tol=1e-8, lam0=8.0,
-                           threshold=DINI_GRAD_THRESHOLD):
-    """Double lambda until the map contracts and the gradient bound is accepted."""
+def solve_u_parabolic_auto(model, sgrid, n_time=64, tol=1e-8, lam0=8.0):
+    """Double lambda until the map contracts and the gradient bound is below
+    ``DINI_GRAD_THRESHOLD``."""
     lam = lam0
     trace = []
     for _ in range(10):
         try:
             u, history = solve_u_parabolic(model, lam, sgrid, n_time, tol)
-            phi = build_phi(u, lam=lam, threshold=threshold)
+            phi = build_phi(u, lam=lam)
             trace.append((lam, "accepted", phi.grad_bound))
             return phi, history, trace
         except NotContractive:

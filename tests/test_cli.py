@@ -95,7 +95,7 @@ class TestExitCodes:
         ("simulate", {"n_paths": "abc"}, "n_paths"),
         ("simulate", {"n_steps": "many"}, "n_steps"),
         ("invariance", {"n_trials": "x"}, "n_trials"),
-        ("invariance", {"w_tol": "tight"}, "w_tol"),
+        ("invariance", {"seed": "s"}, "seed"),
         ("tci", {"x0": ["a"], "delta": 0.05}, "x0"),
         ("tci", {"delta": "small"}, "delta"),
         ("tci", {"delta": 0.05, "n_list": [10, "x"]}, "n_list"),
@@ -138,6 +138,24 @@ class TestExitCodes:
         ([1, 2], "model"),
         (None, "model"),  # no model key at all
         ({**_ou_cfg(), "kapa1": 1.0}, "model.kapa1"),
+        # each coefficient family refuses a key it does not take
+        ({**_ou_cfg(), "b1": {"family": "zero", "value": 1.0}}, "model.b1.value"),
+        ({**_ou_cfg(), "b2": {"family": "constant", "value": [0.0], "vlaue": 1}},
+         "model.b2.vlaue"),
+        ({**_ou_cfg(), "b2": {"family": "linear", "matrix": [[-1.0]], "coef": 1}},
+         "model.b2.coef"),
+        ({**_ou_cfg(), "b2": {"family": "cubic_drag", "amplitude": 1}},
+         "model.b2.amplitude"),
+        ({**_dini_cfg(), "b": {"family": "bounded_sin", "amplitdue": 2.0}},
+         "model.b.amplitdue"),
+        ({**_dini_cfg(), "b": {"family": "log_square_bench", "sup": 1.0, "c": 1}},
+         "model.b.c"),
+        ({**_ou_cfg(), "b1": {"family": "radial_singularity", "gamma": 0.5,
+                              "cutoff": 1}}, "model.b1.cutoff"),
+        ({**_ou_cfg(), "sigma": {"family": "constant", "value": [[1.0]],
+                                 "eps": 0.1}}, "model.sigma.eps"),
+        ({**_ou_cfg(), "sigma": {"family": "sin_perturbed", "esp": 0.1}},
+         "model.sigma.esp"),
     ])
     def test_malformed_model_value_names_its_path(self, tmp_path, capsys, model,
                                                    key):
@@ -146,9 +164,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, key", [
+        ("validate", "n_grid"), ("validate", "radius"), ("validate", "tol"),
+        ("zvonkin", "threshold"), ("tci", "thresholds"), ("invariance", "p"),
+        ("invariance", "w_tol"), ("invariance", "h_tol"),
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, command, key):
+        # these keys set constants of the pipeline now; a config that still
+        # names one is refused before anything runs or is written
+        report = tmp_path / "r.json"
+        cfg = {"seed": 0, "output": str(report), key: 1.0}
+        if command != "invariance":
+            cfg["model"] = _dini_cfg() if command == "zvonkin" else _ou_cfg()
+        assert main([command, _write(tmp_path, "old.yaml", cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not report.exists()
+
     @pytest.mark.parametrize("command, cfg, key", [
         ("zvonkin", {"model": _dini_cfg(), "auto": "false"}, "auto"),
-        ("tci", {"model": _ou_cfg(), "thresholds": "no"}, "thresholds"),
+        ("zvonkin", {"model": _dini_cfg(), "auto": 0}, "auto"),
         # a singular model never reads the switch, but a malformed one is refused
         ("zvonkin", {"model": _ou_cfg(), "auto": "maybe"}, "auto"),
     ])
@@ -201,7 +235,7 @@ class TestPipelines:
         assert data["sections"]["thresholds"]["lambda_max"] == 0.5
 
     def test_tci_thresholds_use_declared_sigma_bound(self, tmp_path, capsys):
-        # sigma = 2 with c0 = 4: thresholds scale with sigma_sup = sqrt(c0)
+        # sigma = 2 with c0 = 4: thresholds scale with sigma_sup = |sigma| = 2
         model = ou_singular_config(kappa=1.0)
         model["sigma"]["value"] = [[2.0]]
         model["c0"] = 4.0
@@ -210,6 +244,18 @@ class TestPipelines:
         ts = json.loads(capsys.readouterr().out)["sections"]["thresholds"]
         assert ts["lambda_max"] == 0.125
         assert ts["delta_max"] == 0.015625
+
+    def test_tci_thresholds_use_the_declared_sigma_matrix(self, tmp_path, capsys):
+        # sigma = 0.5 needs c0 = 4 for the lower ellipticity bound, but the
+        # thresholds take sigma_sup = |sigma| = 0.5, not sqrt(c0) = 2
+        model = ou_singular_config(kappa=1.0)
+        model["sigma"]["value"] = [[0.5]]
+        model["c0"] = 4.0
+        cfg = _write(tmp_path, "t.yaml", {"model": model, "seed": 0})
+        assert main(["tci", cfg]) == 0
+        ts = json.loads(capsys.readouterr().out)["sections"]["thresholds"]
+        assert ts["lambda_max"] == 2.0
+        assert ts["delta_max"] == 0.25
 
     def test_tci_rejects_sigma_above_declared_bound(self, tmp_path, capsys):
         # sigma = 2 with c0 left at its default 1 breaks sigma sigma* <= c0

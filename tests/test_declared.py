@@ -22,7 +22,7 @@ from sdetci import (
     simulate_ensemble,
     t2_check,
 )
-from sdetci.tci import _tail_exponents
+from sdetci.tci import _shared_run
 from sdetci.transport import girsanov_entropy
 
 # d = 2 bounds, in units of the last place of the largest magnitude compared:
@@ -56,7 +56,7 @@ def _runs(model, x0, seed):
     states = simulate_ensemble(model, x0, g, seed, 300).states
     return {
         "states": states,
-        "tail": _tail_exponents(model, x0, g, 0.05, 300, seed),
+        "tail": 0.05 * _shared_run(model, x0, g, seed, 300, [], 0)[0] ** 2,
         "t2": t2_check(model, x0, g, [0.1, 0.3], 200, seed),
         "girsanov": girsanov_entropy(_shift(d, 0.2), model.sigma, states, g),
     }

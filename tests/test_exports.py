@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # exported names that only the unit tests call, each kept for one reason
 KEPT = {
-    "gaussian_tail_estimate": "the reference each tail-sweep row is tested against",
     "estimate_P0": "pins the semigroup sampler to the path streams and a closed form",
 }
 

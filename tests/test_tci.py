@@ -15,7 +15,6 @@ from sdetci import (
     coupled_sup_distances,
     delta_threshold,
     exp_functional_estimate,
-    gaussian_tail_estimate,
     gaussian_tail_sweep,
     invariance_suite,
     lambda_threshold,
@@ -164,7 +163,8 @@ class TestGaussianTail:
         sweep = gaussian_tail_sweep(model, [0.0], g, 0.05, [1000, 300], seed=4)
         assert sum(states) == 1000
         for n, row in zip([300, 1000], sweep["rows"]):
-            assert row == gaussian_tail_estimate(model, [0.0], g, 0.05, n, seed=4)
+            alone = gaussian_tail_sweep(model, [0.0], g, 0.05, [n], seed=4)
+            assert row == alone["rows"][0]
 
     def test_sweep_holds_no_states(self):
         # a path holds its increments, one node short of its states; on top
@@ -192,8 +192,8 @@ class TestGaussianTail:
 
     def test_estimate_increases_with_delta(self):
         g = TimeGrid(1.0, 64)
-        a = gaussian_tail_estimate(self._ou(), [0.0], g, 0.02, 4000, seed=1)
-        b = gaussian_tail_estimate(self._ou(), [0.0], g, 0.05, 4000, seed=1)
+        a, b = (gaussian_tail_sweep(self._ou(), [0.0], g, delta, [4000],
+                                    seed=1)["rows"][0] for delta in (0.02, 0.05))
         assert 1.0 < a["estimate"] < b["estimate"]
 
 
