@@ -14,8 +14,11 @@ of ``zvonkin`` draw noise from counter-based Philox streams keyed by
 n paths is a prefix of a longer run, and results do not depend on how
 paths are chunked.  A chunk draws from one generator, re-keyed per path
 (``_increment_block``), which gives each path the stream of its own
-``path_rng(seed, path_id)``.  Paths run in chunks through one loop,
-``_path_chunks``, which hands the states after every step to a reducer.
+``path_rng(seed, path_id)``.  Its increments are node-major, (n_steps, n,
+d), so each step reads one contiguous (n, d) row; the paths draw through
+one reused per-path tile, which is scaled into that layout.  Paths run in
+chunks through one loop, ``_path_chunks``, which hands the states after
+every step to a reducer.
 ``ensemble_reduce(..., step, shape)`` streams them into a per-path
 accumulator of ``shape`` (a running sup, a running sum), so a path holds
 its increments, not its states; only ``simulate_ensemble``, and
@@ -37,7 +40,8 @@ from .errors import BlowupError, ConfigError
 
 _MASK = (1 << 64) - 1
 _BLOWUP_LIMIT = 1e10
-_CHUNK_BUDGET = 1 << 23  # floats held by one chunk's path arrays (64 MiB)
+_CHUNK_BUDGET = 1 << 21  # floats held by one chunk's path arrays (16 MiB)
+_TILE = 1 << 16  # floats of the per-path draw tile of _increment_block (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -79,30 +83,42 @@ def path_rng(seed, path_id):
 
 def brownian_increments(seed, grid, d, path_id=0):
     """i.i.d. N(0, h I_d) increments for one path stream."""
-    return _increment_block(seed, grid, d, [path_id])[0]
+    return _increment_block(seed, grid, d, [path_id])[:, 0]
 
 
 def _increment_block(seed, grid, d, ids):
-    """Increments of paths ``ids``, row j equal to ``brownian_increments(ids[j])``.
+    """Increments of paths ``ids``, node-major (n_steps, n, d), column j equal
+    to ``brownian_increments(ids[j])``.
 
     One generator serves the block: per path its Philox key word 1 is set to
     the path id and its counter and buffer are reset, which gives the same
     stream as a fresh ``path_rng(seed, pid)`` without building one.  The
     state is a dict of plain ints, which the setter reads faster than the
-    numpy arrays of a ``philox.state`` snapshot.
+    numpy arrays of a ``philox.state`` snapshot.  A stream fills one path's
+    contiguous (n_steps, d) row, so the paths draw into one path-major tile
+    of about ``_TILE`` floats, reused for the whole call; each filled tile
+    is scaled by sqrt(h) in place, one product per value, and copied into
+    its columns of the block.
     """
-    out = np.empty((len(ids), grid.n_steps, d))
+    out = np.empty((grid.n_steps, len(ids), d))
     gen = path_rng(seed, ids[0])
     philox = gen.bit_generator
     key = [int(seed) & _MASK, 0]
     fresh = {"bit_generator": "Philox",
              "state": {"counter": [0] * 4, "key": key},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for j, pid in enumerate(ids):
-        key[1] = int(pid) & _MASK
-        philox.state = fresh
-        gen.standard_normal(out=out[j])
-    out *= math.sqrt(grid.h)
+    per_tile = min(len(ids), max(1, _TILE // (grid.n_steps * d)))
+    tile = np.empty((per_tile, grid.n_steps, d))
+    sqrt_h = math.sqrt(grid.h)
+    for lo in range(0, len(ids), per_tile):
+        sub = ids[lo : lo + per_tile]
+        for j, pid in enumerate(sub):
+            key[1] = int(pid) & _MASK
+            philox.state = fresh
+            gen.standard_normal(out=tile[j])
+        filled = tile[: len(sub)]
+        filled *= sqrt_h
+        out[:, lo : lo + len(sub)] = filled.transpose(1, 0, 2)
     return out
 
 
@@ -115,8 +131,9 @@ def run_em(fns, x0s, grid, dw, tamed=False, on_step=None):
     """Euler-Maruyama (or tamed) recursion of coupled states over one chunk.
 
     State ``i`` starts at ``x0s[i]`` (n, d) and steps with ``fns[i] =
-    (drift, sigma)``; every state takes the increments ``dw`` of shape (n,
-    n_steps, d), so the states are coupled synchronously.  After step k,
+    (drift, sigma)``; every state takes the node-major increments ``dw`` of
+    shape (n_steps, n, d), so the states are coupled synchronously and step
+    k reads the contiguous row ``dw[k]``.  After step k,
     ``on_step(k, t, xs)`` sees the states at time t.  Raises
     BlowupError when any state leaves the finite range (only plain EM is
     expected to).  Returns the terminal states.
@@ -133,10 +150,7 @@ def run_em(fns, x0s, grid, dw, tamed=False, on_step=None):
     mats = [getattr(sigma, "matrix", None) for _, sigma in fns]
     t = 0.0
     for k in range(grid.n_steps):
-        # Column k of the increments is strided.  Coupled states read one
-        # contiguous copy; a lone state reads it in place, which is cheaper
-        # than copying it.
-        col = dw[:, k] if len(fns) == 1 else np.ascontiguousarray(dw[:, k])
+        col = dw[k]
         shared = {}  # id of a declared matrix -> this step's noise term
         for i, (drift, sigma) in enumerate(fns):
             x = xs[i]

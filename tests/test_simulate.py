@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdetci import (
@@ -137,13 +137,22 @@ class TestRngDiscipline:
     @given(seed=st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**64 - 1)),
            first=st.one_of(st.integers(0, 64), st.integers(2**32, 2**62),
                            st.integers(2**63, 2**64 - 64)),
-           n=st.integers(1, 6), step=st.integers(1, 3),
+           n=st.integers(1, 9), step=st.integers(1, 3),
            kind=st.sampled_from(["range", "array", "split"]),
-           n_steps=st.integers(1, 12), d=st.sampled_from([1, 2]))
+           n_steps=st.integers(1, 12), d=st.sampled_from([1, 2]),
+           per_tile=st.one_of(st.none(), st.integers(1, 4)),
+           spare=st.integers(0, 23))
+    @example(seed=3, first=5, n=7, step=2, kind="range", n_steps=5, d=1,
+             per_tile=3, spare=0)
+    @example(seed=3, first=5, n=7, step=1, kind="array", n_steps=5, d=2,
+             per_tile=2, spare=9)
     def test_rekeyed_block_equals_path_streams(self, seed, first, n, step, kind,
-                                               n_steps, d):
+                                               n_steps, d, per_tile, spare):
         # one generator re-keyed per path draws what a fresh stream per path
-        # draws; "split" is the ``ids + 1`` array of a split pair's state 1
+        # draws; "split" is the ``ids + 1`` array of a split pair's state 1.
+        # A small tile of ``per_tile`` paths (plus ``spare`` floats, fewer
+        # than one more path) makes the ids cross tile boundaries and leave
+        # a partial last tile.
         ids = range(first, first + n * step, step)
         if kind == "array":
             ids = np.arange(first, first + n * step, step,
@@ -151,11 +160,15 @@ class TestRngDiscipline:
         elif kind == "split":
             ids = np.add(ids, 1)
         g = TimeGrid(0.7, n_steps)
-        block = simulate._increment_block(seed, g, d, ids)
-        assert block.shape == (n, n_steps, d)
+        with pytest.MonkeyPatch.context() as mp:
+            if per_tile is not None:
+                mp.setattr(simulate, "_TILE",
+                           per_tile * n_steps * d + spare % (n_steps * d))
+            block = simulate._increment_block(seed, g, d, ids)
+        assert block.shape == (n_steps, n, d)
         for j, pid in enumerate(ids):
             ref = simulate.path_rng(seed, pid).standard_normal((n_steps, d))
-            assert block[j].tobytes() == (ref * math.sqrt(g.h)).tobytes()
+            assert block[:, j].tobytes() == (ref * math.sqrt(g.h)).tobytes()
 
     @settings(max_examples=25)
     @given(n=st.integers(1, 24), chunk=st.integers(1, 24),
@@ -203,6 +216,39 @@ class TestRngDiscipline:
             seed=5, n_steps=4)
         assert _chunked(1, gradient) == _chunked(n, gradient)
 
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 40), chunk=st.integers(1, 12), per_tile=st.integers(1, 5),
+           m=st.integers(0, 40), d=st.sampled_from([1, 2]),
+           scheme=st.sampled_from(["em", "tamed"]))
+    def test_chunk_and_tile_sizes_leave_results_unchanged(self, n, chunk, per_tile,
+                                                          m, d, scheme):
+        # coupled states (declared sigma, a drift-shifted twin, a sigma that
+        # is called), a (k,) accumulator and kept states are byte-identical
+        # whatever the chunk and draw-tile sizes
+        model = model_from_config(ou_singular_config(kappa=0.7, d=d))
+        called = CallableModel(d, lambda t, x: -x, lambda t, x: (
+            (1.0 + 0.1 * np.tanh(x))[:, :, None] * np.eye(d)))
+        g, ids = TimeGrid(1.0, 8), range(3, 3 + n)
+        fns = [model.sim_functions(g),
+               with_drift_shift(model, lambda t, x: 0.5 * np.ones_like(x)).sim_functions(g),
+               called.sim_functions(g)]
+        x0s = [np.linspace(0.2, -0.1, d), np.zeros(d), np.full(d, 0.3)]
+
+        def track(sup, k, t, xs):
+            np.maximum(sup, np.stack([np.linalg.norm(x, axis=1) for x in xs], axis=1),
+                       out=sup)
+
+        def run():
+            keep = np.zeros((len(fns), g.n_steps + 1, min(m, n), d)) if m else None
+            acc = simulate._path_chunks(fns, x0s, g, 5, ids, scheme, (len(fns),),
+                                        track, keep=keep)
+            return acc.tobytes(), None if keep is None else keep.tobytes()
+
+        whole = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_TILE", per_tile * g.n_steps * d)
+            assert _chunked(chunk, run) == whole
+
 
 class TestSchemes:
     def test_ou_terminal_moments(self):
@@ -237,7 +283,7 @@ class TestSchemes:
     def test_coupled_paths_share_noise(self):
         model = _ou()
         g = TimeGrid(1.0, 128)
-        dw = brownian_increments(9, g, 1)[None]
+        dw = brownian_increments(9, g, 1)[:, None]
         states = [[np.array([[0.0]]), np.array([[2.0]])]]
         run_em([model.sim_functions(g)] * 2, states[0], g, dw,
                on_step=lambda k, t, xs: states.append(list(xs)))

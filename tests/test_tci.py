@@ -330,6 +330,24 @@ class TestSharedRun:
         assert main(["tci", str(cfg)]) == 0
         assert sorted(drawn) == list(range(700))
 
+    def test_tail_sweep_peak_is_one_chunk_and_the_kept_states(self):
+        # the shape of the tail_sweep benchmark: at its allocation peak the
+        # run holds one chunk's increments, capped at 16 MiB, the T2 states
+        # kept for the entropy, and at most 4 MiB of draw tile and per-step
+        # arrays
+        model, g = model_from_config(ou_singular_config(kappa=1.0)), TimeGrid(1.0, 256)
+        shifts, n_paths = [0.1, 0.2, 0.4], 8192
+        tail_sweep_and_t2(model, [0.0], g, 0.05, [100, 200], shifts, 100, 1)
+        tracemalloc.start()
+        try:
+            tail_sweep_and_t2(model, [0.0], g, 0.05, [10000, 40000], shifts, n_paths, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = (len(shifts) + 1) * (g.n_steps + 1) * min(n_paths, GIRSANOV_PATHS) * 8
+        assert simulate._CHUNK_BUDGET * 8 <= 16 * 2**20
+        assert peak <= simulate._CHUNK_BUDGET * 8 + kept + 4 * 2**20
+
 
 class TestCouplingLipschitz:
     def test_sandwich_holds(self):
