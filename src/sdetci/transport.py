@@ -18,16 +18,24 @@ get a certified entropic bracket whose lower end is a feasible LP dual value
 and whose upper end is the cost of a rounded feasible plan, so the exact
 value always lies inside.
 
-scipy loads at the first exact solve: ``scipy.sparse`` with the first
-constraint matrix, HiGHS with the first LP and the assignment solver with
-the first uniform pair.  Importing this module loads no scipy module.
+Of scipy, only two compiled extensions load, each at its first use and
+from its file alone (``_scipy_extension``): the HiGHS core with the first
+LP and the assignment solver with the first uniform pair.  Neither runs
+``scipy.optimize``'s package import, and the constraint matrix is plain
+CSC arrays (``_block_incidence``), so no ``scipy.sparse`` loads either.
+Importing this module loads no scipy module.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,9 +107,14 @@ def path_sup_cost(states_a, states_b):
 
 
 def _cost_matrix(mu, nu, metric):
+    """The Euclidean cost between the atoms, or ``metric`` if given; a metric
+    of another shape than (len(mu.atoms), len(nu.atoms)) raises ``ValueError``."""
     if metric is None:
         return euclidean_cost(mu.atoms, nu.atoms)
-    return np.asarray(metric, dtype=float)
+    cost, shape = np.asarray(metric, dtype=float), (len(mu.atoms), len(nu.atoms))
+    if cost.shape != shape:
+        raise ValueError(f"metric of shape {cost.shape} for a pair of shape {shape}")
+    return cost
 
 
 def exact_wp(mu, nu, p=2.0, metric=None):
@@ -116,10 +129,11 @@ def exact_wp_many(pairs, p=2.0):
     with shortest-path potentials as duals; every other pair is a block of
     an LP (HiGHS), packed with the pairs after it into one solve of at most
     ``LP_BLOCK_VARS`` variables (a larger pair is solved alone).  ``metric``
-    is None (Euclidean) or a precomputed cost matrix; a non-finite cost
-    raises ``ValueError``.  Per pair, dual feasibility and the duality gap
-    are checked to ``DUAL_TOL`` in units of the pair's largest cost, the
-    units its LP is solved in, and a violation raises ``RuntimeError``.
+    is None (Euclidean) or a precomputed cost matrix; a non-finite cost, or
+    a matrix of another shape than the pair's, raises ``ValueError`` before
+    any solve.  Per pair, dual feasibility and the duality gap are checked
+    to ``DUAL_TOL`` in units of the pair's largest cost, the units its LP is
+    solved in, and a violation raises ``RuntimeError``.
     """
     costs, units = [], []
     for mu, nu, metric in pairs:
@@ -154,11 +168,37 @@ def exact_wp_many(pairs, p=2.0):
     return results
 
 
-def linear_sum_assignment(cost):
-    """Rows and columns of a minimal assignment (``scipy.optimize.linear_sum_assignment``)."""
-    from scipy.optimize import linear_sum_assignment as assign
+def _scipy_extension(name):
+    """The compiled scipy module ``name``, loaded from its file alone.
 
-    return assign(cost)
+    No parent package's ``__init__`` runs, so loading
+    ``scipy.optimize._lsap`` does not import ``scipy.optimize``.  The module
+    is registered under ``name``; one already there (loaded by
+    ``scipy.optimize`` itself, say) is reused, since a second load of a
+    pybind11 module would register its types again.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    root = scipy.submodule_search_locations[0]
+    *package, leaf = name.split(".")[1:]
+    path = os.path.join(root, *package, leaf + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"no compiled {name} at {path}", name=name, path=path)
+    loader = ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(name, loader, origin=path))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+def linear_sum_assignment(cost):
+    """Rows and columns of a minimal assignment: the compiled solver behind
+    ``scipy.optimize.linear_sum_assignment``, loaded alone at the first call."""
+    return _scipy_extension("scipy.optimize._lsap").linear_sum_assignment(cost)
 
 
 def _assignment_wp(cost):
@@ -202,8 +242,7 @@ def _highs_options():
     with them follows the same pivots as scipy's given the same tolerance,
     and returns the same bits.  Built at the first solve and shared.
     """
-    from scipy.optimize._highspy import _core as _highs
-
+    _highs = _scipy_extension("scipy.optimize._highspy._core")
     options = _highs.HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
@@ -217,17 +256,20 @@ def _highs_options():
 def linprog(c, A_eq, b_eq):
     """Solve min c.x s.t. A_eq x = b_eq, x >= 0 with one fresh HiGHS instance.
 
-    Returns (optimal value, x, duals of the equality rows).  ``A_eq`` is a
-    CSC matrix.  The LP reaches HiGHS as ``scipy.optimize.linprog`` would
-    build it, with its settings (``_highs_options``), but without its input
-    cleaning and matrix stacking; the checks it makes are kept: non-finite
-    ``c`` or ``b_eq`` raise ``ValueError``, and a status other than optimal,
-    or a solution off the constraints by more than ``LP_FEASIBILITY_TOL``,
+    Returns (optimal value, x, duals of the equality rows).  ``A_eq`` is
+    CSC: a ``_Csc`` or a ``scipy.sparse`` CSC matrix, of which only
+    ``shape``, ``indptr``, ``indices`` and ``data`` are read.  The LP reaches
+    the HiGHS core that scipy bundles (loaded alone, without
+    ``scipy.optimize``) as ``scipy.optimize.linprog`` would build it, with
+    its settings (``_highs_options``), but without its input cleaning and
+    matrix stacking; the checks it makes are kept: non-finite ``c`` or
+    ``b_eq`` raise ``ValueError``, and a status other than optimal, or a
+    solution off the constraints by more than ``LP_FEASIBILITY_TOL``,
     raises ``RuntimeError``.  The name is scipy's so that code which patches
     or spies on ``transport.linprog`` (the benchmark's tracer, the tests)
     sees every LP solve.
     """
-    from scipy.optimize._highspy import _core as _highs
+    _highs = _scipy_extension("scipy.optimize._highspy._core")
 
     c = np.asarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
@@ -263,25 +305,31 @@ def linprog(c, A_eq, b_eq):
     return fun, x, np.array(solution.row_dual)
 
 
+class _Csc(NamedTuple):
+    """A sparse matrix as the arrays of its compressed columns, under
+    ``scipy.sparse``'s names; ``csc_matrix(A[:3], shape=A.shape)`` wraps it."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
 def _block_incidence(shapes):
-    """Marginal constraints of transport LPs of these shapes, block-diagonal, as CSC.
+    """Marginal constraints of transport LPs of these shapes, block-diagonal, as ``_Csc``.
 
     Column i*m + j of an n x m block (the mass moved from atom i to atom j)
     has a one in row offset + i and in row offset + n + j, where offset
     counts the rows of the blocks before it.  Built anew for each solve.
     """
-    from scipy import sparse
-
     n, m = np.array(shapes).T
     size, rows = n * m, np.cumsum(n + m)
     offset = np.repeat(rows - n - m, size)
     cell = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # i*m + j
     i, j = np.divmod(cell, np.repeat(m, size))
     indices = np.stack([offset + i, offset + np.repeat(n, size) + j], axis=1).astype(np.int32)
-    return sparse.csc_matrix(
-        (np.ones(indices.size), indices.ravel(), 2 * np.arange(len(cell) + 1, dtype=np.int32)),
-        shape=(int(rows[-1]), len(cell)),
-    )
+    return _Csc(np.ones(indices.size), indices.ravel(),
+               2 * np.arange(len(cell) + 1, dtype=np.int32), (int(rows[-1]), len(cell)))
 
 
 def _cost_unit(cost):

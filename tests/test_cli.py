@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -303,32 +304,95 @@ class TestColdStart:
                                                cfg):
         assert _cold_run(tmp_path, child_env, command, cfg) == "[]"
 
-    @pytest.mark.parametrize("command, cfg, backend", [
+    @pytest.mark.parametrize("command, cfg, backend, absent", [
         ("zvonkin", {"model": dini_benchmark_config(), "grid_m": 65, "n_time": 16},
-         "scipy.sparse.linalg"),
+         "scipy.sparse.linalg", ()),
         ("zvonkin", {"model": ou_singular_config(d=2), "grid_R": 4.0, "grid_m": 17},
-         "scipy.sparse.linalg"),
-        ("invariance", {"seed": 1, "n_trials": 10}, "scipy.optimize._highspy._core"),
+         "scipy.sparse.linalg", ()),
+        ("invariance", {"seed": 1, "n_trials": 10}, "scipy.optimize._highspy._core",
+         ("scipy.optimize", "scipy.sparse")),
     ], ids=["zvonkin-dini", "zvonkin-singular-2d", "invariance"])
     def test_solvers_load_their_backend(self, tmp_path, child_env, command, cfg,
-                                        backend):
-        assert f"'{backend}'" in _cold_run(tmp_path, child_env, command, cfg)
+                                        backend, absent):
+        # the HiGHS core loads from its file alone: no scipy.optimize package
+        # import, and the LP's constraints are plain CSC arrays, not scipy.sparse
+        loaded = ast.literal_eval(_cold_run(tmp_path, child_env, command, cfg))
+        assert backend in loaded
+        assert set(absent).isdisjoint(loaded)
+
+    def test_assignment_loads_its_solver_alone(self, child_env):
+        code = ("import sys\n"
+                "from sdetci import EmpiricalMeasure, exact_wp\n"
+                "exact_wp(EmpiricalMeasure.uniform([[0.0], [1.0], [3.0]]),\n"
+                "         EmpiricalMeasure.uniform([[0.5], [2.0], [2.5]]))\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert ast.literal_eval(proc.stdout) == ["scipy.optimize._lsap"]
+
+    def test_core_loaded_alone_matches_scipy_linprog(self, child_env):
+        # the core loaded first from its file is the one scipy.optimize then
+        # imports, and one LP through either path returns the same bits
+        proc = subprocess.run([sys.executable, "-c", _ALONE_THEN_SCIPY], env=child_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["alone", "same"]
+
+
+# Solves one LP with the HiGHS core loaded alone, then imports scipy.optimize
+# and solves it again with scipy's linprog; asserts the bits agree.
+_ALONE_THEN_SCIPY = """
+import sys
+import numpy as np
+from sdetci import transport
+rng = np.random.default_rng(11)
+cost, mu_w, nu_w = rng.random((3, 4)), rng.random(3), rng.random(4)
+b_eq = np.concatenate([mu_w / mu_w.sum(), nu_w / nu_w.sum()])
+A_eq = transport._block_incidence([(3, 4)])
+fun, x, duals = transport.linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq)
+assert "scipy.optimize" not in sys.modules and "scipy.sparse" not in sys.modules
+print("alone")
+core = sys.modules["scipy.optimize._highspy._core"]
+from scipy import sparse
+from scipy.optimize import linprog
+assert sys.modules["scipy.optimize._highspy._core"] is core
+res = linprog(cost.ravel(), A_eq=sparse.csc_matrix(A_eq[:3], shape=A_eq.shape), b_eq=b_eq,
+              bounds=(0, None), method="highs",
+              options={"dual_feasibility_tolerance": transport.LP_DUAL_FEASIBILITY_TOL})
+assert res.success
+assert np.array_equal(fun, res.fun)
+assert np.array_equal(x, res.x)
+assert np.array_equal(duals, res.eqlin.marginals)
+print("same")
+"""
+
+# Imports scipy.optimize, so that transport finds its HiGHS core loaded by
+# the package, then runs ``main`` on argv.
+_SCIPY_FIRST_CHILD = """
+import sys
+import scipy.optimize
+from sdetci.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 class TestDeterminism:
-    def test_output_bytes_identical_across_worker_env(self, tmp_path, child_env):
+    def test_output_bytes_identical_with_scipy_optimize_preloaded(self, tmp_path,
+                                                                  child_env):
         # one config with a relative output, run in two fresh processes from
-        # separate directories; the ambient SDETCI_WORKERS must not matter
+        # separate directories: one loads the HiGHS core alone, the other
+        # imports scipy.optimize first and so uses the package's core
         outs = []
-        for workers in ("1", "8"):
-            wd = tmp_path / f"w{workers}"
+        for name, lead in (("alone", ["-m", "sdetci.cli"]),
+                           ("package", ["-c", _SCIPY_FIRST_CHILD])):
+            wd = tmp_path / name
             wd.mkdir()
             _write(wd, "cfg.yaml", {"seed": 4, "n_trials": 10,
                                     "output": "report.json"})
             proc = subprocess.run(
-                [sys.executable, "-m", "sdetci.cli", "invariance", "cfg.yaml"],
-                env=child_env(SDETCI_WORKERS=workers), capture_output=True,
-                cwd=wd,
+                [sys.executable, *lead, "invariance", "cfg.yaml"],
+                env=child_env(), capture_output=True, cwd=wd,
             )
             assert proc.returncode == 0, proc.stderr
             outs.append((wd / "report.json").read_bytes())

@@ -32,6 +32,11 @@ def _random_measure(rng, n, d, uniform=False):
     return EmpiricalMeasure(atoms, w / w.sum())
 
 
+def _csc(A):
+    """The plain CSC arrays of ``_block_incidence`` as a scipy CSC matrix."""
+    return sparse.csc_matrix(A[:3], shape=A.shape)
+
+
 def _incidence_reference(n, m):
     """Row sums then column sums of an n x m plan, as a sparse matrix."""
     rows = sparse.kron(sparse.eye(n), np.ones((1, m)))
@@ -154,7 +159,7 @@ class TestSolverSelection:
         real = transport.linprog
 
         def spy(*args, **kwargs):
-            solved.append(kwargs["A_eq"])
+            solved.append(_csc(kwargs["A_eq"]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(transport, "linprog", spy)
@@ -166,14 +171,16 @@ class TestSolverSelection:
         exact_wp(EmpiricalMeasure.uniform(mu.atoms), EmpiricalMeasure.uniform(nu.atoms))
         assert len(solved) == 2
         assert all((A != _incidence_reference(5, 5)).nnz == 0 for A in solved)
-        A = transport._block_incidence([(3, 4)])
+        A = _csc(transport._block_incidence([(3, 4)]))
         assert (A != _incidence_reference(3, 4)).nnz == 0
 
     @settings(max_examples=100)
     @given(shapes=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)),
                            min_size=1, max_size=30))
     def test_block_incidence_is_the_block_diagonal_of_its_shapes(self, shapes):
-        A = transport._block_incidence(shapes)
+        arrays = transport._block_incidence(shapes)
+        assert arrays.indices.dtype == arrays.indptr.dtype == np.int32
+        A = _csc(arrays)
         ref = sparse.block_diag([_incidence_reference(n, m) for n, m in shapes]).tocsc()
         assert A.format == "csc" and A.shape == ref.shape
         assert A.indices.dtype == A.indptr.dtype == np.int32
@@ -189,14 +196,25 @@ class TestSolverSelection:
         cost = rng.integers(0, 3, (n, m)).astype(float) if tied else rng.random((n, m))
         mu_w, nu_w = rng.random(n), rng.random(m)
         b_eq = np.concatenate([mu_w / mu_w.sum(), nu_w / nu_w.sum()])
-        A_eq = transport._block_incidence([(n, m)])
-        fun, x, duals = transport.linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq)
+        arrays = transport._block_incidence([(n, m)])
+        A_eq = _csc(arrays)
         res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                       options={"dual_feasibility_tolerance": transport.LP_DUAL_FEASIBILITY_TOL})
         assert res.success
-        assert np.array_equal(fun, res.fun)
-        assert np.array_equal(x, res.x)
-        assert np.array_equal(duals, res.eqlin.marginals)
+        # the plain arrays and the scipy matrix reach HiGHS alike
+        for A in (arrays, A_eq):
+            fun, x, duals = transport.linprog(cost.ravel(), A_eq=A, b_eq=b_eq)
+            assert np.array_equal(fun, res.fun)
+            assert np.array_equal(x, res.x)
+            assert np.array_equal(duals, res.eqlin.marginals)
+
+    def test_extension_loader_reuses_a_loaded_module_and_names_a_missing_file(self):
+        # scipy.optimize, imported by this module, already holds its solvers
+        import scipy.optimize._lsap
+
+        assert transport._scipy_extension("scipy.optimize._lsap") is scipy.optimize._lsap
+        with pytest.raises(ImportError, match=r"scipy/optimize/_absent\."):
+            transport._scipy_extension("scipy.optimize._absent")
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_cost_refused(self, bad):
@@ -221,6 +239,24 @@ class TestSolverSelection:
         w, _ = exact_wp(mu, nu, 1.0, metric=cost)
         scaled, _ = exact_wp(mu, nu, 1.0, metric=scale * cost)
         assert scaled == pytest.approx(scale * w, rel=1e-12)
+
+    @pytest.mark.parametrize("m, uniform, shape", [
+        (4, False, (4, 3)), (4, False, (2, 6)), (4, False, (3, 5)), (3, True, (3, 4))])
+    def test_mis_shaped_metric_refused(self, m, uniform, shape):
+        rng = np.random.default_rng(8)
+        mu, nu = _random_measure(rng, 3, 1, uniform), _random_measure(rng, m, 1, uniform)
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\) .*\(3, {m}\)"):
+            exact_wp(mu, nu, 2.0, metric=np.ones(shape))
+
+    def test_mis_shaped_metric_refused_before_any_solve(self, monkeypatch):
+        # a pair packed with good ones is refused before their LP is solved
+        rng = np.random.default_rng(8)
+        mu, nu = _random_measure(rng, 3, 1), _random_measure(rng, 4, 1)
+        solves = []
+        monkeypatch.setattr(transport, "linprog", lambda *a, **k: solves.append(a))
+        with pytest.raises(ValueError, match="metric of shape"):
+            exact_wp_many([(mu, nu, None), (mu, nu, np.ones((4, 3))), (nu, mu, None)])
+        assert solves == []
 
     def test_inconsistent_marginals_fail(self):
         cost = euclidean_cost(np.arange(3.0)[:, None], np.arange(2.0)[:, None])
