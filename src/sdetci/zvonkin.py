@@ -6,9 +6,11 @@ finite-difference sweep) or an elliptic equation (autonomous model, sparse
 resolvent solves).  Accepted maps carry a measured gradient bound that
 certifies the bi-Lipschitz sandwich used downstream.
 
-``scipy.sparse`` and SuperLU load at the first operator assembly and the
-first factorization, so importing this module, and every command that
-builds no map, loads no scipy module.
+The operators are plain CSC arrays (``_Csc``) that this module assembles,
+shifts and multiplies itself.  Of scipy, only SuperLU's compiled extension
+loads, from its file alone at the first factorization, so no
+``scipy.sparse`` or ``scipy.linalg`` loads, and importing this module, or
+any command that builds no map, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from operator import mul
 
 import numpy as np
 
+from ._compiled import _Csc, _scipy_extension
 from .errors import (
     ConfigError,
     ConsistencyFailure,
@@ -262,35 +265,74 @@ def build_phi(u, lam=0.0, threshold=DINI_GRAD_THRESHOLD):
 
 
 def splu(A):
-    """SuperLU factorization of the CSC matrix ``A`` (``scipy.sparse.linalg.splu``).
+    """SuperLU factorization of the square ``_Csc`` matrix ``A``.
 
-    Every factorization goes through this name, so code that patches or
-    spies on ``zvonkin.splu`` (the benchmark's tracer, the tests) sees each.
+    ``A``'s arrays, with sorted rows and no duplicate in a column, go
+    straight to the compiled SuperLU that scipy bundles, loaded alone at the
+    first call, with the options ``scipy.sparse.linalg.splu`` passes, so the
+    factors and their solves are scipy's.  An exactly singular ``A`` raises
+    ``RuntimeError``.  Every factorization goes through this name, so code
+    that patches or spies on ``zvonkin.splu`` (the benchmark's tracer, the
+    tests) sees each.
     """
-    from scipy.sparse.linalg import splu as superlu
-
-    return superlu(A)
+    superlu = _scipy_extension("scipy.sparse.linalg._dsolve._superlu")
+    n, m = A.shape
+    if n != m:
+        raise ValueError("can only factor square matrices")
+    return superlu.gstrf(
+        n, len(A.data), np.ascontiguousarray(A.data, dtype=float),
+        np.ascontiguousarray(A.indices, dtype=np.intc),
+        np.ascontiguousarray(A.indptr, dtype=np.intc),
+        csc_construct_func=lambda arrays, shape: _Csc(*arrays, shape),
+        ilu=False,
+        options=dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None),
+    )
 
 
 def _operator_matrix(grid, a_vals, b_vals, neumann):
-    """Sparse discretization of 1/2 a : grad^2 + b . grad on the box.
+    """Sparse discretization of 1/2 a : grad^2 + b . grad on the box, as ``_Csc``.
 
     ``a_vals``: (M, d, d) diffusion matrices per node; ``b_vals``: (M, d) or
     None.  Central differences, with the mixed term by cross differences in
-    2-D.  Each stencil offset carries a coefficient array over all nodes;
-    out-of-box neighbours are dropped (homogeneous Dirichlet) or mirrored
-    across the boundary node (reflecting Neumann, zero normal gradient).
+    2-D.  The entries of ``_stencil_entries`` that share a place are summed
+    in the order it lists them.  scipy's ``csc_matrix`` of the same entries
+    has the same arrays wherever its column sort (``std::sort``) keeps that
+    order, in columns of at most 16 entries: all but the columns next to a
+    mirrored 2-D boundary.
     """
-    from scipy import sparse
+    M = grid.m**grid.d
+    rows, cols, data = _stencil_entries(grid, a_vals, b_vals, neumann)
+    key = cols * M + rows
+    order = np.argsort(key, kind="stable")
+    key, data = key[order], data[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    counts = np.diff(np.r_[first, len(key)])
+    # a place's terms sit in a run from first; adding the k-th term of every
+    # run in the k-th pass sums each run left to right, as scipy's own
+    # duplicate summing does
+    summed = data[first]
+    for k in range(1, counts.max()):
+        more = counts > k
+        summed[more] += data[first[more] + k]
+    indptr = np.searchsorted(key[first], np.arange(M + 1) * M)
+    return _Csc(summed, rows[order[first]].astype(np.int32), indptr.astype(np.int32), (M, M))
 
+
+def _stencil_entries(grid, a_vals, b_vals, neumann):
+    """(rows, cols, data) of every stencil term of ``_operator_matrix``.
+
+    Each stencil offset carries a coefficient array over all nodes, listed
+    offset by offset; out-of-box neighbours are dropped (homogeneous
+    Dirichlet) or mirrored across the boundary node (reflecting Neumann,
+    zero normal gradient), so a place can receive several terms.
+    """
     m, d, dx = grid.m, grid.d, grid.dx
     M = m**d
     eye = np.eye(d, dtype=int)
     diag = [0.5 * a_vals[:, i, i] / dx**2 for i in range(d)]
     stencil = [((0,) * d, sum(-2 * a for a in diag))]
-    # the drift is listed first only so that the 1-D matrices reproduce the
-    # former loop assembly bit for bit; that relies on scipy summing the
-    # duplicates of these short rows in input order, which it does not promise
+    # the drift is listed first so that the 1-D matrices reproduce the
+    # former loop assembly bit for bit
     if b_vals is not None:
         for i in range(d):
             bi = b_vals[:, i] / (2 * dx)
@@ -311,10 +353,55 @@ def _operator_matrix(grid, a_vals, b_vals, neumann):
         rows.append(np.flatnonzero(keep))
         cols.append(np.ravel_multi_index(tuple(nb[:, keep]), grid.shape))
         data.append(coef[keep])
-    return sparse.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(M, M),
-    )
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+
+
+def _shifted(A, scale, shift):
+    """``scale * A + shift * I`` as ``_Csc``; ``A`` stores its whole diagonal.
+
+    Entries that come out exactly zero are dropped, as scipy's sparse sums
+    drop them, so ``_shifted(L, -c, 1.0)`` holds the entries of scipy's
+    ``eye - c * L`` and ``_shifted(L, 1.0, -lam)`` those of ``L - lam * eye``.
+    """
+    data = scale * A.data
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    data[A.indices == cols] += shift
+    keep = data != 0
+    # each column start moves back by the number of zeros before it
+    indptr = A.indptr - np.searchsorted(np.flatnonzero(~keep), A.indptr)
+    return _Csc(data[keep], A.indices[keep], indptr.astype(A.indptr.dtype), A.shape)
+
+
+def _row_slots(A):
+    """The rows of the square ``_Csc`` matrix ``A`` for ``_times``.
+
+    Slot k holds each row's k-th entry in column order: its weight and its
+    column, as (slots, M) arrays.  A row with fewer entries takes weight 0
+    on column M, the zero that ``_times`` appends.
+    """
+    M = A.shape[0]
+    order = np.argsort(A.indices, kind="stable")  # by row, columns ascending
+    rows = A.indices[order]
+    counts = np.bincount(rows, minlength=M)
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    weights = np.zeros((counts.max(), M))
+    index = np.full((counts.max(), M), M)
+    weights[rank, rows] = A.data[order]
+    index[rank, rows] = np.repeat(np.arange(M), np.diff(A.indptr))[order]
+    return weights, index
+
+
+def _times(slots, x):
+    """The product of the matrix of ``slots`` with the (M, k) array ``x``.
+
+    numpy sums over an axis other than the last slice by slice, in order,
+    so each row adds its products to zero in column order, as scipy's
+    ``csr_matvecs`` does, and the result is its bits.  The components are
+    transposed into rows, so that each gather and product runs over M values.
+    """
+    weights, index = slots
+    x = np.concatenate([x.T, np.zeros((x.shape[1], 1))], axis=1)
+    return np.add.reduce(weights * np.take(x, index, axis=1), axis=1, initial=0.0).T
 
 
 def _diffusion_values(sigma_fn, pts, t=0.0):
@@ -337,10 +424,7 @@ def _parabolic_map(model, lam, sgrid, times):
     reference equation is factored once.  ``u`` and ``M(u)`` have shape
     ``(len(times), M, d)``.
     """
-    from scipy import sparse
-
     pts = sgrid.points()
-    M = len(pts)
     n_time = len(times) - 1
     h = model.T / n_time
     ehl = math.exp(-lam * h)
@@ -349,14 +433,14 @@ def _parabolic_map(model, lam, sgrid, times):
     i1 = (1.0 - ehl * (1.0 + lam * h)) / lam**2
     w0 = i0 - i1 / h
     w1 = i1 / h
-    eye = sparse.eye(M, format="csc")
+    c = 0.5 * h  # Crank-Nicolson half steps: I - c L implicit, I + c L explicit
     steps, coeffs = [], None
     for t in times[:-1]:
         a_vals, B_vals = _diffusion_values(model.sigma, pts, t), model.B(t, pts)
         if coeffs is None or not (np.array_equal(a_vals, coeffs[0])
                                   and np.array_equal(B_vals, coeffs[1])):
             L = _operator_matrix(sgrid, a_vals, B_vals, neumann=True)
-            step = splu((eye - 0.5 * h * L).tocsc()), (eye + 0.5 * h * L).tocsr()
+            step = splu(_shifted(L, -c, 1.0)), _row_slots(_shifted(L, c, 1.0))
             coeffs = a_vals, B_vals
         steps.append(step)
     b_grid = np.stack([model.b(t, pts) for t in times])
@@ -367,7 +451,7 @@ def _parabolic_map(model, lam, sgrid, times):
         for j in range(n_time - 1, -1, -1):
             lu, expl = steps[j]
             rhs = ehl * out[j + 1] + w1 * G[j + 1]
-            out[j] = lu.solve(expl @ rhs) + w0 * G[j]
+            out[j] = lu.solve(_times(expl, rhs)) + w0 * G[j]
         return out
 
     return apply
@@ -446,16 +530,13 @@ def solve_u_elliptic(model, lam, sgrid, tol=1e-10):
     Homogeneous Dirichlet far field; the caller chooses an enlarged box so
     boundary effects are negligible near the region of interest.
     """
-    from scipy import sparse
-
     pts = sgrid.points()
     M, d = len(pts), sgrid.d
     a_vals = _diffusion_values(model.sigma, pts)
     A = _operator_matrix(sgrid, a_vals, None, neumann=False)
-    op = (A - lam * sparse.eye(M)).tocsc()
     try:
-        lu = splu(op)
-    except RuntimeError as e:  # pragma: no cover
+        lu = splu(_shifted(A, 1.0, -lam))
+    except RuntimeError as e:
         raise EllipticSolverError(str(e)) from e
     b1 = model.b1(0.0, pts)
     u = np.zeros((M, d))

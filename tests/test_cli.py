@@ -291,6 +291,10 @@ def _cold_run(tmp_path, child_env, command, cfg):
     return proc.stdout.strip()
 
 
+# scipy packages a Zvonkin solve must not import: SuperLU alone does the work
+_NO_SPARSE = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg")
+
+
 class TestColdStart:
     """Each command from a fresh process: scipy loads only where it solves."""
 
@@ -306,16 +310,17 @@ class TestColdStart:
 
     @pytest.mark.parametrize("command, cfg, backend, absent", [
         ("zvonkin", {"model": dini_benchmark_config(), "grid_m": 65, "n_time": 16},
-         "scipy.sparse.linalg", ()),
+         "scipy.sparse.linalg._dsolve._superlu", _NO_SPARSE),
         ("zvonkin", {"model": ou_singular_config(d=2), "grid_R": 4.0, "grid_m": 17},
-         "scipy.sparse.linalg", ()),
+         "scipy.sparse.linalg._dsolve._superlu", _NO_SPARSE),
         ("invariance", {"seed": 1, "n_trials": 10}, "scipy.optimize._highspy._core",
          ("scipy.optimize", "scipy.sparse")),
     ], ids=["zvonkin-dini", "zvonkin-singular-2d", "invariance"])
     def test_solvers_load_their_backend(self, tmp_path, child_env, command, cfg,
                                         backend, absent):
-        # the HiGHS core loads from its file alone: no scipy.optimize package
-        # import, and the LP's constraints are plain CSC arrays, not scipy.sparse
+        # the HiGHS core and SuperLU load from their files alone: no package
+        # import of scipy.optimize or scipy.sparse.linalg, and the LP's
+        # constraints and the Zvonkin operators are plain CSC arrays
         loaded = ast.literal_eval(_cold_run(tmp_path, child_env, command, cfg))
         assert backend in loaded
         assert set(absent).isdisjoint(loaded)

@@ -2,12 +2,15 @@ import functools
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.interpolate import RegularGridInterpolator
+from scipy.sparse.linalg import splu as scipy_splu
 
 from sdetci import (
     CallableModel,
@@ -32,7 +35,7 @@ from sdetci import (
     verify_tilde_conditions,
 )
 from sdetci import simulate, zvonkin
-from sdetci.errors import FitFailure, OutOfDomain
+from sdetci.errors import EllipticSolverError, FitFailure, OutOfDomain
 from sdetci.models import DiniModelSpec, ModulusSpec
 from sdetci.zvonkin import (
     _diffusion_values,
@@ -41,6 +44,20 @@ from sdetci.zvonkin import (
     apply_parabolic_map,
     identity_transform,
 )
+
+
+def _csc(A):
+    """The plain CSC arrays of an operator as a scipy CSC matrix."""
+    return sparse.csc_matrix(A[:3], shape=A.shape)
+
+
+def _assert_same_csc(ours, ref):
+    """``ours`` holds scipy's canonical CSC arrays ``ref``, bit for bit."""
+    assert ours.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(ours, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
 
 
 def _unit_sigma(t, x):
@@ -362,7 +379,7 @@ class TestGenerator:
                              np.broadcast_to(b, (len(x), d)), neumann=neumann)
         inner = (np.abs(x) < R - 0.5 * sg.dx).all(axis=1)
         scale = (1.0 + np.abs(a).max() + np.abs(b).max()) * (1.0 + np.abs(f).max())
-        np.testing.assert_allclose((L @ f)[inner], exact[inner], rtol=0,
+        np.testing.assert_allclose((_csc(L) @ f)[inner], exact[inner], rtol=0,
                                    atol=1e-12 * scale / sg.dx**2)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -384,8 +401,86 @@ class TestGenerator:
             exact = 0.5 * np.einsum("ij,nij->n", a, hess) + grad @ b
             L = _operator_matrix(sg, np.broadcast_to(a, (len(x), d, d)),
                                  np.broadcast_to(b, (len(x), d)), neumann=True)
-            errs.append(float(np.abs(L @ f - exact).max()))
+            errs.append(float(np.abs(_csc(L) @ f - exact).max()))
         assert errs[1] <= 0.3 * errs[0] and errs[2] <= 0.3 * errs[1], errs
+
+
+class TestScipyReference:
+    """The operators, their shifts and factors against scipy.sparse, bit for bit."""
+
+    @settings(max_examples=80)
+    @given(d=st.sampled_from([1, 2]), m=st.integers(3, 9), neumann=st.booleans(),
+           drift=st.booleans(), diagonal=st.booleans(), c=st.floats(1e-3, 0.2),
+           lam=st.floats(0.5, 20.0), seed=st.integers(0, 2**32 - 1))
+    def test_operators_match_scipy(self, d, m, neumann, drift, diagonal, c, lam, seed):
+        rng = np.random.default_rng(seed)
+        sg = SpaceGrid(2.0, m, d)
+        M = m**d
+        low = rng.normal(size=(M, d, d))
+        if diagonal:  # no cross term: its entries are stored zeros
+            low *= np.eye(d)
+        a = low @ low.transpose(0, 2, 1) + 0.1 * np.eye(d)
+        b = rng.normal(size=(M, d)) * 5.0 if drift else None
+        L = _operator_matrix(sg, a, b, neumann)
+        rows, cols, data = zvonkin._stencil_entries(sg, a, b, neumann)
+        # scipy sorts each column with std::sort, which keeps entries of one
+        # row in input order only in columns of at most 16 entries; mirrored
+        # 2-D columns hold more, so scipy gets them in column, row and stencil
+        # order, which it keeps and sums left to right
+        order = np.lexsort((rows, cols))
+        _assert_same_csc(L, sparse.csc_matrix(
+            (data[order], (rows[order], cols[order])), shape=(M, M)))
+        if np.bincount(cols).max() <= 16:
+            _assert_same_csc(L, sparse.csc_matrix((data, (rows, cols)), shape=(M, M)))
+
+        S, eye = _csc(L), sparse.eye(M, format="csc")
+        shifted = [(zvonkin._shifted(L, -c, 1.0), eye - c * S),
+                   (zvonkin._shifted(L, c, 1.0), eye + c * S),
+                   (zvonkin._shifted(L, 1.0, -lam), (S - lam * sparse.eye(M)).tocsc())]
+        for ours, ref in shifted:
+            _assert_same_csc(ours, ref)
+            assert (ours.data != 0).all()  # scipy's sums drop exact zeros
+
+        x = rng.normal(size=(M, d))
+        expl = zvonkin._shifted(L, c, 1.0)
+        assert np.array_equal(zvonkin._times(zvonkin._row_slots(expl), x),
+                              _csc(expl).tocsr() @ x)
+        for op in (shifted[0][0], shifted[2][0]):
+            assert np.array_equal(zvonkin.splu(op).solve(x), scipy_splu(_csc(op)).solve(x))
+
+    @staticmethod
+    def _scipy_backend(monkeypatch):
+        """Route factorizations and explicit half-steps through scipy.sparse."""
+        monkeypatch.setattr(zvonkin, "splu", lambda A: scipy_splu(_csc(A)))
+        monkeypatch.setattr(zvonkin, "_row_slots", lambda A: _csc(A).tocsr())
+        monkeypatch.setattr(zvonkin, "_times", lambda expl, x: expl @ x)
+
+    @pytest.mark.parametrize("d, m", [(1, 33), (2, 13)])
+    def test_parabolic_sweep_matches_scipy_backend(self, d, m, monkeypatch):
+        model = model_from_config(dini_benchmark_config(sup=1.0, d=d))
+        sg = SpaceGrid(4.0, m, d)
+        times = np.linspace(0.0, model.T, 9)
+        u = np.random.default_rng(d).normal(size=(len(times), m**d, d)) * 0.1
+        ours = zvonkin._parabolic_map(model, 8.0, sg, times)(u)
+        self._scipy_backend(monkeypatch)
+        assert np.array_equal(ours, zvonkin._parabolic_map(model, 8.0, sg, times)(u))
+
+    @pytest.mark.parametrize("d, m", [(1, 65), (2, 17)])
+    def test_elliptic_solve_matches_scipy_backend(self, d, m, monkeypatch):
+        cfg = ou_singular_config(kappa=1.0, d=d)
+        cfg["b1"] = {"family": "radial_singularity", "c": 0.3, "gamma": 0.4}
+        model = model_from_config(cfg)
+        sg = SpaceGrid(3.0, m, d)
+        ours = solve_u_elliptic(model, 4.0, sg).values
+        self._scipy_backend(monkeypatch)
+        assert np.array_equal(ours, solve_u_elliptic(model, 4.0, sg).values)
+
+    def test_exactly_singular_factor_raises(self):
+        # [[1, 2], [2, 4]] leaves an exact zero pivot
+        A = zvonkin._Csc(np.array([1.0, 2.0, 2.0, 4.0]), np.array([0, 1, 0, 1], np.int32),
+                         np.array([0, 2, 4], np.int32), (2, 2))
+        with pytest.raises(RuntimeError, match="singular"):
+            zvonkin.splu(A)
 
 
 class TestParabolicSolver:
@@ -477,9 +572,9 @@ class TestEllipticSolver:
     def _dense_picard(model, lam, sg):
         # Picard iteration of (L - lam) u = b1 - (b1 . grad) u with dense solves
         pts = sg.points()
-        A = _operator_matrix(
+        A = _csc(_operator_matrix(
             sg, _diffusion_values(model.sigma, pts), None, neumann=False
-        ).toarray()
+        )).toarray()
         op = A - lam * np.eye(len(pts))
         b1 = model.b1(0.0, pts)
         d = sg.d
@@ -513,6 +608,14 @@ class TestEllipticSolver:
         u = solve_u_elliptic(model, 4.0, sg, tol=1e-12)
         uu = self._dense_picard(model, 4.0, sg)
         assert np.abs(uu - u.values.reshape(-1, 2)).max() < 1e-9
+
+    def test_singular_operator_is_a_solver_error(self):
+        # no diffusion and lam = 0: every entry of L - lam I is zero; the
+        # solver reads only sigma and b1 of its model
+        model = types.SimpleNamespace(sigma=lambda t, x: np.zeros((len(x), 1, 1)),
+                                      b1=lambda t, x: np.ones_like(x))
+        with pytest.raises(EllipticSolverError, match="singular"):
+            solve_u_elliptic(model, 0.0, SpaceGrid(3.0, 9, 1))
 
     def test_lambda_sweep_decays(self):
         model = self._model()
