@@ -6,10 +6,12 @@ report (sorted keys, no timestamps) tagged with the config hash and seed.
 ``main`` builds the run's one report; a command adds its sections to it and
 returns whether its checks passed, and ``main`` writes the report once.
 Exit codes: 0 success, 1 a check failed, 2 usage/config error (also an
-unknown key, a value out of range, such as ``n_paths: 0``, not a number,
-such as ``n_paths: abc``, not an integer, such as ``model: {d: 2.5}``, or
-not a boolean, such as ``auto: "false"``), 3 numerical failure.  Numbers,
-switches and the model are read through ``models.config_value``.
+unknown key, a value out of range, such as ``n_paths: 0`` or ``seed: -1``,
+not a number, such as ``n_paths: abc``, not an integer, such as ``model:
+{d: 2.5}``, not a boolean, such as ``auto: "false"``, or an ``output`` or
+``csv`` path that is not a string, such as ``output: 2``), 3 numerical
+failure.  Numbers, switches and the model are read through
+``models.config_value``.
 """
 
 from __future__ import annotations
@@ -52,12 +54,30 @@ def _load_config(path, command):
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     check_keys(cfg, _SCHEMAS[command])
+    for key in ("output", "csv"):
+        if key in cfg:
+            config_value(cfg, key, None, _path)
     return cfg
+
+
+def _path(value):
+    """A file path; ``open`` would take an integer as a file descriptor."""
+    if not isinstance(value, str):
+        raise ConfigError(f"need a path string, got {value!r}")
+    return value
+
+
+def _seed(value):
+    """A Philox key word, an integer in [0, 2**64)."""
+    seed = integer(value)
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"need 0 <= seed < 2**64, got {seed}")
+    return seed
 
 
 def _meta(cfg):
     digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-    return {"config_sha256": digest[:16], "seed": config_value(cfg, "seed", 0, integer)}
+    return {"config_sha256": digest[:16], "seed": config_value(cfg, "seed", 0, _seed)}
 
 
 def _emit(report, cfg):
@@ -168,7 +188,7 @@ def _cmd_tci(cfg, report):
             "tag": ts.tag, "lambda_max": ts.lambda_max,
             "lambda_strict": ts.lambda_strict, "delta_max": ts.delta_max,
         })
-    sweep = t2 = None
+    delta = n_list = shifts = n_paths = None
     if "delta" in cfg:
         delta = config_value(cfg, "delta", None)
         if "n_list" in cfg:
@@ -181,13 +201,8 @@ def _cmd_tci(cfg, report):
     if "shifts" in cfg:
         shifts = config_value(cfg, "shifts", None, floats)
         n_paths = config_value(cfg, "n_paths", 4096, integer)
-    if "delta" in cfg and "shifts" in cfg:  # T2's base paths are the sweep's first
-        sweep, t2 = tci_mod.tail_sweep_and_t2(model, x0, grid, delta, n_list,
-                                              shifts, n_paths, seed)
-    elif "delta" in cfg:
-        sweep = tci_mod.gaussian_tail_sweep(model, x0, grid, delta, n_list, seed)
-    elif "shifts" in cfg:
-        t2 = tci_mod.t2_check(model, x0, grid, shifts, n_paths, seed)
+    sweep, t2 = tci_mod.tail_sweep_and_t2(model, x0, grid, delta, n_list,
+                                          shifts, n_paths, seed)
     if sweep is not None:
         report.add("gaussian_tail", sweep)
         report.add("t1", {

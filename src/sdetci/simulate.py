@@ -18,10 +18,11 @@ paths are chunked.  A chunk draws from one generator, re-keyed per path
 d), so each step reads one contiguous (n, d) row; the paths draw through
 one reused per-path tile, which is scaled into that layout.  Paths run in
 chunks through one loop, ``_path_chunks``, which hands the states after
-every step to a reducer.
+every step to a reducer and keeps none of them.
 ``ensemble_reduce(..., step, shape)`` streams them into a per-path
 accumulator of ``shape`` (a running sup, a running sum), so a path holds
-its increments, not its states; only ``simulate_ensemble``, and
+its increments, not its states; the coupled runs of ``tci`` and
+``zvonkin`` reduce the same way.  Only ``simulate_ensemble``, and
 ``ensemble_reduce`` given a function of full states instead of a
 ``shape``, store every node.  One memory budget, ``_CHUNK_BUDGET``, sets
 every chunk size, so no function takes a ``chunk`` argument.
@@ -180,15 +181,14 @@ def _chunk_size(grid, d, held):
     return max(1, _CHUNK_BUDGET // (grid.n_steps * d * held))
 
 
-def _path_chunks(fns, x0s, grid, seed, ids, scheme, shape, reduce, keep=None):
+def _path_chunks(fns, x0s, grid, seed, ids, scheme, shape, reduce):
     """Run coupled states over chunks of path ids; return the joined ``acc``.
 
     Path ``ids[j]`` keys the noise every state shares.  ``reduce(acc, k, t,
     xs)`` fills a chunk's zeroed ``acc`` of shape (n,) + ``shape`` from the
-    start states (k = -1) and each step.  ``keep``, an array (len(fns),
-    n_steps + 1, m, d), receives every state of the first m paths at every
-    node.  A path holds its (n_steps, d) increments and its row of ``acc``,
-    which counts as the whole (n_steps, d) arrays it fills.
+    start states (k = -1) and each step.  A path holds its (n_steps, d)
+    increments and its row of ``acc``, which counts as the whole (n_steps,
+    d) arrays it fills.
     """
     if scheme not in ("em", "tamed"):
         raise ConfigError(f"unknown scheme {scheme!r}, use 'em' or 'tamed'", "scheme")
@@ -197,22 +197,15 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, shape, reduce, keep=None):
     x0s = [np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in x0s]
     d = len(x0s[0])
     n = _chunk_size(grid, d, 1 + math.prod(shape) // (grid.n_steps * d))
-    m = 0 if keep is None else keep.shape[2]
 
     def run(lo):
         sub = ids[lo : lo + n]
         dw = _increment_block(seed, grid, d, sub)
         xs = [np.broadcast_to(x0, (len(sub), d)) for x0 in x0s]
         acc = np.zeros((len(sub),) + shape)
-        kept = keep[:, :, lo : lo + len(sub)] if lo < m else ()
-
-        def step(k, t, xs):
-            reduce(acc, k, t, xs)
-            for states, x in zip(kept, xs):
-                states[k + 1] = x[: states.shape[1]]
-
-        step(-1, 0.0, xs)
-        run_em(fns, xs, grid, dw, scheme == "tamed", on_step=step)
+        reduce(acc, -1, 0.0, xs)
+        run_em(fns, xs, grid, dw, scheme == "tamed",
+               on_step=lambda k, t, xs: reduce(acc, k, t, xs))
         return acc
 
     return np.concatenate([run(lo) for lo in range(0, len(ids), n)])

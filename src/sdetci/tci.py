@@ -6,7 +6,9 @@ T1/T2-style checks relating Wasserstein distance to relative entropy.
 Paths are keyed by id, so the sweep and the T2 check simulate each path
 once, alone and together: the sweep at its largest sample size, T2 with the
 base model and every drift-shifted twin coupled in one run, and
-``tail_sweep_and_t2`` takes the sweep's first paths from that coupled run.
+``tail_sweep_and_t2``, the one entry of both, takes the sweep's first paths
+from that coupled run.  The coupled run streams each path's sups and each
+twin's Girsanov integral into one accumulator, so no path state is kept.
 Everything is seed-stable and serializes without timestamps.  The sweep and
 T2 need only numpy (log-sum-exp included); scipy loads only if an exact
 transport solve runs, as in the invariance suite.
@@ -24,15 +26,14 @@ from .errors import ConfigError, InconclusiveEstimate
 from .simulate import _path_chunks, ensemble_reduce, with_drift_shift
 from .transport import (
     EmpiricalMeasure,
+    _girsanov_step,
     exact_wp,  # not called here; perfbench asserts that tci binds it
     exact_wp_many,
-    girsanov_entropy,
     pushforward,
     relative_entropy_discrete,
 )
 
 
-GIRSANOV_PATHS = 2048  # paths per Girsanov entropy in ``t2_check``
 _MAX_ATOMS = 7  # atoms per random measure in ``invariance_suite``
 _W_TOL, _H_TOL = 1e-10, 1e-12  # its W2 and entropy identity tolerances
 
@@ -109,13 +110,9 @@ def delta_threshold(tag, sigma_sup, T, kappa1=0.0, kappa3=0.0, r=0.0, kappa4=0.0
     raise ConfigError(f"unknown drift tag {tag!r}")
 
 
-def threshold_set(tag, sigma_sup, T, **kappas):
-    lam, strict = lambda_threshold(tag, sigma_sup, T, **{
-        k: v for k, v in kappas.items() if k in ("kappa1", "r", "kappa4")
-    })
-    delta = delta_threshold(tag, sigma_sup, T, **{
-        k: v for k, v in kappas.items() if k in ("kappa1", "kappa3", "r", "kappa4")
-    })
+def threshold_set(tag, sigma_sup, T, kappa1=0.0, kappa3=0.0, r=0.0, kappa4=0.0):
+    lam, strict = lambda_threshold(tag, sigma_sup, T, kappa1, r, kappa4)
+    delta = delta_threshold(tag, sigma_sup, T, kappa1, kappa3, r, kappa4)
     return ThresholdSet(tag, sigma_sup, T, lam, strict, delta)
 
 
@@ -197,15 +194,13 @@ def _log_mean_stderr(g):
 def _shared_run(model, x0, grid, seed, n_tail, shifts, n_t2):
     """One run of paths 0..max(n_tail, n_t2)-1 for the tail sweep and T2.
 
-    Returns sup_t |X_t - x0| of paths 0..n_tail-1; for paths 0..n_t2-1,
-    sup_t |X_t - X^i_t| against twin i, whose drift is shifted by
-    ``shifts[i]`` e_1 (n_t2, len(shifts)); every state of the first
-    ``GIRSANOV_PATHS`` paths, base first (len(shifts) + 1, n_steps + 1, m,
-    d); the shift functions; and the diffusion.  Paths n_t2..n_tail-1 run
-    base-only through ``ensemble_reduce``, before paths 0..n_t2-1 run the
-    base and every twin as coupled states, so the kept states are not
-    allocated during the larger run.  Each path is simulated once, and each
-    result equals that of its half run alone.
+    Returns per-path arrays: sup_t |X_t - x0| of paths 0..n_tail-1; for
+    paths 0..n_t2-1, sup_t |X_t - X^i_t| against twin i, whose drift is
+    shifted by ``shifts[i]`` e_1, and twin i's Girsanov integral, both
+    (n_t2, len(shifts)).  Paths n_t2..n_tail-1 run base-only through
+    ``ensemble_reduce``; paths 0..n_t2-1 run the base and every twin as
+    coupled states that stream all of these into one accumulator.  Each path
+    is simulated once, and each result equals that of its half run alone.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
@@ -215,6 +210,7 @@ def _shared_run(model, x0, grid, seed, n_tail, shifts, n_t2):
                  for hmag in shifts]
     fns = [m.sim_functions(grid)
            for m in [model] + [with_drift_shift(model, s) for s in shift_fns]]
+    girsanov = [_girsanov_step(s, fns[0][1], grid) for s in shift_fns]
 
     def tail_step(sup, k, t, x):
         np.maximum(sup, np.linalg.norm(x - x0, axis=1), out=sup)
@@ -223,18 +219,20 @@ def _shared_run(model, x0, grid, seed, n_tail, shifts, n_t2):
     if n_tail > n_t2:
         tail = ensemble_reduce(model, x0, grid, seed, n_tail - n_t2, tail_step, (),
                                path_id0=n_t2)
-    kept = np.empty((len(fns), grid.n_steps + 1, min(n_t2, GIRSANOV_PATHS), d))
-    gaps = np.empty((0, len(shifts)))
+    gaps = ents = np.empty((0, len(shifts)))
     if n_t2 > 0:
-        def track(sup, k, t, xs):
+        def track(acc, k, t, xs):
             dists = [np.linalg.norm(xs[0] - x, axis=1) for x in [x0] + xs[1:]]
+            sup = acc[:, : len(xs)]
             np.maximum(sup, np.stack(dists, axis=1), out=sup)
+            for step, x, integral in zip(girsanov, xs[1:], acc[:, len(xs) :].T):
+                step(integral, k, t, x)
 
-        sups = _path_chunks(fns, [x0] * len(fns), grid, seed, range(n_t2), "em",
-                            (len(fns),), track, keep=kept)
-        tail = np.concatenate([sups[:n_tail, 0], tail])
-        gaps = sups[:, 1:]
-    return tail, gaps, kept, shift_fns, fns[0][1]
+        acc = _path_chunks(fns, [x0] * len(fns), grid, seed, range(n_t2), "em",
+                           (len(fns) + len(shifts),), track)
+        tail = np.concatenate([acc[:n_tail, 0], tail])
+        gaps, ents = np.split(acc[:, 1:], [len(shifts)], axis=1)
+    return tail, gaps, ents
 
 
 def _tail_row(exponents, delta):
@@ -280,9 +278,7 @@ def gaussian_tail_sweep(model, x0, grid, delta, n_list, seed=0):
     row equals the one-size sweep at its n.  The sweep is "stable" when every
     run is individually stable and the log-estimates agree within log 1.5.
     """
-    n_list = _sweep_sizes(delta, n_list)
-    tail = _shared_run(model, x0, grid, seed, n_list[-1], [], 0)[0]
-    return _sweep(delta, n_list, tail)
+    return tail_sweep_and_t2(model, x0, grid, delta, n_list, None, 0, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +295,18 @@ def _check_t2(shifts, n_paths):
         raise ConfigError(f"need shifts > 0, got {min(shifts)}", "shifts")
 
 
-def _t2(shifts, n_paths, grid, run):
+def _t2(shifts, gaps, integrals):
     """The T2 rows and summary from the coupled half of a ``_shared_run``."""
-    _, gaps, kept, shift_fns, sigma_fn = run
     rows = []
-    for i, (hmag, shift) in enumerate(zip(shifts, shift_fns)):
-        sq = gaps[:, i] ** 2
-        w2_sq = float(np.mean(sq))
-        w2_se = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
-        states = kept[i + 1].swapaxes(0, 1)  # (paths, nodes, d)
-        ent, ent_se = girsanov_entropy(shift, sigma_fn, states, grid)
+    for hmag, sq, per_path in zip(shifts, gaps.T ** 2, integrals.T):
+        w2_sq, ent = float(np.mean(sq)), float(np.mean(per_path))
+        w2_se, ent_se = (float(np.std(v, ddof=1) / math.sqrt(len(v))) for v in (sq, per_path))
         rows.append({
             "shift": float(hmag),
             "w2_sq_bound": w2_sq,
             "w2_sq_stderr": w2_se,
-            "entropy": float(ent),
-            "entropy_stderr": float(ent_se),
+            "entropy": ent,
+            "entropy_stderr": ent_se,
             "ratio": w2_sq / ent if ent > 0 else float("inf"),
         })
     ratios = np.array([r["ratio"] for r in rows])
@@ -336,31 +328,34 @@ def t2_check(model, x0, grid, shifts, n_paths, seed=0):
     For each shift magnitude h > 0, a twin equation with drift shifted by
     h e_1 runs under synchronous coupling; the mean of sup_t |Delta|^2
     upper-bounds W2^2 in the sup metric, and the relative entropy of the
-    two path laws comes from the Girsanov formula
-    over the first ``GIRSANOV_PATHS`` twin paths.  The base model and every
-    twin are coupled states of one run, which keeps the states of those
-    first paths, so each path is simulated once; row i equals
+    two path laws is the mean of the Girsanov formula over the same
+    ``n_paths`` twin paths.  The base model and every twin are coupled
+    states of one run, which streams both per path, so each path is
+    simulated once and none is stored; row i equals
     ``coupled_sup_distances`` of the base and twin i, and
     ``girsanov_entropy`` on ``simulate_ensemble`` of twin i.  Entropy should
     scale quadratically in the shift and the ratio should be stable.
     """
-    _check_t2(shifts, n_paths)
-    return _t2(shifts, n_paths, grid,
-               _shared_run(model, x0, grid, seed, 0, shifts, n_paths))
+    return tail_sweep_and_t2(model, x0, grid, None, None, shifts, n_paths, seed)[1]
 
 
 def tail_sweep_and_t2(model, x0, grid, delta, n_list, shifts, n_paths, seed=0):
     """``gaussian_tail_sweep`` and ``t2_check`` of the same paths, run once.
 
-    Returns the pair of their results, equal to the two separate calls.
-    Both are refused before anything is simulated.  The T2 run's base
-    states are the sweep's first ``n_paths`` paths, so the two together
-    draw ``max(max(n_list), n_paths)`` paths, not their sum.
+    Returns the pair of their results, each equal to a run with the other
+    part skipped: ``n_list=None`` skips the sweep and ``shifts=None`` skips
+    T2, and a skipped part is None.  Both are refused before anything is simulated.
+    The T2 run's base states are the sweep's first ``n_paths`` paths, so the
+    two together draw ``max(max(n_list), n_paths)`` paths, not their sum.
     """
-    n_list = _sweep_sizes(delta, n_list)
-    _check_t2(shifts, n_paths)
-    run = _shared_run(model, x0, grid, seed, n_list[-1], shifts, n_paths)
-    return _sweep(delta, n_list, run[0]), _t2(shifts, n_paths, grid, run)
+    n_list = None if n_list is None else _sweep_sizes(delta, n_list)
+    if shifts is not None:
+        _check_t2(shifts, n_paths)
+    tail, gaps, ents = _shared_run(
+        model, x0, grid, seed, 0 if n_list is None else n_list[-1],
+        [] if shifts is None else shifts, 0 if shifts is None else n_paths)
+    return (None if n_list is None else _sweep(delta, n_list, tail),
+            None if shifts is None else _t2(shifts, gaps, ents))
 
 
 def coupling_lipschitz_check(phi, states_a, states_b, t_nodes=None, slack=1e-9):

@@ -448,29 +448,41 @@ def relative_entropy_discrete(nu, mu):
     return float(np.sum(nw[charged] * np.log(nw[charged] / mw[charged])))
 
 
-def girsanov_entropy(shift, sigma_fn, states, grid):
-    """Path-space relative entropy of a drift-perturbed law.
-
-    For laws differing by a drift shift ``h``, H(Q|P) equals one half the
-    Q-expectation of the time integral of |sigma^{-1} h|^2.  ``states`` is a
-    Q-ensemble array (n, k+1, d); returns (estimate, stderr).  A sigma that
-    declares a constant ``matrix`` (see ``models``) is inverted once and
-    never called; any other sigma is evaluated and solved per node.
-    """
+def _girsanov_step(shift, sigma_fn, grid):
+    """``step(acc, k, t, x)``, adding to ``acc`` (n,) the trapezoid term of
+    1/2 int |sigma^{-1} h|^2 dt at node k + 1, summed as ``time_integrals``
+    sums.  A sigma that declares a constant ``matrix`` (see ``models``) is
+    inverted once and never called; any other is solved per node."""
     nodes = grid.nodes
-    n, k1, d = states.shape
+    weights = np.full(grid.n_steps + 1, 0.5 * grid.h)
+    weights[[0, -1]] *= 0.5
     mat = getattr(sigma_fn, "matrix", None)
     inv_t = None if mat is None else np.linalg.inv(mat).T
-    vals = np.empty((n, k1))
-    for j, t in enumerate(nodes):
-        x = states[:, j, :]
+
+    def step(acc, k, t, x):
+        t = nodes[k + 1]  # the node itself, not the EM loop's running sum
         hv = shift(t, x)
         if inv_t is None:
             z = np.linalg.solve(sigma_fn(t, x), hv[..., None])[..., 0]
         else:
             z = np.dot(hv, inv_t)
-        vals[:, j] = np.einsum("nd,nd->n", z, z)
-    per_path = 0.5 * np.trapezoid(vals, nodes, axis=1)
-    est = float(per_path.mean())
+        acc += weights[k + 1] * np.einsum("nd,nd->n", z, z)
+
+    return step
+
+
+def girsanov_entropy(shift, sigma_fn, states, grid):
+    """Path-space relative entropy of a drift-perturbed law.
+
+    For laws differing by a drift shift ``h``, H(Q|P) equals one half the
+    Q-expectation of the time integral of |sigma^{-1} h|^2.  ``states`` is a
+    Q-ensemble array (n, k+1, d); returns (estimate, stderr), with the bits
+    of the T2 check, which streams the same ``_girsanov_step``.
+    """
+    per_path = np.zeros(len(states))
+    step = _girsanov_step(shift, sigma_fn, grid)
+    for j, t in enumerate(grid.nodes):
+        step(per_path, j - 1, t, states[:, j])
+    n = len(per_path)
     stderr = float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return est, stderr
+    return float(per_path.mean()), stderr

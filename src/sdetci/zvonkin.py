@@ -502,7 +502,7 @@ def apply_parabolic_map(model, lam, u_fn):
 
 def solve_u_parabolic_auto(model, sgrid, n_time=64, tol=1e-8, lam0=8.0):
     """Double lambda until the map contracts and the gradient bound is below
-    ``DINI_GRAD_THRESHOLD``."""
+    ``DINI_GRAD_THRESHOLD``; after 10 failed tries, re-raise the last failure."""
     lam = lam0
     trace = []
     for _ in range(10):
@@ -511,12 +511,14 @@ def solve_u_parabolic_auto(model, sgrid, n_time=64, tol=1e-8, lam0=8.0):
             phi = build_phi(u, lam=lam)
             trace.append((lam, "accepted", phi.grad_bound))
             return phi, history, trace
-        except NotContractive:
+        except NotContractive as e:
             trace.append((lam, "not_contractive", None))
+            failure = e
         except GradientTooLarge as e:
             trace.append((lam, "gradient_too_large", e.grad_bound))
+            failure = e
         lam *= 2.0
-    raise NotContractive(lam, [])
+    raise failure
 
 
 # ---------------------------------------------------------------------------

@@ -112,11 +112,21 @@ class TestExitCodes:
         ("tci", {"delta": 0.0}, "delta"),
         # without n_list the sweep runs n_paths paths: name the key given
         ("tci", {"delta": 0.05, "n_paths": 1}, "n_paths"),
+        # a seed is a Philox key word in [0, 2**64), never wrapped
+        ("validate", {"seed": -1}, "seed"),
+        ("invariance", {"seed": -3}, "seed"),
+        ("tci", {"seed": 2**64, "delta": 0.05}, "seed"),
+        # open() would take an integer path as a file descriptor
+        ("invariance", {"output": 2}, "output"),
+        ("simulate", {"csv": 2}, "csv"),
+        ("validate", {"output": ["r.json"]}, "output"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
                                                 cfg, key):
         if command == "zvonkin":
             cfg = {"model": _dini_cfg(), **cfg}
+        elif command == "validate":
+            cfg = {"model": _ou_cfg(), **cfg}
         elif command != "invariance":
             cfg = {"model": _ou_cfg(), "n_steps": 8, **cfg}
         f = _write(tmp_path, "bad.yaml", {"seed": 0, **cfg})

@@ -30,7 +30,7 @@ from sdetci import (
 from sdetci import simulate, tci, transport
 from sdetci.cli import main
 from sdetci.errors import ConfigError, InconclusiveEstimate
-from sdetci.tci import GIRSANOV_PATHS, coupling_lipschitz_check
+from sdetci.tci import coupling_lipschitz_check
 from sdetci.transport import girsanov_entropy
 from sdetci.zvonkin import GridFunction, Homeomorphism, SpaceGrid
 from test_declared import VALUE_ULPS, _ulps
@@ -79,6 +79,14 @@ class TestThresholds:
         ts = threshold_set("dissipative", 1.0, 1.0, kappa1=1.0, kappa3=1.0, r=0.0)
         assert ts.admits_lambda(0.5) and not ts.admits_lambda(0.6)
         assert ts.admits_delta(0.06) and not ts.admits_delta(0.0625)
+
+    def test_threshold_set_refuses_a_misspelled_constant(self):
+        # a dropped kappa4 would give the kappa4 = 0 thresholds
+        ts = threshold_set("linear_growth", 1.0, 1.0, kappa4=2.0)
+        assert ts.lambda_max == lambda_threshold("linear_growth", 1.0, 1.0, kappa4=2.0)[0]
+        assert ts.lambda_max < 2e-4
+        with pytest.raises(TypeError):
+            threshold_set("linear_growth", 1.0, 1.0, kapa4=2.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigError):
@@ -237,13 +245,13 @@ class TestT2Check:
 
     def _assert_rows(self, model, x0, g, shifts, n, seed, res):
         """Each row is the coupled run of its twin plus the Girsanov entropy
-        of the twin's first ``GIRSANOV_PATHS`` paths."""
+        of the twin's ensemble of the same ``n`` paths."""
         _, sigma = model.sim_functions(g)
         for h, row in zip(shifts, res["rows"]):
             shift = lambda t, x, _h=h: _h * np.broadcast_to([1.0, 0.0], x.shape)
             twin = with_drift_shift(model, shift)
             sq = coupled_sup_distances(model, twin, x0, x0, g, seed, n) ** 2
-            ens = simulate_ensemble(twin, x0, g, seed, min(n, GIRSANOV_PATHS))
+            ens = simulate_ensemble(twin, x0, g, seed, n)
             ent, ent_se = girsanov_entropy(shift, sigma, ens.states, g)
             w2_sq = float(np.mean(sq))
             assert row == {
@@ -265,16 +273,16 @@ class TestT2Check:
         assert sum(states) == (len(shifts) + 1) * n
         self._assert_rows(model, x0, g, shifts, n, seed, res)
 
-    def test_t2_entropy_from_the_first_paths(self, monkeypatch):
-        # more paths than the entropy uses: a kept head and a streamed tail
+    def test_t2_does_not_depend_on_chunk_size(self, monkeypatch):
+        # the sups and Girsanov integrals of all n paths stream through the
+        # coupled run, so each row is the twin's whole ensemble
         model = self._multiplicative()
-        x0, g, shifts, seed = [0.2, -0.1], TimeGrid(1.0, 4), [0.1, 0.3], 2
-        n = GIRSANOV_PATHS + 52
+        x0, g, shifts, seed, n = [0.2, -0.1], TimeGrid(1.0, 4), [0.1, 0.3], 2, 2100
         states = _count_states(monkeypatch)
         res = t2_check(model, x0, g, shifts, n, seed)
         assert sum(states) == (len(shifts) + 1) * n
         self._assert_rows(model, x0, g, shifts, n, seed, res)
-        # chunks that split the kept paths, the last one partly kept
+        # chunks of 1000 paths, the last one short
         monkeypatch.setattr(simulate, "_chunk_size", lambda grid, d, held: 1000)
         assert t2_check(model, x0, g, shifts, n, seed) == res
 
@@ -330,11 +338,11 @@ class TestSharedRun:
         assert main(["tci", str(cfg)]) == 0
         assert sorted(drawn) == list(range(700))
 
-    def test_tail_sweep_peak_is_one_chunk_and_the_kept_states(self):
+    def test_tail_sweep_peak_is_one_chunk(self):
         # the shape of the tail_sweep benchmark: at its allocation peak the
-        # run holds one chunk's increments, capped at 16 MiB, the T2 states
-        # kept for the entropy, and at most 4 MiB of draw tile and per-step
-        # arrays
+        # run holds one chunk's increments, capped at 16 MiB, and at most
+        # 4 MiB of draw tile, accumulators and per-step arrays; no path
+        # state is kept
         model, g = model_from_config(ou_singular_config(kappa=1.0)), TimeGrid(1.0, 256)
         shifts, n_paths = [0.1, 0.2, 0.4], 8192
         tail_sweep_and_t2(model, [0.0], g, 0.05, [100, 200], shifts, 100, 1)
@@ -344,9 +352,8 @@ class TestSharedRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = (len(shifts) + 1) * (g.n_steps + 1) * min(n_paths, GIRSANOV_PATHS) * 8
         assert simulate._CHUNK_BUDGET * 8 <= 16 * 2**20
-        assert peak <= simulate._CHUNK_BUDGET * 8 + kept + 4 * 2**20
+        assert peak <= simulate._CHUNK_BUDGET * 8 + 4 * 2**20
 
 
 class TestCouplingLipschitz:

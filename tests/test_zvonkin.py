@@ -553,6 +553,23 @@ class TestParabolicSolver:
         assert trace[-1][1] == "accepted"
         assert phi.grad_bound < 0.5
 
+    def test_auto_lambda_reraises_its_last_failure(self, monkeypatch):
+        # every try contracts and fails on the gradient: the error is the
+        # last one raised, at the last lambda tried (8 * 2^9), not a
+        # "not contractive" at a lambda never tried
+        failures = []
+
+        def too_steep(u, lam=None, **kwargs):
+            failures.append(GradientTooLarge(lam, 0.5))
+            raise failures[-1]
+
+        monkeypatch.setattr(zvonkin, "build_phi", too_steep)
+        model = model_from_config(dini_benchmark_config(sup=1.0))
+        with pytest.raises(GradientTooLarge) as err:
+            solve_u_parabolic_auto(model, SpaceGrid(8.0, 33, 1), n_time=8, tol=1e-6)
+        assert len(failures) == 10 and err.value is failures[-1]
+        assert err.value.grad_bound == 8.0 * 2**9
+
     def test_zero_drift_gives_zero_u(self):
         cfg = dini_benchmark_config(sup=1.0)
         cfg["b"] = {"family": "zero"}
