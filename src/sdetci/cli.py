@@ -10,8 +10,9 @@ unknown key, a value out of range, such as ``n_paths: 0`` or ``seed: -1``,
 not a number, such as ``n_paths: abc``, not an integer, such as ``model:
 {d: 2.5}``, not a boolean, such as ``auto: "false"``, or an ``output`` or
 ``csv`` path that is not a string, such as ``output: 2``), 3 numerical
-failure.  Numbers, switches and the model are read through
-``models.config_value``.
+failure, such as a map that ``zvonkin`` refuses: ``zvonkin`` reports no
+verdict, so it never exits 1.  Numbers, switches and the model are read
+through ``models.config_value``.
 """
 
 from __future__ import annotations
@@ -198,6 +199,8 @@ def _cmd_tci(cfg, report):
             n_list = [config_value(cfg, "n_paths", 10000, integer)]
             if n_list[0] < 2:
                 raise ConfigError(f"need n_paths >= 2, got {n_list[0]}", "n_paths")
+    elif "n_list" in cfg:  # a sweep the config asks for must not silently skip
+        raise ConfigError("a tail sweep needs delta", "n_list")
     if "shifts" in cfg:
         shifts = config_value(cfg, "shifts", None, floats)
         n_paths = config_value(cfg, "n_paths", 4096, integer)

@@ -18,14 +18,14 @@ paths are chunked.  A chunk draws from one generator, re-keyed per path
 d), so each step reads one contiguous (n, d) row; the paths draw through
 one reused per-path tile, which is scaled into that layout.  Paths run in
 chunks through one loop, ``_path_chunks``, which hands the states after
-every step to a reducer and keeps none of them.
-``ensemble_reduce(..., step, shape)`` streams them into a per-path
-accumulator of ``shape`` (a running sup, a running sum), so a path holds
-its increments, not its states; the coupled runs of ``tci`` and
-``zvonkin`` reduce the same way.  Only ``simulate_ensemble``, and
-``ensemble_reduce`` given a function of full states instead of a
-``shape``, store every node.  One memory budget, ``_CHUNK_BUDGET``, sets
-every chunk size, so no function takes a ``chunk`` argument.
+every step to the step of each named per-path column and keeps none of
+them: ``_sup_gaps`` keeps a running sup of gaps, ``_trapezoid`` a running
+integral.  So a path holds its increments, not its states.
+``ensemble_reduce(..., step, shape)`` streams one column of ``shape``; the
+coupled runs of ``tci`` and ``zvonkin`` stream theirs the same way.  Only
+``simulate_ensemble``, and ``ensemble_reduce`` given a function of full
+states instead of a ``shape``, store every node.  One memory budget,
+``_CHUNK_BUDGET``, sets every chunk size: no function takes a ``chunk``.
 """
 
 from __future__ import annotations
@@ -181,14 +181,14 @@ def _chunk_size(grid, d, held):
     return max(1, _CHUNK_BUDGET // (grid.n_steps * d * held))
 
 
-def _path_chunks(fns, x0s, grid, seed, ids, scheme, shape, reduce):
-    """Run coupled states over chunks of path ids; return the joined ``acc``.
+def _path_chunks(fns, x0s, grid, seed, ids, scheme, columns):
+    """Run coupled states over chunks of path ids; return name -> joined column.
 
-    Path ``ids[j]`` keys the noise every state shares.  ``reduce(acc, k, t,
-    xs)`` fills a chunk's zeroed ``acc`` of shape (n,) + ``shape`` from the
-    start states (k = -1) and each step.  A path holds its (n_steps, d)
-    increments and its row of ``acc``, which counts as the whole (n_steps,
-    d) arrays it fills.
+    Path ``ids[j]`` keys the noise every state shares.  ``columns`` maps a
+    name to ``(shape, step)``; ``step(col, k, t, xs)`` fills a chunk's zeroed
+    ``col`` of shape (n,) + ``shape`` from the start states (k = -1) and each
+    step.  A path holds its (n_steps, d) increments and its row of every
+    column, which count as the whole (n_steps, d) arrays they fill.
     """
     if scheme not in ("em", "tamed"):
         raise ConfigError(f"unknown scheme {scheme!r}, use 'em' or 'tamed'", "scheme")
@@ -196,19 +196,25 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, shape, reduce):
         raise ConfigError(f"need at least one path, got {len(ids)}", "n_paths")
     x0s = [np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in x0s]
     d = len(x0s[0])
-    n = _chunk_size(grid, d, 1 + math.prod(shape) // (grid.n_steps * d))
+    width = sum(math.prod(shape) for shape, _ in columns.values())
+    n = _chunk_size(grid, d, 1 + width // (grid.n_steps * d))
 
     def run(lo):
         sub = ids[lo : lo + n]
         dw = _increment_block(seed, grid, d, sub)
         xs = [np.broadcast_to(x0, (len(sub), d)) for x0 in x0s]
-        acc = np.zeros((len(sub),) + shape)
-        reduce(acc, -1, 0.0, xs)
-        run_em(fns, xs, grid, dw, scheme == "tamed",
-               on_step=lambda k, t, xs: reduce(acc, k, t, xs))
-        return acc
+        cols = {name: np.zeros((len(sub),) + shape) for name, (shape, _) in columns.items()}
 
-    return np.concatenate([run(lo) for lo in range(0, len(ids), n)])
+        def on_step(k, t, xs):
+            for name, (_, step) in columns.items():
+                step(cols[name], k, t, xs)
+
+        on_step(-1, 0.0, xs)
+        run_em(fns, xs, grid, dw, scheme == "tamed", on_step)
+        return cols
+
+    chunks = [run(lo) for lo in range(0, len(ids), n)]
+    return {name: np.concatenate([c[name] for c in chunks]) for name in columns}
 
 
 def _states(model, x0, grid, seed, n_paths, scheme, path_id0):
@@ -219,7 +225,7 @@ def _states(model, x0, grid, seed, n_paths, scheme, path_id0):
 
     return _path_chunks([model.sim_functions(grid)], [x0], grid, seed,
                         range(path_id0, path_id0 + n_paths), scheme,
-                        (grid.n_steps + 1, np.size(x0)), store)
+                        {"states": ((grid.n_steps + 1, np.size(x0)), store)})["states"]
 
 
 def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0):
@@ -243,37 +249,40 @@ def ensemble_reduce(model, x0, grid, seed, n_paths, step, shape=None,
     if shape is None:
         return step(_states(model, x0, grid, seed, n_paths, scheme, path_id0))
     return _path_chunks([model.sim_functions(grid)], [x0], grid, seed,
-                        range(path_id0, path_id0 + n_paths), scheme, shape,
-                        lambda acc, k, t, xs: step(acc, k, t, xs[0]))
+                        range(path_id0, path_id0 + n_paths), scheme,
+                        {"acc": (shape, lambda acc, k, t, xs: step(acc, k, t, xs[0]))})["acc"]
 
 
-def time_integrals(model, x0, grid, seed, n_paths, power=2.0):
-    """Per-path trapezoid of |X_t|^power over [0, T].
-
-    The trapezoid is summed node by node, so a path holds one running sum,
-    not its values at every node.
-    """
+def _trapezoid(grid, integrand):
+    """``step(integral, k, t, x)``, adding to ``integral`` (n,) the trapezoid
+    term of int integrand(t, x) dt at node k + 1, with t the node itself, not
+    the EM loop's running sum of steps.  Summed node by node, the trapezoid
+    holds one running sum per path, not the integrand at every node."""
+    nodes = grid.nodes
     weights = np.full(grid.n_steps + 1, grid.h)
     weights[[0, -1]] *= 0.5
 
     def step(integral, k, t, x):
-        integral += weights[k + 1] * np.linalg.norm(x, axis=1) ** power
+        integral += weights[k + 1] * integrand(nodes[k + 1], x)
 
+    return step
+
+
+def time_integrals(model, x0, grid, seed, n_paths, power=2.0):
+    """Per-path trapezoid of |X_t|^power over [0, T], streamed by ``_trapezoid``."""
+    step = _trapezoid(grid, lambda t, x: np.linalg.norm(x, axis=1) ** power)
     return ensemble_reduce(model, x0, grid, seed, n_paths, step, ())
 
 
-def _sup_distances(fns, x0s, grid, seed, ids, scheme,
-                   dist=lambda t, xa, xb: np.linalg.norm(xa - xb, axis=1)):
-    """sup_t dist(t, X^0_t, X^i_t) of state 0 against each other state, (n, k).
+def _sup_gaps(dist=lambda t, xa, xb: np.linalg.norm(xa - xb, axis=1)):
+    """``step(sup, k, t, xs)`` of sup_t dist(t, X^0_t, X^i_t), state 0
+    against each other state, into ``sup`` (n, len(xs) - 1).  ``dist``
+    gives (n,) distances, by default the Euclidean gap."""
 
-    ``dist`` gives (n,) distances, by default the Euclidean gap.  The states
-    are coupled as in ``_path_chunks``.
-    """
-
-    def track(sup, k, t, xs):
+    def step(sup, k, t, xs):
         np.maximum(sup, np.stack([dist(t, xs[0], x) for x in xs[1:]], axis=1), out=sup)
 
-    return _path_chunks(fns, x0s, grid, seed, ids, scheme, (len(fns) - 1,), track)
+    return step
 
 
 def coupled_sup_distances(model_a, model_b, x0a, x0b, grid, seed, n_paths,
@@ -284,8 +293,8 @@ def coupled_sup_distances(model_a, model_b, x0a, x0b, grid, seed, n_paths,
     but share the same increments path by path.
     """
     fns = [model_a.sim_functions(grid), model_b.sim_functions(grid)]
-    ids = range(path_id0, path_id0 + n_paths)
-    return _sup_distances(fns, [x0a, x0b], grid, seed, ids, scheme)[:, 0]
+    return _path_chunks(fns, [x0a, x0b], grid, seed, range(path_id0, path_id0 + n_paths),
+                        scheme, {"gap": ((1,), _sup_gaps())})["gap"][:, 0]
 
 
 @dataclass

@@ -7,8 +7,8 @@ Paths are keyed by id, so the sweep and the T2 check simulate each path
 once, alone and together: the sweep at its largest sample size, T2 with the
 base model and every drift-shifted twin coupled in one run, and
 ``tail_sweep_and_t2``, the one entry of both, takes the sweep's first paths
-from that coupled run.  The coupled run streams each path's sups and each
-twin's Girsanov integral into one accumulator, so no path state is kept.
+from that coupled run.  It streams the tail sup, the gaps and the Girsanov
+integrals into named per-path columns, so no path state is kept.
 Everything is seed-stable and serializes without timestamps.  The sweep and
 T2 need only numpy (log-sum-exp included); scipy loads only if an exact
 transport solve runs, as in the invariance suite.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InconclusiveEstimate
-from .simulate import _path_chunks, ensemble_reduce, with_drift_shift
+from .simulate import _path_chunks, _sup_gaps, ensemble_reduce, with_drift_shift
 from .transport import (
     EmpiricalMeasure,
     _girsanov_step,
@@ -194,13 +194,13 @@ def _log_mean_stderr(g):
 def _shared_run(model, x0, grid, seed, n_tail, shifts, n_t2):
     """One run of paths 0..max(n_tail, n_t2)-1 for the tail sweep and T2.
 
-    Returns per-path arrays: sup_t |X_t - x0| of paths 0..n_tail-1; for
-    paths 0..n_t2-1, sup_t |X_t - X^i_t| against twin i, whose drift is
-    shifted by ``shifts[i]`` e_1, and twin i's Girsanov integral, both
-    (n_t2, len(shifts)).  Paths n_t2..n_tail-1 run base-only through
-    ``ensemble_reduce``; paths 0..n_t2-1 run the base and every twin as
-    coupled states that stream all of these into one accumulator.  Each path
-    is simulated once, and each result equals that of its half run alone.
+    Returns per-path columns: ``tail``, sup_t |X_t - x0| of paths 0..n_tail-1;
+    for paths 0..n_t2-1, ``gaps``, sup_t |X_t - X^i_t| against twin i, whose
+    drift is shifted by ``shifts[i]`` e_1, and ``entropies``, twin i's
+    Girsanov integral, both (n_t2, len(shifts)).  Paths n_t2..n_tail-1 run
+    base-only through ``ensemble_reduce``; paths 0..n_t2-1 run the base and
+    every twin as coupled states, one step per column.  Each path is
+    simulated once, and each result equals that of its half run alone.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = len(x0)
@@ -215,24 +215,22 @@ def _shared_run(model, x0, grid, seed, n_tail, shifts, n_t2):
     def tail_step(sup, k, t, x):
         np.maximum(sup, np.linalg.norm(x - x0, axis=1), out=sup)
 
-    tail = np.empty(0)
-    if n_tail > n_t2:
-        tail = ensemble_reduce(model, x0, grid, seed, n_tail - n_t2, tail_step, (),
-                               path_id0=n_t2)
-    gaps = ents = np.empty((0, len(shifts)))
-    if n_t2 > 0:
-        def track(acc, k, t, xs):
-            dists = [np.linalg.norm(xs[0] - x, axis=1) for x in [x0] + xs[1:]]
-            sup = acc[:, : len(xs)]
-            np.maximum(sup, np.stack(dists, axis=1), out=sup)
-            for step, x, integral in zip(girsanov, xs[1:], acc[:, len(xs) :].T):
-                step(integral, k, t, x)
+    def entropies(col, k, t, xs):
+        for step, x, integral in zip(girsanov, xs[1:], col.T):
+            step(integral, k, t, x)
 
-        acc = _path_chunks(fns, [x0] * len(fns), grid, seed, range(n_t2), "em",
-                           (len(fns) + len(shifts),), track)
-        tail = np.concatenate([acc[:n_tail, 0], tail])
-        gaps, ents = np.split(acc[:, 1:], [len(shifts)], axis=1)
-    return tail, gaps, ents
+    empty = np.empty((0, len(shifts)))
+    run = {"tail": np.empty(0), "gaps": empty, "entropies": empty}
+    if n_tail > n_t2:
+        run["tail"] = ensemble_reduce(model, x0, grid, seed, n_tail - n_t2, tail_step, (),
+                                      path_id0=n_t2)
+    if n_t2 > 0:
+        coupled = _path_chunks(fns, [x0] * len(fns), grid, seed, range(n_t2), "em", {
+            "tail": ((), lambda sup, k, t, xs: tail_step(sup, k, t, xs[0])),
+            "gaps": ((len(shifts),), _sup_gaps()),
+            "entropies": ((len(shifts),), entropies)})
+        run = dict(coupled, tail=np.concatenate([coupled["tail"][:n_tail], run["tail"]]))
+    return run
 
 
 def _tail_row(exponents, delta):
@@ -351,11 +349,11 @@ def tail_sweep_and_t2(model, x0, grid, delta, n_list, shifts, n_paths, seed=0):
     n_list = None if n_list is None else _sweep_sizes(delta, n_list)
     if shifts is not None:
         _check_t2(shifts, n_paths)
-    tail, gaps, ents = _shared_run(
+    run = _shared_run(
         model, x0, grid, seed, 0 if n_list is None else n_list[-1],
         [] if shifts is None else shifts, 0 if shifts is None else n_paths)
-    return (None if n_list is None else _sweep(delta, n_list, tail),
-            None if shifts is None else _t2(shifts, gaps, ents))
+    return (None if n_list is None else _sweep(delta, n_list, run["tail"]),
+            None if shifts is None else _t2(shifts, run["gaps"], run["entropies"]))
 
 
 def coupling_lipschitz_check(phi, states_a, states_b, t_nodes=None, slack=1e-9):

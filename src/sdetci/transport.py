@@ -36,6 +36,7 @@ import numpy as np
 
 from ._compiled import _Csc, _scipy_extension
 from .errors import OutOfDomain, UseSinkhorn
+from .simulate import _trapezoid
 
 EXACT_ATOM_LIMIT = 512
 DUAL_TOL = 1e-7  # dual slack and duality gap an exact solve may leave, per largest cost
@@ -449,26 +450,22 @@ def relative_entropy_discrete(nu, mu):
 
 
 def _girsanov_step(shift, sigma_fn, grid):
-    """``step(acc, k, t, x)``, adding to ``acc`` (n,) the trapezoid term of
-    1/2 int |sigma^{-1} h|^2 dt at node k + 1, summed as ``time_integrals``
-    sums.  A sigma that declares a constant ``matrix`` (see ``models``) is
-    inverted once and never called; any other is solved per node."""
-    nodes = grid.nodes
-    weights = np.full(grid.n_steps + 1, 0.5 * grid.h)
-    weights[[0, -1]] *= 0.5
+    """The ``_trapezoid`` step of 1/2 int |sigma^{-1} h|^2 dt, adding to
+    ``acc`` (n,) the term of node k + 1.  A sigma that declares a constant
+    ``matrix`` (see ``models``) is inverted once and never called; any other
+    is solved per node."""
     mat = getattr(sigma_fn, "matrix", None)
     inv_t = None if mat is None else np.linalg.inv(mat).T
 
-    def step(acc, k, t, x):
-        t = nodes[k + 1]  # the node itself, not the EM loop's running sum
+    def half_square(t, x):
         hv = shift(t, x)
         if inv_t is None:
             z = np.linalg.solve(sigma_fn(t, x), hv[..., None])[..., 0]
         else:
             z = np.dot(hv, inv_t)
-        acc += weights[k + 1] * np.einsum("nd,nd->n", z, z)
+        return 0.5 * np.einsum("nd,nd->n", z, z)
 
-    return step
+    return _trapezoid(grid, half_square)
 
 
 def girsanov_entropy(shift, sigma_fn, states, grid):
@@ -479,6 +476,8 @@ def girsanov_entropy(shift, sigma_fn, states, grid):
     Q-ensemble array (n, k+1, d); returns (estimate, stderr), with the bits
     of the T2 check, which streams the same ``_girsanov_step``.
     """
+    if states.shape[1] != grid.n_steps + 1:
+        raise ValueError(f"need states at {grid.n_steps + 1} nodes, got {states.shape[1]}")
     per_path = np.zeros(len(states))
     step = _girsanov_step(shift, sigma_fn, grid)
     for j, t in enumerate(grid.nodes):

@@ -37,7 +37,7 @@ from .errors import (
 from .simulate import (
     TimeGrid,
     _path_chunks,
-    _sup_distances,
+    _sup_gaps,
     path_rng,  # not called here; perfbench asserts that zvonkin binds it
 )
 
@@ -591,7 +591,8 @@ def _at_horizon(model, value, t, starts, n, seed, n_steps, shape=()):
             acc[:] = value(zs)
 
     fns = [model.reference_sim_functions(grid)] * len(starts)
-    return _path_chunks(fns, starts, grid, seed, range(n), "em", shape, at_last_step)
+    return _path_chunks(fns, starts, grid, seed, range(n), "em",
+                        {"value": (shape, at_last_step)})["value"]
 
 
 def estimate_P0(model, f, t, x, n=10000, seed=0):
@@ -777,10 +778,9 @@ def pathwise_consistency(model, phi, lam, x0, n_steps_list, seed=0, n_paths=512)
     for n_steps in n_steps_list:
         grid = TimeGrid(model.T, n_steps)
         fns = [model.sim_functions(grid), tm.sim_functions(grid)]
-        errs = _sup_distances(
-            fns, [x0, phi.phi(x0[None], 0.0)[0]], grid, seed, range(n_paths), "em",
-            dist=lambda t, x, y: np.linalg.norm(phi.phi(x, t) - y, axis=1),
-        )
+        gap = _sup_gaps(lambda t, x, y: np.linalg.norm(phi.phi(x, t) - y, axis=1))
+        errs = _path_chunks(fns, [x0, phi.phi(x0[None], 0.0)[0]], grid, seed,
+                            range(n_paths), "em", {"gap": ((1,), gap)})["gap"]
         rows.append((n_steps, float(errs[:, 0].mean())))
     errors = np.array([e for _, e in rows])
     if len(errors) >= 4 and errors.max() > 0:

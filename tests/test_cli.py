@@ -83,6 +83,19 @@ class TestExitCodes:
         })
         assert main(["zvonkin", cfg]) == 3
 
+    def test_refused_map_is_a_numerical_failure(self, tmp_path, capsys):
+        # zvonkin reports no verdict: a map whose gradient bound reaches its
+        # threshold is refused as a numerical failure, exit 3, never 1
+        cfg = _write(tmp_path, "z.yaml", {
+            "model": dini_benchmark_config(sup=3.0), "auto": False, "lam": 2.0,
+            "grid_m": 33, "n_time": 16, "seed": 0,
+        })
+        assert main(["zvonkin", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: grad bound 1.4035 >= "
+                                       "threshold 0.5000")
+
     @pytest.mark.parametrize("command, cfg, key", [
         ("simulate", {"scheme": "tamd"}, "scheme"),
         ("simulate", {"n_paths": 0}, "n_paths"),
@@ -120,6 +133,8 @@ class TestExitCodes:
         ("invariance", {"output": 2}, "output"),
         ("simulate", {"csv": 2}, "csv"),
         ("validate", {"output": ["r.json"]}, "output"),
+        # a sweep without its exponent would silently not run
+        ("tci", {"n_list": [100, 200]}, "n_list"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
                                                 cfg, key):

@@ -56,7 +56,7 @@ def _runs(model, x0, seed):
     states = simulate_ensemble(model, x0, g, seed, 300).states
     return {
         "states": states,
-        "tail": 0.05 * _shared_run(model, x0, g, seed, 300, [], 0)[0] ** 2,
+        "tail": 0.05 * _shared_run(model, x0, g, seed, 300, [], 0)["tail"] ** 2,
         "t2": t2_check(model, x0, g, [0.1, 0.3], 200, seed),
         "girsanov": girsanov_entropy(_shift(d, 0.2), model.sigma, states, g),
     }

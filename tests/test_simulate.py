@@ -222,8 +222,9 @@ class TestRngDiscipline:
     def test_chunk_and_tile_sizes_leave_results_unchanged(self, n, chunk, per_tile,
                                                           d, scheme):
         # coupled states (declared sigma, a drift-shifted twin, a sigma that
-        # is called) fill a (k,) accumulator that is byte-identical whatever
-        # the chunk and draw-tile sizes
+        # is called) fill two named columns, a (k,) sup and the trapezoid of
+        # |x|^2 on the called-sigma state, byte-identical whatever the chunk
+        # and draw-tile sizes
         model = model_from_config(ou_singular_config(kappa=0.7, d=d))
         called = CallableModel(d, lambda t, x: -x, lambda t, x: (
             (1.0 + 0.1 * np.tanh(x))[:, :, None] * np.eye(d)))
@@ -237,9 +238,14 @@ class TestRngDiscipline:
             np.maximum(sup, np.stack([np.linalg.norm(x, axis=1) for x in xs], axis=1),
                        out=sup)
 
+        square = simulate._trapezoid(g, lambda t, x: (x**2).sum(axis=1))
+
         def run():
-            return simulate._path_chunks(fns, x0s, g, 5, ids, scheme, (len(fns),),
-                                         track).tobytes()
+            cols = simulate._path_chunks(fns, x0s, g, 5, ids, scheme, {
+                "sup": ((len(fns),), track),
+                "square": ((), lambda col, k, t, xs: square(col, k, t, xs[2]))})
+            assert list(cols) == ["sup", "square"]
+            return cols["sup"].tobytes(), cols["square"].tobytes()
 
         whole = run()
         with pytest.MonkeyPatch.context() as mp:

@@ -314,8 +314,8 @@ class TestSharedRun:
             return
         # d = 2: the coupled run may sum a matrix product in another order
         shared = tci._shared_run(model, x0, g, seed, n_max, shifts, n_paths)
-        tail = tci._shared_run(model, x0, g, seed, n_max, [], 0)[0]
-        assert _ulps(shared[0], tail) <= VALUE_ULPS
+        tail = tci._shared_run(model, x0, g, seed, n_max, [], 0)["tail"]
+        assert _ulps(shared["tail"], tail) <= VALUE_ULPS
         assert [r["n"] for r in sweep["rows"]] == [r["n"] for r in alone[0]["rows"]]
         for ra, rb in zip(t2["rows"], alone[1]["rows"]):
             for key in ("w2_sq_bound", "entropy", "ratio"):

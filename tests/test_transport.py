@@ -424,6 +424,16 @@ class TestEntropy:
             est, _ = girsanov_entropy(shift, sigma, states, g)
             assert est == pytest.approx(0.5 / s**2, abs=1e-12)
 
+    @pytest.mark.parametrize("n_steps", [32, 128])
+    def test_girsanov_refuses_states_off_the_grid(self, n_steps):
+        # 65 nodes of states: a 32-step grid would read only the first 33,
+        # a 128-step grid would index past the end
+        states = np.zeros((10, 65, 1))
+        sigma = lambda t, x: np.broadcast_to(np.eye(1), (len(x), 1, 1))
+        with pytest.raises(ValueError, match="65"):
+            girsanov_entropy(lambda t, x: np.ones_like(x), sigma, states,
+                             TimeGrid(1.0, n_steps))
+
 
 class TestPushforward:
     def test_affine_pushforward(self):
