@@ -6,13 +6,13 @@ report (sorted keys, no timestamps) tagged with the config hash and seed.
 ``main`` builds the run's one report; a command adds its sections to it and
 returns whether its checks passed, and ``main`` writes the report once.
 Exit codes: 0 success, 1 a check failed, 2 usage/config error (also an
-unknown key, a value out of range, such as ``n_paths: 0`` or ``seed: -1``,
-not a number, such as ``n_paths: abc``, not an integer, such as ``model:
-{d: 2.5}``, not a boolean, such as ``auto: "false"``, or an ``output`` or
-``csv`` path that is not a string, such as ``output: 2``), 3 numerical
-failure, such as a map that ``zvonkin`` refuses: ``zvonkin`` reports no
-verdict, so it never exits 1.  Numbers, switches and the model are read
-through ``models.config_value``.
+unknown key, a value out of range, such as ``n_paths: 0``, ``seed: -1``,
+``n_time: 0`` or ``grid_R: 0``, not a number, such as ``n_paths: abc``,
+not an integer, such as ``model: {d: 2.5}``, not a boolean, such as
+``auto: "false"``, or an ``output`` or ``csv`` path that is not a string,
+such as ``output: 2``), 3 numerical failure, such as a map that
+``zvonkin`` refuses: ``zvonkin`` reports no verdict, so it never exits 1.
+Numbers, switches and the model are read through ``models.config_value``.
 """
 
 from __future__ import annotations
@@ -204,6 +204,8 @@ def _cmd_tci(cfg, report):
     if "shifts" in cfg:
         shifts = config_value(cfg, "shifts", None, floats)
         n_paths = config_value(cfg, "n_paths", 4096, integer)
+    elif "n_paths" in cfg and ("n_list" in cfg or delta is None):
+        raise ConfigError("only shifts or a sweep without n_list read it", "n_paths")
     sweep, t2 = tci_mod.tail_sweep_and_t2(model, x0, grid, delta, n_list,
                                           shifts, n_paths, seed)
     if sweep is not None:

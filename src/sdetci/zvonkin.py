@@ -6,8 +6,8 @@ finite-difference sweep) or an elliptic equation (autonomous model, sparse
 resolvent solves).  Accepted maps carry a measured gradient bound that
 certifies the bi-Lipschitz sandwich used downstream.
 
-The operators are plain CSC arrays (``_Csc``) that this module assembles,
-shifts and multiplies itself.  Of scipy, only SuperLU's compiled extension
+The operators are plain CSC arrays (``_Csc``) that this module assembles
+and shifts itself.  Of scipy, only SuperLU's compiled extension
 loads, from its file alone at the first factorization, so no
 ``scipy.sparse`` or ``scipy.linalg`` loads, and importing this module, or
 any command that builds no map, loads no scipy module.
@@ -63,6 +63,8 @@ class SpaceGrid:
             raise ConfigError("deterministic solvers cover d <= 2", "model.d")
         if self.m < 3:
             raise ConfigError(f"need at least 3 nodes per axis, got {self.m}", "grid_m")
+        if not self.R > 0:
+            raise ConfigError(f"need a box radius R > 0, got {self.R}", "grid_R")
 
     @property
     def dx(self):
@@ -331,8 +333,8 @@ def _stencil_entries(grid, a_vals, b_vals, neumann):
     eye = np.eye(d, dtype=int)
     diag = [0.5 * a_vals[:, i, i] / dx**2 for i in range(d)]
     stencil = [((0,) * d, sum(-2 * a for a in diag))]
-    # the drift is listed first so that the 1-D matrices reproduce the
-    # former loop assembly bit for bit
+    # the drift is listed first: the stencil order fixes the order in which
+    # a place's terms are summed, and test_operators_match_scipy pins it
     if b_vals is not None:
         for i in range(d):
             bi = b_vals[:, i] / (2 * dx)
@@ -372,38 +374,6 @@ def _shifted(A, scale, shift):
     return _Csc(data[keep], A.indices[keep], indptr.astype(A.indptr.dtype), A.shape)
 
 
-def _row_slots(A):
-    """The rows of the square ``_Csc`` matrix ``A`` for ``_times``.
-
-    Slot k holds each row's k-th entry in column order: its weight and its
-    column, as (slots, M) arrays.  A row with fewer entries takes weight 0
-    on column M, the zero that ``_times`` appends.
-    """
-    M = A.shape[0]
-    order = np.argsort(A.indices, kind="stable")  # by row, columns ascending
-    rows = A.indices[order]
-    counts = np.bincount(rows, minlength=M)
-    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    weights = np.zeros((counts.max(), M))
-    index = np.full((counts.max(), M), M)
-    weights[rank, rows] = A.data[order]
-    index[rank, rows] = np.repeat(np.arange(M), np.diff(A.indptr))[order]
-    return weights, index
-
-
-def _times(slots, x):
-    """The product of the matrix of ``slots`` with the (M, k) array ``x``.
-
-    numpy sums over an axis other than the last slice by slice, in order,
-    so each row adds its products to zero in column order, as scipy's
-    ``csr_matvecs`` does, and the result is its bits.  The components are
-    transposed into rows, so that each gather and product runs over M values.
-    """
-    weights, index = slots
-    x = np.concatenate([x.T, np.zeros((x.shape[1], 1))], axis=1)
-    return np.add.reduce(weights * np.take(x, index, axis=1), axis=1, initial=0.0).T
-
-
 def _diffusion_values(sigma_fn, pts, t=0.0):
     sig = sigma_fn(t, pts)
     return np.einsum("nij,nkj->nik", sig, sig)
@@ -419,10 +389,11 @@ def _parabolic_map(model, lam, sgrid, times):
 
     One backward Crank-Nicolson sweep of the reference semigroup with
     source grad_b u + b, using exact exponential weights for the resolvent
-    factor.  A time node reuses the previous node's factored operators while
-    ``sigma sigma*`` and ``B`` take the same values there, so an autonomous
-    reference equation is factored once.  ``u`` and ``M(u)`` have shape
-    ``(len(times), M, d)``.
+    factor.  Each step solves with node j's one factor of I - cL, c = h/2,
+    as (I - cL)^{-1} (I + cL) r = 2 (I - cL)^{-1} r - r.  A time node
+    reuses the previous node's factor while ``sigma sigma*`` and ``B``
+    take the same values there, so an autonomous reference equation is
+    factored once.  ``u`` and ``M(u)`` have shape ``(len(times), M, d)``.
     """
     pts = sgrid.points()
     n_time = len(times) - 1
@@ -433,14 +404,14 @@ def _parabolic_map(model, lam, sgrid, times):
     i1 = (1.0 - ehl * (1.0 + lam * h)) / lam**2
     w0 = i0 - i1 / h
     w1 = i1 / h
-    c = 0.5 * h  # Crank-Nicolson half steps: I - c L implicit, I + c L explicit
+    c = 0.5 * h  # Crank-Nicolson: both half steps through the factor of I - c L
     steps, coeffs = [], None
     for t in times[:-1]:
         a_vals, B_vals = _diffusion_values(model.sigma, pts, t), model.B(t, pts)
         if coeffs is None or not (np.array_equal(a_vals, coeffs[0])
                                   and np.array_equal(B_vals, coeffs[1])):
             L = _operator_matrix(sgrid, a_vals, B_vals, neumann=True)
-            step = splu(_shifted(L, -c, 1.0)), _row_slots(_shifted(L, c, 1.0))
+            step = splu(_shifted(L, -c, 1.0))
             coeffs = a_vals, B_vals
         steps.append(step)
     b_grid = np.stack([model.b(t, pts) for t in times])
@@ -449,9 +420,8 @@ def _parabolic_map(model, lam, sgrid, times):
         G = b_grid + _grad_b_u(u, b_grid, sgrid)
         out = np.zeros_like(u)
         for j in range(n_time - 1, -1, -1):
-            lu, expl = steps[j]
             rhs = ehl * out[j + 1] + w1 * G[j + 1]
-            out[j] = lu.solve(_times(expl, rhs)) + w0 * G[j]
+            out[j] = 2.0 * steps[j].solve(rhs) - rhs + w0 * G[j]
         return out
 
     return apply
@@ -464,6 +434,12 @@ def solve_u_parabolic(model, lam, sgrid, n_time=64, tol=1e-8):
     ``history`` lists ``(sup_change, ratio)`` per iteration.  Raises
     NotContractive when the ratio stays >= 1 for three iterations.
     """
+    if n_time < 1:
+        raise ConfigError(f"need n_time >= 1, got {n_time}", "n_time")
+    if not lam > 0:
+        raise ConfigError(f"need lam > 0, got {lam}", "lam")
+    if not tol > 0:
+        raise ConfigError(f"need tol > 0, got {tol}", "tol")
     d = sgrid.d
     times = np.linspace(0.0, model.T, n_time + 1)
     step = _parabolic_map(model, lam, sgrid, times)
@@ -532,6 +508,8 @@ def solve_u_elliptic(model, lam, sgrid, tol=1e-10):
     Homogeneous Dirichlet far field; the caller chooses an enlarged box so
     boundary effects are negligible near the region of interest.
     """
+    if not tol > 0:
+        raise ConfigError(f"need tol > 0, got {tol}", "tol")
     pts = sgrid.points()
     M, d = len(pts), sgrid.d
     a_vals = _diffusion_values(model.sigma, pts)

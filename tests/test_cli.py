@@ -135,6 +135,20 @@ class TestExitCodes:
         ("validate", {"output": ["r.json"]}, "output"),
         # a sweep without its exponent would silently not run
         ("tci", {"n_list": [100, 200]}, "n_list"),
+        # the Zvonkin solvers refuse what would divide by zero, fail to
+        # factor or never converge, and a box with no extent
+        ("zvonkin", {"n_time": 0}, "n_time"),
+        ("zvonkin", {"n_time": -3}, "n_time"),
+        ("zvonkin", {"grid_R": 0}, "grid_R"),
+        ("zvonkin", {"grid_R": -8}, "grid_R"),
+        ("zvonkin", {"auto": False, "lam": 0}, "lam"),
+        ("zvonkin", {"lam": -1}, "lam"),
+        ("zvonkin", {"tol": 0}, "tol"),
+        ("zvonkin", {"model": _ou_cfg(), "tol": 0}, "tol"),
+        # without shifts nothing reads n_paths next to n_list or without delta
+        ("tci", {"delta": 0.05, "n_list": [300, 600], "n_paths": "abc"}, "n_paths"),
+        ("tci", {"delta": 0.05, "n_list": [300, 600], "n_paths": 1}, "n_paths"),
+        ("tci", {"n_paths": 500}, "n_paths"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
                                                 cfg, key):

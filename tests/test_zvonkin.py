@@ -442,18 +442,13 @@ class TestScipyReference:
             assert (ours.data != 0).all()  # scipy's sums drop exact zeros
 
         x = rng.normal(size=(M, d))
-        expl = zvonkin._shifted(L, c, 1.0)
-        assert np.array_equal(zvonkin._times(zvonkin._row_slots(expl), x),
-                              _csc(expl).tocsr() @ x)
         for op in (shifted[0][0], shifted[2][0]):
             assert np.array_equal(zvonkin.splu(op).solve(x), scipy_splu(_csc(op)).solve(x))
 
     @staticmethod
     def _scipy_backend(monkeypatch):
-        """Route factorizations and explicit half-steps through scipy.sparse."""
+        """Route factorizations through scipy.sparse."""
         monkeypatch.setattr(zvonkin, "splu", lambda A: scipy_splu(_csc(A)))
-        monkeypatch.setattr(zvonkin, "_row_slots", lambda A: _csc(A).tocsr())
-        monkeypatch.setattr(zvonkin, "_times", lambda expl, x: expl @ x)
 
     @pytest.mark.parametrize("d, m", [(1, 33), (2, 13)])
     def test_parabolic_sweep_matches_scipy_backend(self, d, m, monkeypatch):
@@ -464,6 +459,39 @@ class TestScipyReference:
         ours = zvonkin._parabolic_map(model, 8.0, sg, times)(u)
         self._scipy_backend(monkeypatch)
         assert np.array_equal(ours, zvonkin._parabolic_map(model, 8.0, sg, times)(u))
+
+    @pytest.mark.parametrize("d, m", [(1, 33), (2, 13)])
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_parabolic_sweep_matches_two_half_steps(self, d, m, moving):
+        # the one-factor step 2 (I - cL)^{-1} r - r against the textbook
+        # Crank-Nicolson step (I - cL)^{-1} (I + cL) r, both halves built by
+        # scipy.sparse; a B that moves in t makes the sweep use several factors
+        model = model_from_config(dini_benchmark_config(sup=1.0, d=d))
+        if moving:
+            model = DiniModelSpec(
+                d=d, T=model.T, B=lambda t, x: -(1.0 + 2.0 * t) * x, b=model.b,
+                sigma=model.sigma, modulus=model.modulus, b_sup=1.0,
+                bounds=model.bounds,
+            )
+        sg, lam, n_time = SpaceGrid(4.0, m, d), 8.0, 8
+        times = np.linspace(0.0, model.T, n_time + 1)
+        u = np.random.default_rng(d).normal(size=(len(times), m**d, d)) * 0.1
+        pts, h = sg.points(), model.T / n_time
+        ehl = math.exp(-lam * h)
+        i0, i1 = (1.0 - ehl) / lam, (1.0 - ehl * (1.0 + lam * h)) / lam**2
+        b_grid = np.stack([model.b(t, pts) for t in times])
+        G = b_grid + zvonkin._grad_b_u(u, b_grid, sg)
+        eye = sparse.eye(m**d, format="csc")
+        want = np.zeros_like(u)
+        for j in range(n_time - 1, -1, -1):
+            a = zvonkin._diffusion_values(model.sigma, pts, times[j])
+            S = _csc(_operator_matrix(sg, a, model.B(times[j], pts), neumann=True))
+            rhs = ehl * want[j + 1] + i1 / h * G[j + 1]
+            half = (eye + 0.5 * h * S) @ rhs
+            want[j] = scipy_splu((eye - 0.5 * h * S).tocsc()).solve(half)
+            want[j] += (i0 - i1 / h) * G[j]
+        got = zvonkin._parabolic_map(model, lam, sg, times)(u)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("d, m", [(1, 65), (2, 17)])
     def test_elliptic_solve_matches_scipy_backend(self, d, m, monkeypatch):
