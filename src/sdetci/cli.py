@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 a check failed, 2 usage/config error (also an
 unknown key, a value out of range, such as ``n_paths: 0``, ``seed: -1``,
 ``n_time: 0`` or ``grid_R: 0``, not a number, such as ``n_paths: abc``,
 not an integer, such as ``model: {d: 2.5}``, not a boolean, such as
-``auto: "false"``, or an ``output`` or ``csv`` path that is not a string,
-such as ``output: 2``), 3 numerical failure, such as a map that
-``zvonkin`` refuses: ``zvonkin`` reports no verdict, so it never exits 1.
+``auto: "false"``, an ``output`` or ``csv`` path that is not a string,
+such as ``output: 2``, a singular model's ``tol``, ``n_time`` or ``auto``,
+which only the Dini solver reads, or a ``lam`` below 0), 3 numerical
+failure, such as a map that ``zvonkin`` refuses: ``zvonkin`` reports no
+verdict, so it never exits 1.
 Numbers, switches and the model are read through ``models.config_value``.
 """
 
@@ -130,11 +132,10 @@ def _cmd_zvonkin(cfg, report):
         config_value(cfg, "grid_R", 8.0), config_value(cfg, "grid_m", 257, integer),
         model.d,
     )
-    tol = config_value(cfg, "tol", 1e-8)
-    n_time = config_value(cfg, "n_time", 64, integer)
-    auto = config_value(cfg, "auto", True, boolean)
     if model.kind == "dini":
-        if auto:
+        tol = config_value(cfg, "tol", 1e-8)
+        n_time = config_value(cfg, "n_time", 64, integer)
+        if config_value(cfg, "auto", True, boolean):
             phi, history, trace = zvonkin.solve_u_parabolic_auto(
                 model, sgrid, n_time=n_time, tol=tol,
                 lam0=config_value(cfg, "lam", 8.0),
@@ -153,8 +154,11 @@ def _cmd_zvonkin(cfg, report):
             "ratios": [r for _, r in history if r is not None],
         })
     else:
+        for key in ("tol", "n_time", "auto"):
+            if key in cfg:  # a key nothing reads is refused
+                raise ConfigError("only the Dini (parabolic) solver reads it", key)
         lam = config_value(cfg, "lam", 8.0)
-        u = zvonkin.solve_u_elliptic(model, lam, sgrid, tol=tol)
+        u = zvonkin.solve_u_elliptic(model, lam, sgrid)
         phi = zvonkin.build_phi(u, lam=lam,
                                 threshold=zvonkin.SINGULAR_GRAD_THRESHOLD)
     report.add("phi", {

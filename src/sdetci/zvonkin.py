@@ -2,8 +2,8 @@
 
 The map is Phi = id + u, where u solves either a resolvent-type parabolic
 integral equation (time-dependent model, Picard iteration over a backward
-finite-difference sweep) or an elliptic equation (autonomous model, sparse
-resolvent solves).  Accepted maps carry a measured gradient bound that
+finite-difference sweep) or an elliptic equation (autonomous model, one
+sparse solve).  Accepted maps carry a measured gradient bound that
 certifies the bi-Lipschitz sandwich used downstream.
 
 The operators are plain CSC arrays (``_Csc``) that this module assembles
@@ -363,7 +363,7 @@ def _shifted(A, scale, shift):
 
     Entries that come out exactly zero are dropped, as scipy's sparse sums
     drop them, so ``_shifted(L, -c, 1.0)`` holds the entries of scipy's
-    ``eye - c * L`` and ``_shifted(L, 1.0, -lam)`` those of ``L - lam * eye``.
+    ``eye - c * L`` and ``_shifted(L, -1.0, lam)`` those of ``lam * eye - L``.
     """
     data = scale * A.data
     cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
@@ -502,35 +502,30 @@ def solve_u_parabolic_auto(model, sgrid, n_time=64, tol=1e-8, lam0=8.0):
 # ---------------------------------------------------------------------------
 
 
-def solve_u_elliptic(model, lam, sgrid, tol=1e-10):
-    """Iterate u_{k+1} = (L2 - lam)^{-1} (b1 - grad_{b1} u_k) on the box.
+def solve_u_elliptic(model, lam, sgrid):
+    """Solve lam u - 1/2 a : grad^2 u - b1 . grad u = b1 on the box.
 
-    Homogeneous Dirichlet far field; the caller chooses an enlarged box so
-    boundary effects are negligible near the region of interest.
+    With L = 1/2 a : grad^2 + b1 . grad by central differences, one SuperLU
+    factorization of lam I - L and one solve for the d components of b1.
+    This sign makes the image drift lam u + (I + grad u) b2: b1 drops out.
+    Every neighbour outside the box is a zero ghost node (homogeneous
+    Dirichlet far field), for the drift as for the diffusion; the caller
+    chooses an enlarged box so boundary effects are negligible near the
+    region of interest.  An exactly singular lam I - L raises
+    EllipticSolverError.
     """
-    if not tol > 0:
-        raise ConfigError(f"need tol > 0, got {tol}", "tol")
+    if not lam >= 0:
+        raise ConfigError(f"need lam >= 0, got {lam}", "lam")
     pts = sgrid.points()
-    M, d = len(pts), sgrid.d
-    a_vals = _diffusion_values(model.sigma, pts)
-    A = _operator_matrix(sgrid, a_vals, None, neumann=False)
+    b1 = model.b1(0.0, pts)
+    L = _operator_matrix(sgrid, _diffusion_values(model.sigma, pts), b1, neumann=False)
     try:
-        lu = splu(_shifted(A, 1.0, -lam))
+        u = splu(_shifted(L, -1.0, lam)).solve(b1)
     except RuntimeError as e:
         raise EllipticSolverError(str(e)) from e
-    b1 = model.b1(0.0, pts)
-    u = np.zeros((M, d))
-    for _ in range(100):
-        new_u = lu.solve(b1 - _grad_b_u(u, b1, sgrid))
-        if not np.isfinite(new_u).all():
-            raise EllipticSolverError("elliptic iterate became non-finite")
-        change = float(np.abs(new_u - u).max())
-        u = new_u
-        if change < tol:
-            break
-    else:
-        raise EllipticSolverError("elliptic fixed point did not converge")
-    return GridFunction(sgrid, u.reshape(*sgrid.shape, d))
+    if not np.isfinite(u).all():
+        raise EllipticSolverError("elliptic solution is non-finite")
+    return GridFunction(sgrid, u.reshape(*sgrid.shape, sgrid.d))
 
 
 def _grad_b_u(u, b_vals, sgrid):

@@ -149,6 +149,12 @@ class TestExitCodes:
         ("tci", {"delta": 0.05, "n_list": [300, 600], "n_paths": "abc"}, "n_paths"),
         ("tci", {"delta": 0.05, "n_list": [300, 600], "n_paths": 1}, "n_paths"),
         ("tci", {"n_paths": 500}, "n_paths"),
+        # only the Dini solver reads tol, n_time and auto; the elliptic
+        # resolvent needs lam >= 0
+        ("zvonkin", {"model": _ou_cfg(), "tol": 1e-8}, "tol"),
+        ("zvonkin", {"model": _ou_cfg(), "n_time": 64}, "n_time"),
+        ("zvonkin", {"model": _ou_cfg(), "auto": True}, "auto"),
+        ("zvonkin", {"model": _ou_cfg(), "lam": -1}, "lam"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
                                                 cfg, key):
@@ -223,7 +229,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, cfg, key", [
         ("zvonkin", {"model": _dini_cfg(), "auto": "false"}, "auto"),
         ("zvonkin", {"model": _dini_cfg(), "auto": 0}, "auto"),
-        # a singular model never reads the switch, but a malformed one is refused
+        # a singular model never reads the switch and refuses it
         ("zvonkin", {"model": _ou_cfg(), "auto": "maybe"}, "auto"),
     ])
     def test_switch_must_be_a_boolean(self, tmp_path, capsys, command, cfg, key):

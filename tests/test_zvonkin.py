@@ -615,12 +615,13 @@ class TestEllipticSolver:
 
     @staticmethod
     def _dense_picard(model, lam, sg):
-        # Picard iteration of (L - lam) u = b1 - (b1 . grad) u with dense solves
+        # Picard iteration of (lam - A) u = b1 + (b1 . grad) u with dense
+        # solves, A the diffusion part alone and np.gradient for b1 . grad
         pts = sg.points()
         A = _csc(_operator_matrix(
             sg, _diffusion_values(model.sigma, pts), None, neumann=False
         )).toarray()
-        op = A - lam * np.eye(len(pts))
+        op = lam * np.eye(len(pts)) - A
         b1 = model.b1(0.0, pts)
         d = sg.d
         uu = np.zeros_like(b1)
@@ -629,7 +630,7 @@ class TestEllipticSolver:
             du = [np.gradient(grid_u, sg.dx, axis=ax).reshape(-1, d)
                   for ax in range(d)]
             new = np.linalg.solve(
-                op, b1 - sum(b1[:, i:i + 1] * du[i] for i in range(d))
+                op, b1 + sum(b1[:, i:i + 1] * du[i] for i in range(d))
             )
             if np.abs(new - uu).max() < 1e-12:
                 return new
@@ -639,7 +640,7 @@ class TestEllipticSolver:
     def test_matches_dense_solve(self):
         model = self._model()
         sg = SpaceGrid(10.0, 201, 1)
-        u = solve_u_elliptic(model, 4.0, sg, tol=1e-12)
+        u = solve_u_elliptic(model, 4.0, sg)
         uu = self._dense_picard(model, 4.0, sg)
         assert np.abs(uu[:, 0] - u.values[:, 0]).max() < 1e-9
 
@@ -650,13 +651,46 @@ class TestEllipticSolver:
         cfg["b1"] = {"family": "radial_singularity", "c": 0.3, "gamma": 0.4}
         model = model_from_config(cfg)
         sg = SpaceGrid(3.0, 21, 2)
-        u = solve_u_elliptic(model, 4.0, sg, tol=1e-12)
+        u = solve_u_elliptic(model, 4.0, sg)
         uu = self._dense_picard(model, 4.0, sg)
         assert np.abs(uu - u.values.reshape(-1, 2)).max() < 1e-9
 
+    @pytest.mark.parametrize("d, m, R", [(1, 201, 10.0), (2, 21, 3.0)])
+    def test_matches_dense_reference(self, d, m, R):
+        # b1 = sin x is nonzero on the box edge, where the zero ghost node
+        # of the drift stencil and np.gradient's one-sided difference part
+        # ways: the solve is the operator's, lam I - L with b1 in L
+        cfg = ou_singular_config(kappa=1.0, d=d)
+        cfg["b1"] = {"family": "bounded_sin"}
+        if d == 2:
+            cfg["sigma"] = {"family": "sin_perturbed", "value": np.eye(2).tolist(),
+                            "eps": 0.2}
+        model = model_from_config(cfg)
+        sg = SpaceGrid(R, m, d)
+        pts = sg.points()
+        b1 = model.b1(0.0, pts)
+        L = _csc(_operator_matrix(sg, _diffusion_values(model.sigma, pts), b1,
+                                  neumann=False)).toarray()
+        want = np.linalg.solve(4.0 * np.eye(len(pts)) - L, b1)
+        got = solve_u_elliptic(model, 4.0, sg).values.reshape(-1, d)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_image_paths_follow_phi(self):
+        # Ito's formula: Phi(X) has drift lam u + (I + grad u) b2, the image
+        # drift, only if lam u - L u = b1; with -b1 the image misses 2 b1 and
+        # the gap stays near 0.35 under refinement
+        model = self._model()
+        u = solve_u_elliptic(model, 4.0, SpaceGrid(6.0, 241, 1))
+        phi = build_phi(u, lam=4.0, threshold=SINGULAR_GRAD_THRESHOLD)
+        res = pathwise_consistency(model, phi, 4.0, [0.3], [32, 128], seed=3,
+                                   n_paths=64)
+        errs = [e for _, e in res["rows"]]
+        assert errs[0] > errs[1] and errs[1] < 0.1, errs
+
     def test_singular_operator_is_a_solver_error(self):
-        # no diffusion and lam = 0: every entry of L - lam I is zero; the
-        # solver reads only sigma and b1 of its model
+        # no diffusion and lam = 0: lam I - L holds only b1's drift, a
+        # skew-symmetric tridiagonal of odd order (9), so it is exactly
+        # singular; the solver reads only sigma and b1 of its model
         model = types.SimpleNamespace(sigma=lambda t, x: np.zeros((len(x), 1, 1)),
                                       b1=lambda t, x: np.ones_like(x))
         with pytest.raises(EllipticSolverError, match="singular"):
