@@ -3,18 +3,18 @@
 Subcommands: validate, simulate, zvonkin, tci, invariance.  Each reads a
 YAML config, runs the corresponding pipeline and writes a deterministic JSON
 report (sorted keys, no timestamps) tagged with the config hash and seed.
-``main`` builds the run's one report; a command adds its sections to it and
-returns whether its checks passed, and ``main`` writes the report once.
-Exit codes: 0 success, 1 a check failed, 2 usage/config error (also an
-unknown key, a value out of range, such as ``n_paths: 0``, ``seed: -1``,
-``n_time: 0`` or ``grid_R: 0``, not a number, such as ``n_paths: abc``,
-not an integer, such as ``model: {d: 2.5}``, not a boolean, such as
-``auto: "false"``, an ``output`` or ``csv`` path that is not a string,
-such as ``output: 2``, a singular model's ``tol``, ``n_time`` or ``auto``,
-which only the Dini solver reads, or a ``lam`` below 0), 3 numerical
-failure, such as a map that ``zvonkin`` refuses: ``zvonkin`` reports no
-verdict, so it never exits 1.
-Numbers, switches and the model are read through ``models.config_value``.
+A command is a generator: it reads its keys and yields, ``main`` refuses a
+key that nothing read, and the command then runs, adds its sections to the
+run's one report and yields whether its checks passed; ``main`` writes the
+report once.  Exit codes: 0 success, 1 a check failed, 2 usage/config error
+(also a key nothing reads, such as ``n_list`` without ``delta``, a value out
+of range, such as ``n_paths: 0``, ``seed: -1``, ``grid_R: 0`` or
+``lam: .inf``, not a number, such as ``n_paths: abc``, not an integer, such
+as ``model: {d: 2.5}``, not a boolean, such as ``auto: "false"``, or an
+``output`` or ``csv`` path that is not a string, such as ``output: 2``), 3
+numerical failure, such as a map that ``zvonkin`` refuses: ``zvonkin``
+reports no verdict, so it never exits 1.  Every key is read through
+``models.config_value``, which records the read.
 """
 
 from __future__ import annotations
@@ -31,22 +31,13 @@ import yaml
 from . import tci as tci_mod
 from . import zvonkin
 from .errors import ConfigError, SdetciError
-from .models import (boolean, check_keys, config_value, floats, integer,
+from .models import (RecordedConfig, boolean, config_value, floats, integer,
                      model_from_config, validate_model)
 from .simulate import TimeGrid, ensemble_to_csv, simulate_ensemble
 from .tci import TCIReport
 
-_COMMON_KEYS = {"model", "seed", "output"}
-_SCHEMAS = {
-    "validate": _COMMON_KEYS,
-    "simulate": _COMMON_KEYS | {"x0", "n_steps", "n_paths", "scheme", "csv"},
-    "zvonkin": _COMMON_KEYS | {"lam", "grid_R", "grid_m", "n_time", "tol", "auto"},
-    "tci": _COMMON_KEYS | {"x0", "n_steps", "n_paths", "delta", "n_list", "shifts"},
-    "invariance": {"seed", "output", "n_trials"},
-}
 
-
-def _load_config(path, command):
+def _load_config(path):
     try:
         with open(path) as fh:
             cfg = yaml.safe_load(fh)
@@ -56,10 +47,8 @@ def _load_config(path, command):
         raise ConfigError(f"not valid YAML: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
-    check_keys(cfg, _SCHEMAS[command])
-    for key in ("output", "csv"):
-        if key in cfg:
-            config_value(cfg, key, None, _path)
+    cfg = RecordedConfig(cfg)
+    config_value(cfg, "output", "", _path)
     return cfg
 
 
@@ -96,26 +85,28 @@ def _path_setup(cfg):
     model = config_value(cfg, "model", None, model_from_config)
     x0 = config_value(cfg, "x0", [0.0] * model.d,
                       lambda v: np.atleast_1d(np.asarray(v, dtype=float)))
-    if x0.shape != (model.d,):
-        raise ConfigError(f"need {model.d} coordinates, got shape {x0.shape}", "x0")
+    if x0.shape != (model.d,) or not np.isfinite(x0).all():
+        raise ConfigError(f"need {model.d} finite coordinates, got {x0.tolist()}", "x0")
     return model, TimeGrid(model.T, config_value(cfg, "n_steps", 256, integer)), x0
 
 
 def _cmd_validate(cfg, report):
     model = config_value(cfg, "model", None, model_from_config)
+    yield
     rep = validate_model(model, seed=report.meta["seed"])
     report.add("validation", rep.as_dict())
-    return rep.passed
+    yield rep.passed
 
 
 def _cmd_simulate(cfg, report):
     model, grid, x0 = _path_setup(cfg)
-    ens = simulate_ensemble(
-        model, x0, grid, report.meta["seed"],
-        config_value(cfg, "n_paths", 128, integer), cfg.get("scheme", "em"),
-    )
-    if cfg.get("csv"):
-        ensemble_to_csv(ens, cfg["csv"])
+    n_paths = config_value(cfg, "n_paths", 128, integer)
+    scheme = config_value(cfg, "scheme", "em", str)
+    csv = config_value(cfg, "csv", "", _path)
+    yield
+    ens = simulate_ensemble(model, x0, grid, report.meta["seed"], n_paths, scheme)
+    if csv:
+        ensemble_to_csv(ens, csv)
     report.add("simulate", {
         "n_paths": len(ens),
         "n_steps": grid.n_steps,
@@ -123,7 +114,7 @@ def _cmd_simulate(cfg, report):
         "terminal_mean": ens.states[:, -1].mean(axis=0).tolist(),
         "terminal_second_moment": float((ens.states[:, -1] ** 2).sum(axis=1).mean()),
     })
-    return True
+    yield True
 
 
 def _cmd_zvonkin(cfg, report):
@@ -135,16 +126,17 @@ def _cmd_zvonkin(cfg, report):
     if model.kind == "dini":
         tol = config_value(cfg, "tol", 1e-8)
         n_time = config_value(cfg, "n_time", 64, integer)
-        if config_value(cfg, "auto", True, boolean):
+        auto = config_value(cfg, "auto", True, boolean)
+        lam = config_value(cfg, "lam", 8.0 if auto else None)
+        yield
+        if auto:
             phi, history, trace = zvonkin.solve_u_parabolic_auto(
-                model, sgrid, n_time=n_time, tol=tol,
-                lam0=config_value(cfg, "lam", 8.0),
+                model, sgrid, n_time=n_time, tol=tol, lam0=lam,
             )
             report.add("auto_trace", [
                 {"lam": t[0], "status": t[1], "grad_bound": t[2]} for t in trace
             ])
         else:
-            lam = config_value(cfg, "lam", None)
             u, history = zvonkin.solve_u_parabolic(model, lam, sgrid,
                                                    n_time=n_time, tol=tol)
             phi = zvonkin.build_phi(u, lam=lam)
@@ -154,10 +146,8 @@ def _cmd_zvonkin(cfg, report):
             "ratios": [r for _, r in history if r is not None],
         })
     else:
-        for key in ("tol", "n_time", "auto"):
-            if key in cfg:  # a key nothing reads is refused
-                raise ConfigError("only the Dini (parabolic) solver reads it", key)
         lam = config_value(cfg, "lam", 8.0)
+        yield
         u = zvonkin.solve_u_elliptic(model, lam, sgrid)
         phi = zvonkin.build_phi(u, lam=lam,
                                 threshold=zvonkin.SINGULAR_GRAD_THRESHOLD)
@@ -167,12 +157,25 @@ def _cmd_zvonkin(cfg, report):
         "u_sup": phi.u.sup_norm(),
         "threshold": phi.threshold,
     })
-    return True
+    yield True
 
 
 def _cmd_tci(cfg, report):
     model, grid, x0 = _path_setup(cfg)
-    seed = report.meta["seed"]
+    delta = n_list = shifts = n_paths = None
+    if "delta" in cfg:
+        delta = config_value(cfg, "delta", None)
+        if "n_list" in cfg:
+            n_list = config_value(cfg, "n_list", None,
+                                  lambda v: [integer(n) for n in v])
+        else:  # one sample size, refused under the key the config holds
+            n_list = [config_value(cfg, "n_paths", 10000, integer)]
+            if n_list[0] < 2:
+                raise ConfigError(f"need n_paths >= 2, got {n_list[0]}", "n_paths")
+    if "shifts" in cfg:
+        shifts = config_value(cfg, "shifts", None, floats)
+        n_paths = config_value(cfg, "n_paths", 4096, integer)
+    yield
     if model.kind == "singular":
         # sigma_sup bounds |sigma(x)|: the spectral norm of a declared
         # matrix, else sqrt(c0) from sigma sigma* <= c0; a model whose
@@ -193,25 +196,8 @@ def _cmd_tci(cfg, report):
             "tag": ts.tag, "lambda_max": ts.lambda_max,
             "lambda_strict": ts.lambda_strict, "delta_max": ts.delta_max,
         })
-    delta = n_list = shifts = n_paths = None
-    if "delta" in cfg:
-        delta = config_value(cfg, "delta", None)
-        if "n_list" in cfg:
-            n_list = config_value(cfg, "n_list", None,
-                                  lambda v: [integer(n) for n in v])
-        else:  # one sample size, refused under the key the config holds
-            n_list = [config_value(cfg, "n_paths", 10000, integer)]
-            if n_list[0] < 2:
-                raise ConfigError(f"need n_paths >= 2, got {n_list[0]}", "n_paths")
-    elif "n_list" in cfg:  # a sweep the config asks for must not silently skip
-        raise ConfigError("a tail sweep needs delta", "n_list")
-    if "shifts" in cfg:
-        shifts = config_value(cfg, "shifts", None, floats)
-        n_paths = config_value(cfg, "n_paths", 4096, integer)
-    elif "n_paths" in cfg and ("n_list" in cfg or delta is None):
-        raise ConfigError("only shifts or a sweep without n_list read it", "n_paths")
     sweep, t2 = tci_mod.tail_sweep_and_t2(model, x0, grid, delta, n_list,
-                                          shifts, n_paths, seed)
+                                          shifts, n_paths, report.meta["seed"])
     if sweep is not None:
         report.add("gaussian_tail", sweep)
         report.add("t1", {
@@ -221,16 +207,15 @@ def _cmd_tci(cfg, report):
         })
     if t2 is not None:
         report.add("t2", t2)
-    return sweep is None or sweep["stable"]
+    yield sweep is None or sweep["stable"]
 
 
 def _cmd_invariance(cfg, report):
-    res = tci_mod.invariance_suite(
-        n_trials=config_value(cfg, "n_trials", 1000, integer),
-        seed=report.meta["seed"],
-    )
+    n_trials = config_value(cfg, "n_trials", 1000, integer)
+    yield
+    res = tci_mod.invariance_suite(n_trials=n_trials, seed=report.meta["seed"])
     report.add("invariance", res)
-    return res["passed"]
+    yield res["passed"]
 
 
 _COMMANDS = {
@@ -257,9 +242,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.command)
+        cfg = _load_config(args.config)
         report = TCIReport(meta=_meta(cfg))
-        passed = _COMMANDS[args.command](cfg, report)
+        steps = _COMMANDS[args.command](cfg, report)
+        next(steps)  # the command has read its keys and runs nothing yet
+        cfg.refuse_unread()
+        passed = next(steps)
         _emit(report, cfg)
         return 0 if passed else 1
     except ConfigError as e:

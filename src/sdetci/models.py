@@ -396,33 +396,6 @@ def validate_model(spec, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def config_value(cfg, key, default, convert=float):
-    """``convert(cfg.get(key, default))``, where a ``None`` default means required.
-
-    A missing or rejected value is a ConfigError naming ``key``, and one from a
-    nested reader in ``convert`` gets ``key`` put before its path: ``b2.value``.
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"need a mapping, got {cfg!r}")
-    if default is None and key not in cfg:
-        raise ConfigError("missing value", key)
-    value = cfg.get(key, default)
-    try:
-        return convert(value)
-    except ConfigError as e:
-        path = f"{key}.{e.key_path}" if e.key_path else key
-        raise ConfigError(e.message, path) from None
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"cannot read {value!r}: {e}", key) from None
-
-
-def check_keys(cfg, allowed):
-    """Refuse a key of ``cfg`` that is not in ``allowed``."""
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r}", key)
-
-
 def integer(value):
     """``int(value)``, refusing a fraction such as 2.5."""
     if isinstance(value, float) and not value.is_integer():
@@ -437,8 +410,60 @@ def boolean(value):
     return value
 
 
+def real(value):
+    """``float(value)``, refusing NaN and +-inf."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def floats(value):
-    return tuple(float(v) for v in value)
+    return tuple(real(v) for v in value)
+
+
+class RecordedConfig(dict):
+    """A config mapping that records the keys ``config_value`` reads from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def refuse_unread(self):
+        """Refuse the first key, in config order, that nothing read."""
+        for key in self:
+            if key not in self.read:
+                raise ConfigError("nothing reads it", key)
+
+
+def config_value(cfg, key, default, convert=real):
+    """``convert(cfg.get(key, default))``, where a ``None`` default means required.
+
+    A missing or rejected value is a ConfigError naming ``key``, and one from a
+    nested reader in ``convert`` gets ``key`` put before its path: ``b2.value``.
+    A read of a ``RecordedConfig`` is recorded (testing a key with ``in`` is
+    not a read), and a mapping value is read as one: its first key that
+    ``convert`` left unread is refused, as nothing reads it.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"need a mapping, got {cfg!r}")
+    if default is None and key not in cfg:
+        raise ConfigError("missing value", key)
+    if isinstance(cfg, RecordedConfig):
+        cfg.read.add(key)
+    value = cfg.get(key, default)
+    if type(value) is dict:  # a plain mapping, not yet recorded
+        value = RecordedConfig(value)
+    try:
+        out = convert(value)
+        if isinstance(value, RecordedConfig):
+            value.refuse_unread()
+        return out
+    except ConfigError as e:
+        path = f"{key}.{e.key_path}" if e.key_path else key
+        raise ConfigError(e.message, path) from None
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"cannot read {value!r}: {e}", key) from None
 
 
 def _as_matrix(value, d):
@@ -448,14 +473,6 @@ def _as_matrix(value, d):
     if m.shape != (d, d):
         raise ConfigError(f"matrix shape {m.shape} does not match d={d}")
     return m
-
-
-# the keys each coefficient family takes besides ``family``
-_FIELD_KEYS = {"zero": (), "constant": ("value",), "linear": ("matrix",),
-               "cubic_drag": ("coef",), "bounded_sin": ("amplitude",),
-               "log_square_bench": ("cutoff", "sup"),
-               "radial_singularity": ("c", "gamma")}
-_SIGMA_KEYS = {"constant": ("value",), "sin_perturbed": ("value", "eps")}
 
 
 def _field_from_config(cfg, d):
@@ -500,7 +517,6 @@ def _field_from_config(cfg, d):
 
     else:
         raise ConfigError(f"unknown field family {fam!r}", "family")
-    check_keys(cfg, {"family", *_FIELD_KEYS[fam]})
 
     def field(t, x):
         return fn(np.asarray(x, dtype=float))
@@ -526,7 +542,6 @@ def _sigma_from_config(cfg, d):
 
     else:
         raise ConfigError(f"unknown sigma family {fam!r}", "family")
-    check_keys(cfg, {"family", *_SIGMA_KEYS[fam]})
 
     def sigma(t, x):
         return fn(np.asarray(x, dtype=float))
@@ -539,7 +554,6 @@ def _sigma_from_config(cfg, d):
 def modulus_from_config(cfg):
     family = config_value(cfg, "family", None, str)
     table = ("s", "phi") if family == "custom_table" else ()
-    check_keys(cfg, {"family", "alpha", "L", "scale", "cutoff", *table})
     kwargs = {key: config_value(cfg, key, None)
               for key in ("alpha", "L", "scale", "cutoff") if key in cfg}
     kwargs.update({f"table_{key}": config_value(cfg, key, None, floats)
@@ -547,16 +561,11 @@ def modulus_from_config(cfg):
     return ModulusSpec(family, **kwargs)
 
 
-def _read_all(cfg, defaults, other=()):
-    """Each key of ``defaults``, read as the type of its default.
-
-    A key of ``cfg`` outside ``defaults`` and ``other`` is refused.
-    """
-    values = {key: config_value(cfg, key, default,
-                                integer if type(default) is int else type(default))
-              for key, default in defaults.items()}
-    check_keys(cfg, {*defaults, *other})
-    return values
+def _read_all(cfg, defaults):
+    """Each key of ``defaults``, read as the type of its default."""
+    read_as = {int: integer, float: real, str: str}
+    return {key: config_value(cfg, key, default, read_as[type(default)])
+            for key, default in defaults.items()}
 
 
 # the scalars of a model spec per kind, and their config defaults
@@ -565,35 +574,38 @@ _SCALARS = {
     "singular": {"d": 1, "T": 1.0, "p": 4.0, "c0": 1.0, "tag": "dissipative",
                  "r": 0.0, "kappa1": 0.0, "kappa2": 0.0, "kappa3": 0.0, "kappa4": 0.0},
 }
-_COEFFICIENTS = {"dini": ("B", "b", "sigma", "modulus", "bounds"),
-                 "singular": ("b1", "b2", "sigma")}
 # the finite constants a Dini model declares, and their defaults
 _BOUNDS = {"grad_B": 1.0, "sigma": 1.0, "grad_sigma": 0.0, "grad2_sigma": 0.0,
            "inv_a": 1.0}
 
 
 def model_from_config(cfg):
-    """Build a model spec from a config tree (see the CLI schema docs)."""
+    """Build a model spec from a config tree; a key nothing reads is refused."""
+    if type(cfg) is dict:  # a direct call; config_value passes one it records
+        cfg = RecordedConfig(cfg)
     kind = config_value(cfg, "kind", None, str)
     if kind not in _SCALARS:
         raise ConfigError(f"unknown model kind {kind!r}", "kind")
-    scalars = _read_all(cfg, _SCALARS[kind], ("kind", *_COEFFICIENTS[kind]))
+    scalars = _read_all(cfg, _SCALARS[kind])
     d = scalars["d"]
     field = lambda key: config_value(cfg, key, {"family": "zero"},
                                      lambda c: _field_from_config(c, d))
     sigma = config_value(cfg, "sigma", {"family": "constant"},
                          lambda c: _sigma_from_config(c, d))
     if kind == "singular":
-        return SingularModelSpec(b1=field("b1"), b2=field("b2"), sigma=sigma,
+        spec = SingularModelSpec(b1=field("b1"), b2=field("b2"), sigma=sigma,
                                  config=cfg, **scalars)
-    b = field("b")
-    # a benchmark drift declares the modulus it meets
-    modulus = config_value(cfg, "modulus",
-                           getattr(b, "modulus", {"family": "lipschitz"}),
-                           modulus_from_config)
-    bounds = config_value(cfg, "bounds", {}, lambda c: _read_all(c, _BOUNDS))
-    return DiniModelSpec(B=field("B"), b=b, sigma=sigma, modulus=modulus,
-                         bounds=bounds, config=cfg, **scalars)
+    else:
+        b = field("b")
+        # a benchmark drift declares the modulus it meets
+        modulus = config_value(cfg, "modulus",
+                               getattr(b, "modulus", {"family": "lipschitz"}),
+                               modulus_from_config)
+        bounds = config_value(cfg, "bounds", {}, lambda c: _read_all(c, _BOUNDS))
+        spec = DiniModelSpec(B=field("B"), b=b, sigma=sigma, modulus=modulus,
+                             bounds=bounds, config=cfg, **scalars)
+    cfg.refuse_unread()
+    return spec
 
 
 def ou_singular_config(kappa=1.0, d=1, T=1.0):

@@ -63,8 +63,8 @@ class SpaceGrid:
             raise ConfigError("deterministic solvers cover d <= 2", "model.d")
         if self.m < 3:
             raise ConfigError(f"need at least 3 nodes per axis, got {self.m}", "grid_m")
-        if not self.R > 0:
-            raise ConfigError(f"need a box radius R > 0, got {self.R}", "grid_R")
+        if not 0 < self.R < math.inf:
+            raise ConfigError(f"need a finite box radius R > 0, got {self.R}", "grid_R")
 
     @property
     def dx(self):
@@ -306,18 +306,15 @@ def _operator_matrix(grid, a_vals, b_vals, neumann):
     rows, cols, data = _stencil_entries(grid, a_vals, b_vals, neumann)
     key = cols * M + rows
     order = np.argsort(key, kind="stable")
-    key, data = key[order], data[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    counts = np.diff(np.r_[first, len(key)])
-    # a place's terms sit in a run from first; adding the k-th term of every
-    # run in the k-th pass sums each run left to right, as scipy's own
-    # duplicate summing does
-    summed = data[first]
-    for k in range(1, counts.max()):
-        more = counts > k
-        summed[more] += data[first[more] + k]
-    indptr = np.searchsorted(key[first], np.arange(M + 1) * M)
-    return _Csc(summed, rows[order[first]].astype(np.int32), indptr.astype(np.int32), (M, M))
+    key = key[order]
+    first = np.r_[True, key[1:] != key[:-1]]
+    places = key[first]
+    # np.add.at adds a place's terms in stencil order onto -0.0, the exact
+    # additive identity: scipy's left-to-right sum, bit for bit
+    summed = np.full(len(places), -0.0)
+    np.add.at(summed, np.cumsum(first) - 1, data[order])
+    indptr = np.searchsorted(places, np.arange(M + 1) * M)
+    return _Csc(summed, (places % M).astype(np.int32), indptr.astype(np.int32), (M, M))
 
 
 def _stencil_entries(grid, a_vals, b_vals, neumann):

@@ -1,12 +1,14 @@
 import ast
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 import yaml
 
-from sdetci import dini_benchmark_config, ou_singular_config
+from sdetci import cli, dini_benchmark_config, ou_singular_config, zvonkin
+from sdetci import tci as tci_mod
 from sdetci.cli import main
 
 
@@ -155,6 +157,15 @@ class TestExitCodes:
         ("zvonkin", {"model": _ou_cfg(), "n_time": 64}, "n_time"),
         ("zvonkin", {"model": _ou_cfg(), "auto": True}, "auto"),
         ("zvonkin", {"model": _ou_cfg(), "lam": -1}, "lam"),
+        # a number must be finite: NaN and +-inf are refused at their key
+        ("zvonkin", {"grid_R": math.inf}, "grid_R"),
+        ("zvonkin", {"model": _ou_cfg(), "grid_R": math.inf}, "grid_R"),
+        ("zvonkin", {"model": _ou_cfg(), "lam": math.inf}, "lam"),
+        ("zvonkin", {"tol": math.inf}, "tol"),
+        ("tci", {"delta": math.inf}, "delta"),
+        ("tci", {"shifts": [math.inf]}, "shifts"),
+        ("tci", {"x0": [math.nan], "shifts": [0.1]}, "x0"),
+        ("validate", {"model": {**_ou_cfg(), "T": math.inf}}, "model.T"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
                                                 cfg, key):
@@ -224,6 +235,28 @@ class TestExitCodes:
             cfg["model"] = _dini_cfg() if command == "zvonkin" else _ou_cfg()
         assert main([command, _write(tmp_path, "old.yaml", cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command, cfg, entry", [
+        ("validate", {"model": _ou_cfg()}, (cli, "validate_model")),
+        ("simulate", {"model": _ou_cfg()}, (cli, "simulate_ensemble")),
+        ("zvonkin", {"model": _dini_cfg()}, (zvonkin, "solve_u_parabolic_auto")),
+        ("zvonkin", {"model": _ou_cfg()}, (zvonkin, "solve_u_elliptic")),
+        ("tci", {"model": _ou_cfg(), "delta": 0.05}, (tci_mod, "tail_sweep_and_t2")),
+        ("invariance", {}, (tci_mod, "invariance_suite")),
+    ])
+    def test_unread_key_is_refused_before_the_run(self, tmp_path, capsys,
+                                                   monkeypatch, command, cfg, entry):
+        # every command reads its keys first; main refuses one that nothing
+        # read before the command's pipeline is called or a report written
+        def run(*args, **kwargs):
+            raise AssertionError(f"{entry[1]} ran")
+
+        monkeypatch.setattr(*entry, run)
+        report = tmp_path / "r.json"
+        cfg = {**cfg, "seed": 0, "output": str(report), "bogus": 1}
+        assert main([command, _write(tmp_path, "c.yaml", cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: bogus: ")
         assert not report.exists()
 
     @pytest.mark.parametrize("command, cfg, key", [

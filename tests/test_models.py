@@ -150,6 +150,17 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             model_from_config(cfg)
 
+    def test_unread_key_is_refused(self):
+        # a direct call refuses what nothing reads, by its path in the tree
+        with pytest.raises(ConfigError) as top:
+            model_from_config({**ou_singular_config(), "kapa1": 1.0})
+        assert top.value.key_path == "kapa1"
+        cfg = ou_singular_config()
+        cfg["b2"] = {**cfg["b2"], "coef": 1.0}
+        with pytest.raises(ConfigError) as nested:
+            model_from_config(cfg)
+        assert nested.value.key_path == "b2.coef"
+
     def test_log_square_bench_modulus_derived(self):
         model = model_from_config(dini_benchmark_config(sup=2.0))
         # the drift is built to have sup-norm equal to the requested bound

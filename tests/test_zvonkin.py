@@ -35,7 +35,7 @@ from sdetci import (
     verify_tilde_conditions,
 )
 from sdetci import simulate, zvonkin
-from sdetci.errors import EllipticSolverError, FitFailure, OutOfDomain
+from sdetci.errors import ConfigError, EllipticSolverError, FitFailure, OutOfDomain
 from sdetci.models import DiniModelSpec, ModulusSpec
 from sdetci.zvonkin import (
     _diffusion_values,
@@ -190,6 +190,11 @@ class TestGridFunction:
         ut = GridFunction(sg, np.zeros((3, 11, 1)), np.linspace(0.0, 1.0, 3))
         with pytest.raises(ValueError, match="needs t"):
             ut(np.array([[0.5]]))
+
+    @pytest.mark.parametrize("R", [np.inf, np.nan])
+    def test_box_radius_must_be_finite(self, R):
+        with pytest.raises(ConfigError, match="^grid_R: "):
+            SpaceGrid(R, 11, 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_out_of_domain(self, bad):
