@@ -11,7 +11,8 @@ report once.  Exit codes: 0 success, 1 a check failed, 2 usage/config error
 of range, such as ``n_paths: 0``, ``seed: -1``, ``grid_R: 0`` or
 ``lam: .inf``, not a number, such as ``n_paths: abc``, not an integer, such
 as ``model: {d: 2.5}``, not a boolean, such as ``auto: "false"``, or an
-``output`` or ``csv`` path that is not a string, such as ``output: 2``), 3
+``output`` or ``csv`` path that is not a string, such as ``output: 2``, or
+whose directory does not exist), 3
 numerical failure, such as a map that ``zvonkin`` refuses: ``zvonkin``
 reports no verdict, so it never exits 1.  Every key is read through
 ``models.config_value``, which records the read.
@@ -23,6 +24,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -53,9 +55,13 @@ def _load_config(path):
 
 
 def _path(value):
-    """A file path; ``open`` would take an integer as a file descriptor."""
+    """A file path in a directory that exists, or "" for none; ``open`` would
+    take an integer as a file descriptor."""
     if not isinstance(value, str):
         raise ConfigError(f"need a path string, got {value!r}")
+    folder = os.path.dirname(value)
+    if folder and not os.path.isdir(folder):
+        raise ConfigError(f"no directory {folder!r}")
     return value
 
 
@@ -106,7 +112,7 @@ def _cmd_simulate(cfg, report):
     yield
     ens = simulate_ensemble(model, x0, grid, report.meta["seed"], n_paths, scheme)
     if csv:
-        ensemble_to_csv(ens, csv)
+        ensemble_to_csv(ens, csv, report.meta)
     report.add("simulate", {
         "n_paths": len(ens),
         "n_steps": grid.n_steps,

@@ -22,8 +22,6 @@ on finite grids.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -44,9 +42,9 @@ _HOLDER_CAP = 0.5  # concave-square envelope exponent for steep moduli
 class ModulusSpec:
     """A modulus of continuity from a named family.
 
-    ``family`` is one of ``holder``, ``log_square``, ``lipschitz`` or
-    ``custom_table``.  ``scale`` multiplies the base modulus; a positive
-    multiple of an admissible modulus is admissible.
+    ``family`` is one of ``holder`` (with ``alpha`` > 0), ``log_square``,
+    ``lipschitz`` or ``custom_table``.  ``scale`` multiplies the base
+    modulus; a positive multiple of an admissible modulus is admissible.
     """
 
     family: str
@@ -57,6 +55,12 @@ class ModulusSpec:
     table_s: Optional[tuple] = None
     table_phi: Optional[tuple] = None
 
+    def __post_init__(self):
+        if self.family not in ("holder", "log_square", "lipschitz", "custom_table"):
+            raise ConfigError(f"unknown modulus family {self.family!r}", "family")
+        if self.family == "holder" and not self.alpha > 0:
+            raise ConfigError(f"need a holder alpha > 0, got {self.alpha}", "alpha")
+
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         if self.family == "holder":
@@ -65,10 +69,8 @@ class ModulusSpec:
             out = self.L * s
         elif self.family == "log_square":
             out = _log_square(s, self.cutoff)
-        elif self.family == "custom_table":
+        else:  # custom_table
             out = np.interp(s, self.table_s, self.table_phi)
-        else:
-            raise ConfigError(f"unknown modulus family {self.family!r}")
         return self.scale * out
 
     def envelope(self):
@@ -215,7 +217,6 @@ class DiniModelSpec:
     modulus: ModulusSpec
     b_sup: float
     bounds: dict
-    config: Optional[dict] = None
 
     kind = "dini"
 
@@ -225,9 +226,6 @@ class DiniModelSpec:
     def reference_sim_functions(self, grid):
         """Drift/diffusion of the reference equation (irregular part dropped)."""
         return self.B, self.sigma
-
-    def fingerprint(self):
-        return _fingerprint(self.config, fallback=("dini", self.d, self.T))
 
 
 @dataclass
@@ -255,9 +253,12 @@ class SingularModelSpec:
     kappa2: float
     kappa3: float
     kappa4: float
-    config: Optional[dict] = None
 
     kind = "singular"
+
+    def __post_init__(self):
+        if self.tag not in ("dissipative", "linear_growth"):
+            raise ConfigError(f"unknown b2 tag {self.tag!r}", "tag")
 
     def capped_b1(self, cap):
         def f(t, x):
@@ -275,9 +276,6 @@ class SingularModelSpec:
             b1 = self.capped_b1(grid.h ** (-0.25))  # singular part capped at h^{-1/4}
         return _field_sum(b1, self.b2), self.sigma
 
-    def fingerprint(self):
-        return _fingerprint(self.config, fallback=("singular", self.d, self.T))
-
 
 def _field_sum(f, g):
     """The drift f + g; a field that declares ``zero`` is left out, never called."""
@@ -286,14 +284,6 @@ def _field_sum(f, g):
     if getattr(f, "zero", False):
         return g
     return lambda t, x: f(t, x) + g(t, x)
-
-
-def _fingerprint(config, fallback):
-    if config is not None:
-        payload = json.dumps(config, sort_keys=True)
-    else:
-        payload = repr(fallback)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +328,9 @@ def validate_model(spec, seed=0):
             checks.append(_worst("dissipativity", slack, pts))
             growth = spec.kappa3 * (1.0 + norm_x ** (1.0 + spec.r)) - norm_b2
             checks.append(_worst("growth_bound", growth, pts))
-        elif spec.tag == "linear_growth":
+        else:  # linear_growth
             slack = spec.kappa4 * (1.0 + norm_x) - norm_b2
             checks.append(_worst("linear_growth", slack, pts))
-        else:
-            raise ConfigError(f"unknown b2 tag {spec.tag!r}")
 
         sig = spec.sigma(0.0, pts)
         _check_finite("sigma", sig, pts)
@@ -594,7 +582,7 @@ def model_from_config(cfg):
                          lambda c: _sigma_from_config(c, d))
     if kind == "singular":
         spec = SingularModelSpec(b1=field("b1"), b2=field("b2"), sigma=sigma,
-                                 config=cfg, **scalars)
+                                 **scalars)
     else:
         b = field("b")
         # a benchmark drift declares the modulus it meets
@@ -603,7 +591,7 @@ def model_from_config(cfg):
                                modulus_from_config)
         bounds = config_value(cfg, "bounds", {}, lambda c: _read_all(c, _BOUNDS))
         spec = DiniModelSpec(B=field("B"), b=b, sigma=sigma, modulus=modulus,
-                             bounds=bounds, config=cfg, **scalars)
+                             bounds=bounds, **scalars)
     cfg.refuse_unread()
     return spec
 

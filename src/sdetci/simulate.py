@@ -68,7 +68,6 @@ class PathEnsemble:
     grid: TimeGrid
     states: np.ndarray  # (n_paths, n_steps + 1, d)
     seed_ids: np.ndarray
-    model_fingerprint: str
     scheme: str
 
     def __len__(self):
@@ -121,11 +120,6 @@ def _increment_block(seed, grid, d, ids):
         filled *= sqrt_h
         out[:, lo : lo + len(sub)] = filled.transpose(1, 0, 2)
     return out
-
-
-def _fingerprint(model):
-    fp = getattr(model, "fingerprint", None)
-    return fp() if callable(fp) else str(fp)
 
 
 def run_em(fns, x0s, grid, dw, tamed=False, on_step=None):
@@ -232,7 +226,7 @@ def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0):
     """Full-path ensemble; use the reducers below for large runs."""
     states = _states(model, x0, grid, seed, n_paths, scheme, path_id0)
     ids = np.arange(path_id0, path_id0 + n_paths, dtype=np.int64)
-    return PathEnsemble(grid, states, ids, _fingerprint(model), scheme)
+    return PathEnsemble(grid, states, ids, scheme)
 
 
 def ensemble_reduce(model, x0, grid, seed, n_paths, step, shape=None,
@@ -251,6 +245,13 @@ def ensemble_reduce(model, x0, grid, seed, n_paths, step, shape=None,
     return _path_chunks([model.sim_functions(grid)], [x0], grid, seed,
                         range(path_id0, path_id0 + n_paths), scheme,
                         {"acc": (shape, lambda acc, k, t, xs: step(acc, k, t, xs[0]))})["acc"]
+
+
+def _mean_stderr(samples, axis=0):
+    """Standard error of the mean along ``axis``: the ddof = 1 standard
+    deviation over sqrt(n), the samples actually drawn; 0 for one sample."""
+    n = np.shape(samples)[axis]
+    return np.std(samples, axis=axis, ddof=min(n - 1, 1)) / math.sqrt(n)
 
 
 def _trapezoid(grid, integrand):
@@ -313,9 +314,6 @@ class CallableModel:
     def reference_sim_functions(self, grid):
         return self.drift, self.sigma
 
-    def fingerprint(self):
-        return f"callable:{self.label}"
-
 
 def with_drift_shift(model, shift):
     """A twin model whose drift is shifted by ``shift(t, x) -> (n, d)``."""
@@ -333,18 +331,17 @@ def with_drift_shift(model, shift):
 
             return new_drift, sigma
 
-        def fingerprint(self):
-            return _fingerprint(self.base) + ":shifted"
-
     return _Shifted(model)
 
 
-def ensemble_to_csv(ensemble, path):
-    """Columnar export: one row per (path, node)."""
+def ensemble_to_csv(ensemble, path, meta):
+    """Columnar export: one row per (path, node), after a ``# key=value``
+    line per item of ``meta`` (a report's ``config_sha256`` and ``seed``)."""
     d = ensemble.states.shape[2]
     nodes = ensemble.grid.nodes
     with open(path, "w", newline="") as fh:
-        fh.write(f"# fingerprint={ensemble.model_fingerprint}\n")
+        for key, value in meta.items():
+            fh.write(f"# {key}={value}\n")
         fh.write(f"# scheme={ensemble.scheme}\n")
         fh.write(f"# T={ensemble.grid.T!r} n_steps={ensemble.grid.n_steps}\n")
         writer = csv.writer(fh)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InconclusiveEstimate
-from .simulate import _path_chunks, _sup_gaps, ensemble_reduce, with_drift_shift
+from .simulate import (_mean_stderr, _path_chunks, _sup_gaps, ensemble_reduce,
+                       with_drift_shift)
 from .transport import (
     EmpiricalMeasure,
     _girsanov_step,
@@ -188,7 +189,7 @@ def _log_mean_stderr(g):
     # delta-method stderr of log mean(e^g), computed stably
     lm = _logsumexp(g) - math.log(len(g))
     w = np.exp(g - lm)
-    return float(w.std(ddof=1) / math.sqrt(len(g)))
+    return float(_mean_stderr(w))
 
 
 def _shared_run(model, x0, grid, seed, n_tail, shifts, n_t2):
@@ -298,7 +299,7 @@ def _t2(shifts, gaps, integrals):
     rows = []
     for hmag, sq, per_path in zip(shifts, gaps.T ** 2, integrals.T):
         w2_sq, ent = float(np.mean(sq)), float(np.mean(per_path))
-        w2_se, ent_se = (float(np.std(v, ddof=1) / math.sqrt(len(v))) for v in (sq, per_path))
+        w2_se, ent_se = (float(_mean_stderr(v)) for v in (sq, per_path))
         rows.append({
             "shift": float(hmag),
             "w2_sq_bound": w2_sq,

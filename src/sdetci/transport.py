@@ -36,7 +36,7 @@ import numpy as np
 
 from ._compiled import _Csc, _scipy_extension
 from .errors import OutOfDomain, UseSinkhorn
-from .simulate import _trapezoid
+from .simulate import _mean_stderr, _trapezoid
 
 EXACT_ATOM_LIMIT = 512
 DUAL_TOL = 1e-7  # dual slack and duality gap an exact solve may leave, per largest cost
@@ -482,6 +482,4 @@ def girsanov_entropy(shift, sigma_fn, states, grid):
     step = _girsanov_step(shift, sigma_fn, grid)
     for j, t in enumerate(grid.nodes):
         step(per_path, j - 1, t, states[:, j])
-    n = len(per_path)
-    stderr = float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(per_path.mean()), stderr
+    return float(per_path.mean()), float(_mean_stderr(per_path))

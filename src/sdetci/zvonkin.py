@@ -36,6 +36,7 @@ from .errors import (
 )
 from .simulate import (
     TimeGrid,
+    _mean_stderr,
     _path_chunks,
     _sup_gaps,
     path_rng,  # not called here; perfbench asserts that zvonkin binds it
@@ -76,8 +77,6 @@ class SpaceGrid:
         return [ax] * self.d
 
     def points(self):
-        if self.d == 1:
-            return self.axes[0][:, None]
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=1)
 
@@ -572,7 +571,7 @@ def estimate_P0(model, f, t, x, n=10000, seed=0):
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     vals = _at_horizon(model, lambda zs: f(zs[0]), t, [x], n, seed, 64)
-    return float(vals.mean()), float(vals.std() / math.sqrt(n))
+    return float(vals.mean()), float(_mean_stderr(vals))
 
 
 def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, n_steps=32):
@@ -604,7 +603,7 @@ def check_gradient_estimate(model, f, x, gaps, n=100000, seed=0, n_steps=32):
         # one contiguous row per component: each reduces as a 1-D array would
         per_comp = np.ascontiguousarray(diffs.T)
         comps = per_comp.mean(axis=1)
-        errs = per_comp.std(axis=1) / math.sqrt(n)
+        errs = _mean_stderr(per_comp, axis=1)
         grads.append(float(np.linalg.norm(comps)))
         stderrs.append(float(np.linalg.norm(errs)))
     grads_a, stderrs_a = np.array(grads), np.array(stderrs)
@@ -675,9 +674,6 @@ class TransformedModel:
 
     def sim_functions(self, grid):
         return self.drift, self.sigma
-
-    def fingerprint(self):
-        return self.model.fingerprint() + f":phi(lam={self.lam!r})"
 
 
 def identity_transform(model, sgrid, times=None):

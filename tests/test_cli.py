@@ -166,6 +166,13 @@ class TestExitCodes:
         ("tci", {"shifts": [math.inf]}, "shifts"),
         ("tci", {"x0": [math.nan], "shifts": [0.1]}, "x0"),
         ("validate", {"model": {**_ou_cfg(), "T": math.inf}}, "model.T"),
+        # a model is refused where it is built, whichever command reads it
+        ("zvonkin", {"model": {**_dini_cfg(), "modulus": {"family": "holdr"}}},
+         "model.modulus.family"),
+        ("simulate", {"model": {**_ou_cfg(), "tag": "dissipatve"}}, "model.tag"),
+        # a file is refused before the run when its directory is missing
+        ("invariance", {"output": "no/such/dir/r.json"}, "output"),
+        ("simulate", {"csv": "no/such/dir/a.csv"}, "csv"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
                                                 cfg, key):
@@ -213,6 +220,10 @@ class TestExitCodes:
                                  "eps": 0.1}}, "model.sigma.eps"),
         ({**_ou_cfg(), "sigma": {"family": "sin_perturbed", "esp": 0.1}},
          "model.sigma.esp"),
+        ({**_dini_cfg(), "modulus": {"family": "holdr"}}, "model.modulus.family"),
+        ({**_dini_cfg(), "modulus": {"family": "holder", "alpha": 0}},
+         "model.modulus.alpha"),
+        ({**_ou_cfg(), "tag": "dissipatve"}, "model.tag"),
     ])
     def test_malformed_model_value_names_its_path(self, tmp_path, capsys, model,
                                                    key):
@@ -293,6 +304,24 @@ class TestPipelines:
         assert out.exists()
         data = json.loads(capsys.readouterr().out)
         assert data["sections"]["simulate"]["n_paths"] == 4
+
+    def test_simulate_csv_names_the_report(self, tmp_path, capsys):
+        # the CSV opens with its report's config hash and seed; the hash
+        # repeats for the same config and moves with a model constant
+        out = tmp_path / "paths.csv"
+        hashes = []
+        for kappa1 in (1.0, 1.0, 0.5):
+            cfg = _write(tmp_path, "s.yaml", {
+                "model": {**_ou_cfg(), "kappa1": kappa1}, "seed": 3,
+                "n_steps": 8, "n_paths": 2, "csv": str(out),
+            })
+            assert main(["simulate", cfg]) == 0
+            meta = json.loads(capsys.readouterr().out)["meta"]
+            with open(out) as fh:
+                head = [next(fh), next(fh)]
+            assert head == [f"# config_sha256={meta['config_sha256']}\n", "# seed=3\n"]
+            hashes.append(meta["config_sha256"])
+        assert hashes[0] == hashes[1] != hashes[2]
 
     def test_zvonkin_report(self, tmp_path, capsys):
         cfg = _write(tmp_path, "z.yaml", {

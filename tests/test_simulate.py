@@ -351,11 +351,11 @@ class TestSerialization:
         g = TimeGrid(0.5, 16)
         ens = simulate_ensemble(model, [0.2], g, 4, 5)
         path = tmp_path / "ens.csv"
-        ensemble_to_csv(ens, path)
+        ensemble_to_csv(ens, path, {"config_sha256": "0123abcd", "seed": 4})
         with open(path, newline="") as fh:
-            meta = [next(fh) for _ in range(3)]
+            meta = [next(fh) for _ in range(4)]
             header, *rows = csv.reader(fh)
-        assert meta == [f"# fingerprint={ens.model_fingerprint}\n", "# scheme=em\n",
+        assert meta == ["# config_sha256=0123abcd\n", "# seed=4\n", "# scheme=em\n",
                         "# T=0.5 n_steps=16\n"]
         assert header == ["path_id", "t", "x1"]
         # one row per (path, node), every value written to round-trip exactly

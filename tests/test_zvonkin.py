@@ -755,6 +755,15 @@ class TestSemigroupMonteCarlo:
         ends = [x0 + brownian_increments(7, grid, 1, j).sum() for j in range(n)]
         assert val == pytest.approx(np.mean(ends), rel=1e-12)
 
+    def test_estimate_P0_stderr_counts_the_paths_drawn(self):
+        # the ddof = 1 standard error: |a - b| / 2 for two samples, 0 for one
+        grid = TimeGrid(0.5, 64)
+        a, b = (0.25 + brownian_increments(7, grid, 1, j).sum() for j in range(2))
+        f = lambda x: x[:, 0]
+        assert estimate_P0(self._bm(), f, 0.5, [0.25], n=2, seed=7)[1] == pytest.approx(
+            abs(a - b) / 2, rel=1e-12)
+        assert estimate_P0(self._bm(), f, 0.5, [0.25], n=1, seed=7)[1] == 0.0
+
     def test_gradient_simulates_each_path_once(self, monkeypatch):
         # x + e and x - e are two coupled states of one run, so a component
         # at one gap steps 2n states, here over three chunks; f is an
