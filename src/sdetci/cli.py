@@ -74,7 +74,10 @@ def _seed(value):
 
 
 def _meta(cfg):
-    digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+    """The run's identity: the hash of its config without the ``output`` and
+    ``csv`` paths, which name where a report goes, not what it holds."""
+    run = {k: v for k, v in cfg.items() if k not in ("output", "csv")}
+    digest = hashlib.sha256(json.dumps(run, sort_keys=True).encode()).hexdigest()
     return {"config_sha256": digest[:16], "seed": config_value(cfg, "seed", 0, _seed)}
 
 

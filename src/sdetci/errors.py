@@ -1,8 +1,27 @@
 """Exception types shared across the package."""
 
+import functools
+
 
 class SdetciError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    An error pickles as its class called on the arguments it was built
+    with, plus its attributes: the default pickle calls the class on
+    ``args``, the formatted message alone, which a subclass whose
+    constructor formats its message misreads.  So an error raised in a
+    forked path part (``simulate._in_parts``) rebuilds in the parent with
+    the same type, message and attributes.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args)
+        self._built_with = (args, kwargs)
+        return self
+
+    def __reduce__(self):
+        args, kwargs = self._built_with
+        return functools.partial(type(self), *args, **kwargs), (), self.__dict__
 
 
 class InvalidCoefficient(SdetciError):

@@ -26,12 +26,27 @@ coupled runs of ``tci`` and ``zvonkin`` stream theirs the same way.  Only
 ``simulate_ensemble``, and ``ensemble_reduce`` given a function of full
 states instead of a ``shape``, store every node.  One memory budget,
 ``_CHUNK_BUDGET``, sets every chunk size: no function takes a ``chunk``.
+
+A large loop runs in parts: contiguous ranges of its path ids, at most one
+process per CPU this process may run on (``os.sched_getaffinity``).  The
+parent forks a child per part after the first and runs part 0 itself;
+each part runs its chunks under its own ``_CHUNK_BUDGET``, and the parent
+joins the columns in id order (``_in_parts``).  Every column is per path
+and each path's noise depends on (seed, path id) alone, so the columns are
+bit-identical to those of one process.  A loop of fewer than
+``_SPLIT_WORK`` path steps times states, or one started while another
+Python thread is alive, stays in one process (``_part_count``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +58,10 @@ _MASK = (1 << 64) - 1
 _BLOWUP_LIMIT = 1e10
 _CHUNK_BUDGET = 1 << 21  # floats held by one chunk's path arrays (16 MiB)
 _TILE = 1 << 16  # floats of the per-path draw tile of _increment_block (512 KiB)
+# path steps x states below which a path loop stays in one process: on a
+# 2-core host a fork costs about 3 ms, and splitting an OU loop of 2**18
+# steps lost (12 -> 14 ms) while one of 2**19 gained (24 -> 19 ms)
+_SPLIT_WORK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -193,8 +212,8 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, columns):
     width = sum(math.prod(shape) for shape, _ in columns.values())
     n = _chunk_size(grid, d, 1 + width // (grid.n_steps * d))
 
-    def run(lo):
-        sub = ids[lo : lo + n]
+    def chunk(lo, hi):
+        sub = ids[lo:hi]
         dw = _increment_block(seed, grid, d, sub)
         xs = [np.broadcast_to(x0, (len(sub), d)) for x0 in x0s]
         cols = {name: np.zeros((len(sub),) + shape) for name, (shape, _) in columns.items()}
@@ -207,8 +226,92 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, columns):
         run_em(fns, xs, grid, dw, scheme == "tamed", on_step)
         return cols
 
-    chunks = [run(lo) for lo in range(0, len(ids), n)]
+    def part(lo, hi):
+        return [chunk(a, min(a + n, hi)) for a in range(lo, hi, n)]
+
+    work = len(ids) * grid.n_steps * len(fns)
+    chunks = [c for p in _in_parts(part, len(ids), _part_count(len(ids), work)) for c in p]
     return {name: np.concatenate([c[name] for c in chunks]) for name in columns}
+
+
+def _part_count(n_ids, work):
+    """Processes for a path loop of ``work`` path steps times states.
+
+    One per CPU this process may run on, at most one per path; one when the
+    work is below ``_SPLIT_WORK``, where a fork costs more than it saves,
+    when ``os.fork`` is missing, or when another Python thread is alive,
+    which a forked child would lack along with any lock it held.
+    """
+    if (work < _SPLIT_WORK or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_ids)
+
+
+def _in_parts(run, n, parts):
+    """``run(lo, hi)`` over ``parts`` contiguous parts of range(n), in order.
+
+    The parent forks one child per part after the first, then runs part 0
+    itself.  A child runs its part, sends the result, or the exception it
+    raised, pickled through a pipe and leaves by ``os._exit``: it never
+    returns into the caller's stack.  Forking, not spawning, lets a child
+    run the caller's closures as they are.  The failure of the part with
+    the lowest ids raises in the parent, and every child is reaped before
+    this returns.
+    """
+    bounds = [n * i // parts for i in range(parts + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns on every OS thread, the idle BLAS
+                    # pool included, which re-creates itself in the child;
+                    # no other Python thread is alive (_part_count)
+                    warnings.filterwarnings("ignore", "This process .*multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _child(run, lo, hi, w)
+            os.close(w)
+            children.append((pid, r, lo, hi))
+        results = [run(bounds[0], bounds[1])]
+        for pid, r, lo, hi in children:
+            with open(r, "rb", closefd=False) as fh:
+                try:
+                    ok, value = pickle.load(fh)
+                except (EOFError, pickle.UnpicklingError) as e:
+                    raise RuntimeError(f"the process of paths {lo}..{hi - 1} "
+                                       "ended without a result") from e
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, r, _, _ in children:
+            os.kill(pid, signal.SIGKILL)  # no-op on a child that has exited
+            os.waitpid(pid, 0)
+            os.close(r)
+
+
+def _child(run, lo, hi, fd):
+    """Body of a forked child: send ``run(lo, hi)`` or its exception to
+    ``fd`` and leave without running the parent's cleanup."""
+    try:
+        try:
+            out = (True, run(lo, hi))
+        except BaseException as e:  # sent to the parent, which raises it
+            out = (False, e)
+        with open(fd, "wb") as fh:
+            pickle.dump(out, fh, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
 
 
 def _states(model, x0, grid, seed, n_paths, scheme, path_id0):

@@ -323,6 +323,20 @@ class TestPipelines:
             hashes.append(meta["config_sha256"])
         assert hashes[0] == hashes[1] != hashes[2]
 
+    def test_config_hash_ignores_output_paths(self, tmp_path):
+        # where a run is written is not part of what it is
+        hashes = []
+        for name in ("a", "b"):
+            report, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            cfg = _write(tmp_path, "s.yaml", {
+                "model": _ou_cfg(), "seed": 3, "n_steps": 8, "n_paths": 2,
+                "output": str(report), "csv": str(out),
+            })
+            assert main(["simulate", cfg]) == 0
+            hashes.append(json.loads(report.read_text())["meta"]["config_sha256"])
+            assert out.read_text().startswith(f"# config_sha256={hashes[-1]}\n")
+        assert hashes[0] == hashes[1]
+
     def test_zvonkin_report(self, tmp_path, capsys):
         cfg = _write(tmp_path, "z.yaml", {
             "model": _dini_cfg(), "grid_m": 65, "n_time": 16, "seed": 0,

@@ -1,7 +1,11 @@
 import ast
 import csv
 import math
+import os
+import threading
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from sdetci import (
     simulate_ensemble,
     with_drift_shift,
 )
-from sdetci import simulate
+from sdetci import simulate, tci
 from sdetci.simulate import ensemble_to_csv, run_em, time_integrals
 
 
@@ -251,6 +255,135 @@ class TestRngDiscipline:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_TILE", per_tile * g.n_steps * d)
             assert _chunked(chunk, run) == whole
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Split every path loop into up to three parts, as if on three CPUs.
+
+    Returns the pids the parent forked and, in a child, its part number.
+    """
+    forks = SimpleNamespace(pids=[], part=0)
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forks.pids.append(pid)
+        else:
+            forks.part = len(forks.pids) + 1
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(simulate, "_SPLIT_WORK", 0)
+    return forks
+
+
+def _in_one_process(run):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_SPLIT_WORK", 1 << 62)
+        return run()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParts:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_split_columns_equal_one_process(self, split, d):
+        model = model_from_config(ou_singular_config(kappa=0.7, d=d))
+        called = CallableModel(d, lambda t, x: -x, lambda t, x: (
+            (1.0 + 0.1 * np.tanh(x))[:, :, None] * np.eye(d)))
+        sg = SpaceGrid(4.0, 41, d)
+        phi = build_phi(GridFunction(sg, 0.1 * np.sin(sg.points()).reshape(sg.shape + (d,))),
+                        lam=2.0)
+        g, x0, n = TimeGrid(1.0, 16), [0.3, -0.2][:d], 50
+
+        def sup(acc, k, t, x):
+            np.maximum(acc, np.abs(x).sum(axis=1), out=acc)
+
+        # each run and the number of path loops it makes
+        runs = {
+            "ensemble_reduce": (1, lambda: [ensemble_reduce(called, x0, g, 5, n, sup, ())]),
+            "_shared_run": (2, lambda: list(tci._shared_run(
+                model, x0, g, 5, n, [0.1, 0.3], 30).values())),
+            "coupled_sup_distances": (1, lambda: [coupled_sup_distances(
+                model, called, x0, x0, g, 5, n, "tamed", 3)]),
+            "simulate_ensemble": (1, lambda: [simulate_ensemble(called, x0, g, 5, n).states]),
+            "pathwise_consistency": (2, lambda: pathwise_consistency(
+                model, phi, 2.0, x0, [4, 8], seed=5, n_paths=n)["rows"]),
+        }
+        for name, (loops, run) in runs.items():
+            whole = [np.asarray(c).tobytes() for c in _in_one_process(run)]
+            forked = len(split.pids)
+            parts = [np.asarray(c).tobytes() for c in run()]
+            assert len(split.pids) - forked == 2 * loops, name
+            assert parts == whole, name
+        _no_child_left()
+
+    @pytest.mark.parametrize("coefs, step", [((0.6, 1.0), 5), ((1.0, 0.6), 4)])
+    def test_lowest_failing_part_raises(self, split, coefs, step):
+        # parts 1 and 2, each in a child, run the cubic drag -c x^3 from
+        # x0 = 20 with c from ``coefs`` (c = 0.6 blows up at step 5, c = 1
+        # at step 4); part 0, in the parent, runs a linear drift and does not
+        def cubic(c):
+            return lambda t, x: -c * x**3
+
+        def drift(t, x):
+            return -x if split.part == 0 else cubic(coefs[split.part - 1])(t, x)
+
+        def sigma(t, x):
+            return np.ones((len(x), 1, 1))
+
+        g = TimeGrid(1.0, 100)
+        with pytest.raises(BlowupError) as err:
+            time_integrals(CallableModel(1, drift, sigma), [20.0], g, 0, 30)
+        assert len(split.pids) == 2
+        _no_child_left()
+        # part 1 fails first by path id, with the error of its model in one process
+        with pytest.raises(BlowupError) as alone:
+            _in_one_process(lambda: time_integrals(
+                CallableModel(1, cubic(coefs[0]), sigma), [20.0], g, 0, 30))
+        assert (type(err.value), err.value.step, str(err.value)) == (
+            BlowupError, step, f"path blew up at step {step}")
+        assert (err.value.step, str(err.value)) == (alone.value.step, str(alone.value))
+
+    def test_blowup_in_every_part_raises_as_one_process(self, split):
+        # cubic drag from x0 = 20 blows up at step 4 in every part: part 0,
+        # in the parent, raises the error of the one-process run
+        g = TimeGrid(1.0, 100)
+        run = lambda: coupled_sup_distances(  # noqa: E731
+            _cubic(), _cubic(), [20.0], [20.0], g, 0, 30)
+        with pytest.raises(BlowupError) as alone:
+            _in_one_process(run)
+        with pytest.raises(BlowupError) as err:
+            run()
+        assert len(split.pids) == 2
+        _no_child_left()
+        assert (err.value.step, str(err.value)) == (alone.value.step, str(alone.value)) == (
+            4, "path blew up at step 4")
+
+    def test_no_split_while_another_thread_runs(self, split):
+        # a child would hold only the forking thread; Python >= 3.12 warns
+        g = TimeGrid(1.0, 16)
+        stop = threading.Event()
+        worker = threading.Thread(target=stop.wait)
+        worker.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with_thread = time_integrals(_ou(), [0.0], g, 3, 50)
+        finally:
+            stop.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert split.pids == [] and caught == []
+        assert time_integrals(_ou(), [0.0], g, 3, 50).tobytes() == with_thread.tobytes()
+        assert len(split.pids) == 2
+        _no_child_left()
 
 
 class TestSchemes:
