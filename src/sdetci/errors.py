@@ -1,53 +1,50 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-import functools
+An error keeps the arguments it was built with in ``args`` and formats its
+message in ``__str__`` from its attributes, so Python's default exception
+pickling, the class called on ``args`` plus the instance dict, rebuilds it
+with the same type, message and attributes: a forked path part
+(``simulate._in_parts``) sends its error to the parent that way.
+"""
 
 
 class SdetciError(Exception):
-    """Base class for all package errors.
-
-    An error pickles as its class called on the arguments it was built
-    with, plus its attributes: the default pickle calls the class on
-    ``args``, the formatted message alone, which a subclass whose
-    constructor formats its message misreads.  So an error raised in a
-    forked path part (``simulate._in_parts``) rebuilds in the parent with
-    the same type, message and attributes.
-    """
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args)
-        self._built_with = (args, kwargs)
-        return self
-
-    def __reduce__(self):
-        args, kwargs = self._built_with
-        return functools.partial(type(self), *args, **kwargs), (), self.__dict__
+    """Base class for all package errors."""
 
 
 class InvalidCoefficient(SdetciError):
     """A coefficient evaluated to a non-finite value."""
 
     def __init__(self, name, point):
+        super().__init__(name, point)
         self.name = name
         self.point = point
-        super().__init__(f"coefficient {name!r} is non-finite at {point}")
+
+    def __str__(self):
+        return f"coefficient {self.name!r} is non-finite at {self.point}"
 
 
 class BlowupError(SdetciError):
     """A simulated path left the finite range at a known step."""
 
     def __init__(self, step):
+        super().__init__(step)
         self.step = step
-        super().__init__(f"path blew up at step {step}")
+
+    def __str__(self):
+        return f"path blew up at step {self.step}"
 
 
 class NotContractive(SdetciError):
     """The Picard map failed to contract at the given regularization level."""
 
     def __init__(self, lam, ratios):
+        super().__init__(lam, ratios)
         self.lam = lam
         self.ratios = list(ratios)
-        super().__init__(f"fixed-point iteration not contractive at lambda={lam}")
+
+    def __str__(self):
+        return f"fixed-point iteration not contractive at lambda={self.lam}"
 
 
 class EllipticSolverError(SdetciError):
@@ -58,11 +55,12 @@ class GradientTooLarge(SdetciError):
     """Measured sup-gradient of u exceeds the acceptance threshold."""
 
     def __init__(self, grad_bound, threshold):
+        super().__init__(grad_bound, threshold)
         self.grad_bound = grad_bound
         self.threshold = threshold
-        super().__init__(
-            f"grad bound {grad_bound:.4f} >= threshold {threshold:.4f}; raise lambda"
-        )
+
+    def __str__(self):
+        return f"grad bound {self.grad_bound:.4f} >= threshold {self.threshold:.4f}; raise lambda"
 
 
 class OutOfDomain(SdetciError):

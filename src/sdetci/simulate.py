@@ -17,31 +17,40 @@ paths are chunked.  A chunk draws from one generator, re-keyed per path
 ``path_rng(seed, path_id)``.  Its increments are node-major, (n_steps, n,
 d), so each step reads one contiguous (n, d) row; the paths draw through
 one reused per-path tile, which is scaled into that layout.  Paths run in
-chunks through one loop, ``_path_chunks``, which hands the states after
-every step to the step of each named per-path column and keeps none of
-them: ``_sup_gaps`` keeps a running sup of gaps, ``_trapezoid`` a running
-integral.  So a path holds its increments, not its states.
-``ensemble_reduce(..., step, shape)`` streams one column of ``shape``; the
-coupled runs of ``tci`` and ``zvonkin`` stream theirs the same way.  Only
-``simulate_ensemble``, and ``ensemble_reduce`` given a function of full
-states instead of a ``shape``, store every node.  One memory budget,
-``_CHUNK_BUDGET``, sets every chunk size: no function takes a ``chunk``.
+chunks through one loop, ``_path_chunks``, which allocates each named
+per-path column once, zeroed, for all of its paths, and hands the states
+after every step to the step of each column, which fills the chunk's rows
+in place and keeps no state: ``_sup_gaps`` keeps a running sup of gaps,
+``_trapezoid`` a running integral.  So a path holds its increments, not its
+states.  ``ensemble_reduce(..., step, shape)`` streams one column of
+``shape``; the coupled runs of ``tci`` and ``zvonkin`` stream theirs the
+same way.  Only ``simulate_ensemble``, and ``ensemble_reduce`` given a
+function of full states instead of a ``shape``, store every node, once.
+One memory budget, ``_CHUNK_BUDGET``, sets every chunk size: no function
+takes a ``chunk``.  ``run_em`` evaluates the coefficients of step k at the
+grid node t_k and hands the states to the columns at t_{k+1}.
 
 A large loop runs in parts: contiguous ranges of its path ids, at most one
-process per CPU this process may run on (``os.sched_getaffinity``).  The
-parent forks a child per part after the first and runs part 0 itself;
-each part runs its chunks under its own ``_CHUNK_BUDGET``, and the parent
-joins the columns in id order (``_in_parts``).  Every column is per path
-and each path's noise depends on (seed, path id) alone, so the columns are
-bit-identical to those of one process.  A loop of fewer than
-``_SPLIT_WORK`` path steps times states, or one started while another
-Python thread is alive, stays in one process (``_part_count``).
+process per CPU this process may run on (``os.sched_getaffinity``).  Its
+columns then live in anonymous shared maps, made before the parent forks a
+child per part after the first; the parent runs part 0 itself, each part
+runs its chunks under its own ``_CHUNK_BUDGET`` and writes its rows in
+place, and a child sends back only its outcome (``_in_parts``).  Every
+column is per path and each path's noise depends on (seed, path id) alone,
+so the columns are bit-identical to those of one process.  Every chunk
+runs to its end or its first blow-up, and the loop raises the BlowupError
+of the earliest step over all its chunks and parts, so the step does not
+depend on chunk sizes or CPUs; any other error raises at once, that of the
+lowest part first.  A loop of fewer than ``_SPLIT_WORK`` path steps times
+states, or one started while another Python thread is alive, stays in one
+process, with plain arrays for its columns (``_part_count``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -147,8 +156,9 @@ def run_em(fns, x0s, grid, dw, tamed=False, on_step=None):
     State ``i`` starts at ``x0s[i]`` (n, d) and steps with ``fns[i] =
     (drift, sigma)``; every state takes the node-major increments ``dw`` of
     shape (n_steps, n, d), so the states are coupled synchronously and step
-    k reads the contiguous row ``dw[k]``.  After step k,
-    ``on_step(k, t, xs)`` sees the states at time t.  Raises
+    k reads the contiguous row ``dw[k]``.  Step k evaluates the
+    coefficients at the grid node t_k, and ``on_step(k, t, xs)`` then sees
+    the states at the node t = t_{k+1}.  Raises
     BlowupError when any state leaves the finite range (only plain EM is
     expected to).  Returns the terminal states.
 
@@ -160,10 +170,11 @@ def run_em(fns, x0s, grid, dw, tamed=False, on_step=None):
     bit-identical states.
     """
     h = grid.h
+    nodes = grid.nodes.tolist()
     xs = [np.array(x0, dtype=float) for x0 in x0s]
     mats = [getattr(sigma, "matrix", None) for _, sigma in fns]
-    t = 0.0
     for k in range(grid.n_steps):
+        t = nodes[k]
         col = dw[k]
         shared = {}  # id of a declared matrix -> this step's noise term
         for i, (drift, sigma) in enumerate(fns):
@@ -183,9 +194,8 @@ def run_em(fns, x0s, grid, dw, tamed=False, on_step=None):
             if not np.abs(x).max() <= _BLOWUP_LIMIT:  # also catches NaN
                 raise BlowupError(k + 1)
             xs[i] = x
-        t += h
         if on_step is not None:
-            on_step(k, t, xs)
+            on_step(k, nodes[k + 1], xs)
     return xs
 
 
@@ -195,13 +205,15 @@ def _chunk_size(grid, d, held):
 
 
 def _path_chunks(fns, x0s, grid, seed, ids, scheme, columns):
-    """Run coupled states over chunks of path ids; return name -> joined column.
+    """Run coupled states over chunks of path ids; return name -> column.
 
     Path ``ids[j]`` keys the noise every state shares.  ``columns`` maps a
-    name to ``(shape, step)``; ``step(col, k, t, xs)`` fills a chunk's zeroed
-    ``col`` of shape (n,) + ``shape`` from the start states (k = -1) and each
-    step.  A path holds its (n_steps, d) increments and its row of every
-    column, which count as the whole (n_steps, d) arrays they fill.
+    name to ``(shape, step)``: the loop allocates each column once, zeroed,
+    of shape (len(ids),) + ``shape``, and ``step(col, k, t, xs)`` fills a
+    chunk's rows ``col`` of it in place from the start states (k = -1) and
+    each step.  A path holds its (n_steps, d) increments and its row of
+    every column, which count as the whole (n_steps, d) arrays they fill.
+    Every chunk runs; a blow-up raises at the earliest step of any path.
     """
     if scheme not in ("em", "tamed"):
         raise ConfigError(f"unknown scheme {scheme!r}, use 'em' or 'tamed'", "scheme")
@@ -211,27 +223,43 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, columns):
     d = len(x0s[0])
     width = sum(math.prod(shape) for shape, _ in columns.values())
     n = _chunk_size(grid, d, 1 + width // (grid.n_steps * d))
+    parts = _part_count(len(ids), len(ids) * grid.n_steps * len(fns))
+    zeros = np.zeros if parts == 1 else _shared_zeros
+    store = {name: zeros((len(ids),) + shape) for name, (shape, _) in columns.items()}
 
     def chunk(lo, hi):
-        sub = ids[lo:hi]
-        dw = _increment_block(seed, grid, d, sub)
-        xs = [np.broadcast_to(x0, (len(sub), d)) for x0 in x0s]
-        cols = {name: np.zeros((len(sub),) + shape) for name, (shape, _) in columns.items()}
+        """Fill rows lo..hi-1; return the chunk's blow-up, or None."""
+        dw = _increment_block(seed, grid, d, ids[lo:hi])
+        xs = [np.broadcast_to(x0, (hi - lo, d)) for x0 in x0s]
 
         def on_step(k, t, xs):
             for name, (_, step) in columns.items():
-                step(cols[name], k, t, xs)
+                step(store[name][lo:hi], k, t, xs)
 
         on_step(-1, 0.0, xs)
-        run_em(fns, xs, grid, dw, scheme == "tamed", on_step)
-        return cols
+        try:
+            run_em(fns, xs, grid, dw, scheme == "tamed", on_step)
+        except BlowupError as e:
+            return e
 
     def part(lo, hi):
-        return [chunk(a, min(a + n, hi)) for a in range(lo, hi, n)]
+        return _earliest(chunk(a, min(a + n, hi)) for a in range(lo, hi, n))
 
-    work = len(ids) * grid.n_steps * len(fns)
-    chunks = [c for p in _in_parts(part, len(ids), _part_count(len(ids), work)) for c in p]
-    return {name: np.concatenate([c[name] for c in chunks]) for name in columns}
+    blowup = _earliest(_in_parts(part, len(ids), parts))
+    if blowup is not None:
+        raise blowup
+    return store
+
+
+def _earliest(blowups):
+    """The BlowupError of the earliest step among ``blowups``, or None."""
+    return min((b for b in blowups if b is not None), key=lambda b: b.step, default=None)
+
+
+def _shared_zeros(shape):
+    """A zeroed float array in an anonymous shared map, whose rows a forked
+    child fills for the parent; ``mmap`` refuses length 0."""
+    return np.ndarray(shape, buffer=mmap.mmap(-1, max(8 * math.prod(shape), 1)))
 
 
 def _part_count(n_ids, work):
@@ -334,7 +362,7 @@ def simulate_ensemble(model, x0, grid, seed, n_paths, scheme="em", path_id0=0):
 
 def ensemble_reduce(model, x0, grid, seed, n_paths, step, shape=None,
                     scheme="em", path_id0=0):
-    """Stream ``step(acc, k, t, x)`` over the paths; return the joined ``acc``.
+    """Stream ``step(acc, k, t, x)`` over the paths; return ``acc`` of all paths.
 
     Per chunk of n paths, ``acc`` is a zeroed (n,) + ``shape`` array and
     ``step`` sees the start states x (n, d) at k = -1, t = 0, then the
@@ -359,15 +387,14 @@ def _mean_stderr(samples, axis=0):
 
 def _trapezoid(grid, integrand):
     """``step(integral, k, t, x)``, adding to ``integral`` (n,) the trapezoid
-    term of int integrand(t, x) dt at node k + 1, with t the node itself, not
-    the EM loop's running sum of steps.  Summed node by node, the trapezoid
-    holds one running sum per path, not the integrand at every node."""
-    nodes = grid.nodes
+    term of int integrand(t, x) dt at node k + 1, time t.  Summed node by
+    node, the trapezoid holds one running sum per path, not the integrand at
+    every node."""
     weights = np.full(grid.n_steps + 1, grid.h)
     weights[[0, -1]] *= 0.5
 
     def step(integral, k, t, x):
-        integral += weights[k + 1] * integrand(nodes[k + 1], x)
+        integral += weights[k + 1] * integrand(t, x)
 
     return step
 

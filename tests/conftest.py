@@ -13,6 +13,15 @@ settings.register_profile("sdetci", derandomize=True, deadline=None)
 settings.load_profile("sdetci")
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, such as a forked part
+    of a split path loop that was not reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def child_env():
     """Build the minimal environment for a ``python -m sdetci.cli`` child.

@@ -3,6 +3,7 @@ import csv
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -324,11 +325,12 @@ class TestParts:
             assert parts == whole, name
         _no_child_left()
 
-    @pytest.mark.parametrize("coefs, step", [((0.6, 1.0), 5), ((1.0, 0.6), 4)])
+    @pytest.mark.parametrize("coefs, step", [((0.6, 1.0), 4), ((1.0, 0.6), 4)])
     def test_lowest_failing_part_raises(self, split, coefs, step):
         # parts 1 and 2, each in a child, run the cubic drag -c x^3 from
         # x0 = 20 with c from ``coefs`` (c = 0.6 blows up at step 5, c = 1
-        # at step 4); part 0, in the parent, runs a linear drift and does not
+        # at step 4); part 0, in the parent, runs a linear drift and does not.
+        # The earliest blow-up raises, whichever part it is in
         def cubic(c):
             return lambda t, x: -c * x**3
 
@@ -343,10 +345,10 @@ class TestParts:
             time_integrals(CallableModel(1, drift, sigma), [20.0], g, 0, 30)
         assert len(split.pids) == 2
         _no_child_left()
-        # part 1 fails first by path id, with the error of its model in one process
+        # with the error of the earliest failing model, c = 1, in one process
         with pytest.raises(BlowupError) as alone:
             _in_one_process(lambda: time_integrals(
-                CallableModel(1, cubic(coefs[0]), sigma), [20.0], g, 0, 30))
+                CallableModel(1, cubic(max(coefs)), sigma), [20.0], g, 0, 30))
         assert (type(err.value), err.value.step, str(err.value)) == (
             BlowupError, step, f"path blew up at step {step}")
         assert (err.value.step, str(err.value)) == (alone.value.step, str(alone.value))
@@ -384,6 +386,61 @@ class TestParts:
         assert time_integrals(_ou(), [0.0], g, 3, 50).tobytes() == with_thread.tobytes()
         assert len(split.pids) == 2
         _no_child_left()
+
+    def test_blowup_step_independent_of_chunks_and_parts(self, split, monkeypatch):
+        # the drag -0.52 x^3 from x0 = 20 blows up at step 5 or 6 by path:
+        # every run raises the earliest step of any path, whether the loop
+        # runs in one process, in two parts or in one-path chunks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        model = CallableModel(1, lambda t, x: -0.52 * x**3,
+                              lambda t, x: np.ones((len(x), 1, 1)))
+        g = TimeGrid(1.0, 100)
+
+        def steps():
+            out = []
+            for seed in range(40):
+                with pytest.raises(BlowupError) as err:
+                    simulate_ensemble(model, [20.0], g, seed, 8)
+                out.append(err.value.step)
+            return out
+
+        alone = _in_one_process(steps)
+        assert set(alone) == {5, 6}
+        assert steps() == alone
+        assert len(split.pids) == 40
+        _no_child_left()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_CHUNK_BUDGET", 1)
+            assert _in_one_process(steps) == alone
+
+    def test_dead_part_raises(self, split):
+        # a child that dies without reporting leaves its rows of the shared
+        # columns zeroed: the parent raises instead of returning them
+        def drift(t, x):
+            if split.part == 1:
+                os._exit(1)
+            return -x
+
+        model = CallableModel(1, drift, lambda t, x: np.ones((len(x), 1, 1)))
+        with pytest.raises(RuntimeError, match=r"the process of paths 10\.\.19 ended"):
+            simulate_ensemble(model, [0.0], TimeGrid(1.0, 16), 3, 30)
+        assert len(split.pids) == 2
+        _no_child_left()
+
+    def test_full_state_run_holds_states_once(self):
+        # the states are allocated once and filled in place: beside them the
+        # run holds one chunk's increments, capped at 16 MiB, and at most
+        # 4 MiB of draw tile and per-step arrays
+        model, g = _ou(), TimeGrid(1.0, 256)
+        simulate_ensemble(model, [0.0], g, 0, 10)
+        tracemalloc.start()
+        try:
+            states = _in_one_process(
+                lambda: simulate_ensemble(model, [0.0], g, 0, 20000).states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= states.nbytes + simulate._CHUNK_BUDGET * 8 + 4 * 2**20
 
 
 class TestSchemes:
