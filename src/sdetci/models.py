@@ -80,34 +80,27 @@ class ModulusSpec:
         squares; on [0, 1] they are dominated by the same constant times
         ``s ** 1/2``, which is admissible.
         """
-        if self.family == "holder" and self.alpha > _HOLDER_CAP:
-            return ModulusSpec("holder", alpha=_HOLDER_CAP, L=self.L, scale=self.scale)
-        if self.family == "lipschitz":
+        if self.family == "lipschitz" or (self.family == "holder" and self.alpha > _HOLDER_CAP):
             return ModulusSpec("holder", alpha=_HOLDER_CAP, L=self.L, scale=self.scale)
         return self
-
-    def at_log(self, t):
-        """phi(e^{-t}) without forming e^{-t} (which underflows)."""
-        t = np.asarray(t, dtype=float)
-        with np.errstate(under="ignore"):
-            if self.family == "holder":
-                return self.scale * self.L * np.exp(-self.alpha * np.minimum(t, 745.0 / self.alpha))
-            if self.family == "lipschitz":
-                return self.scale * self.L * np.exp(-np.minimum(t, 745.0))
-            if self.family == "log_square":
-                cap_t = -math.log(self.cutoff)
-                return self.scale * np.maximum(t, cap_t) ** -2.0
-            return self(np.exp(-np.minimum(t, 745.0)))
 
     def dini_tail(self, t1, t2):
         """Tail mass of the Dini integral between s = e^{-t2} and e^{-t1}.
 
         Written in the substituted variable t = log(1/s), where the
         integrand is just phi(e^{-t}); a summable tail vanishes as t1 grows
-        while a barely-divergent modulus keeps contributing.
+        while a barely-divergent modulus keeps contributing.  e^{-t}
+        underflows to 0 beyond t ~ 745, where the integrand reads phi(0);
+        ``log_square`` decays only as t^{-2}, so it keeps its closed form
+        scale * max(t, log 1/cutoff)^{-2}.
         """
         t = np.geomspace(t1, t2, 4096)
-        return float(np.trapezoid(self.at_log(t), t))
+        if self.family == "log_square":
+            phi = self.scale * np.maximum(t, -math.log(self.cutoff)) ** -2.0
+        else:
+            with np.errstate(under="ignore"):
+                phi = self(np.exp(-t))
+        return float(np.trapezoid(phi, t))
 
     def validate(self):
         """Run the three admissibility checks on a sample grid."""

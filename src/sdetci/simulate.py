@@ -65,7 +65,7 @@ from .errors import BlowupError, ConfigError
 
 _MASK = (1 << 64) - 1
 _BLOWUP_LIMIT = 1e10
-_CHUNK_BUDGET = 1 << 21  # floats held by one chunk's path arrays (16 MiB)
+_CHUNK_BUDGET = 1 << 21  # floats of one chunk's increments (16 MiB)
 _TILE = 1 << 16  # floats of the per-path draw tile of _increment_block (512 KiB)
 # path steps x states below which a path loop stays in one process: on a
 # 2-core host a fork costs about 3 ms, and splitting an OU loop of 2**18
@@ -150,7 +150,7 @@ def _increment_block(seed, grid, d, ids):
     return out
 
 
-def run_em(fns, x0s, grid, dw, tamed=False, on_step=None):
+def run_em(fns, x0s, grid, dw, on_step, tamed=False):
     """Euler-Maruyama (or tamed) recursion of coupled states over one chunk.
 
     State ``i`` starts at ``x0s[i]`` (n, d) and steps with ``fns[i] =
@@ -160,7 +160,7 @@ def run_em(fns, x0s, grid, dw, tamed=False, on_step=None):
     coefficients at the grid node t_k, and ``on_step(k, t, xs)`` then sees
     the states at the node t = t_{k+1}.  Raises
     BlowupError when any state leaves the finite range (only plain EM is
-    expected to).  Returns the terminal states.
+    expected to).
 
     The noise term of a state is sigma(t, x) dW, contracted per path.  A
     sigma that declares ``matrix`` S is not called: its term is dW S^T, one
@@ -194,14 +194,12 @@ def run_em(fns, x0s, grid, dw, tamed=False, on_step=None):
             if not np.abs(x).max() <= _BLOWUP_LIMIT:  # also catches NaN
                 raise BlowupError(k + 1)
             xs[i] = x
-        if on_step is not None:
-            on_step(k, nodes[k + 1], xs)
-    return xs
+        on_step(k, nodes[k + 1], xs)
 
 
-def _chunk_size(grid, d, held):
-    """Paths per chunk when each path holds ``held`` (n_steps, d) arrays."""
-    return max(1, _CHUNK_BUDGET // (grid.n_steps * d * held))
+def _chunk_size(grid, d):
+    """Paths per chunk when each path holds its (n_steps, d) increments."""
+    return max(1, _CHUNK_BUDGET // (grid.n_steps * d))
 
 
 def _path_chunks(fns, x0s, grid, seed, ids, scheme, columns):
@@ -211,9 +209,9 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, columns):
     name to ``(shape, step)``: the loop allocates each column once, zeroed,
     of shape (len(ids),) + ``shape``, and ``step(col, k, t, xs)`` fills a
     chunk's rows ``col`` of it in place from the start states (k = -1) and
-    each step.  A path holds its (n_steps, d) increments and its row of
-    every column, which count as the whole (n_steps, d) arrays they fill.
-    Every chunk runs; a blow-up raises at the earliest step of any path.
+    each step.  A chunk holds its paths' (n_steps, d) increments, which
+    alone size it: the columns are the loop's, not the chunk's.  Every
+    chunk runs; a blow-up raises at the earliest step of any path.
     """
     if scheme not in ("em", "tamed"):
         raise ConfigError(f"unknown scheme {scheme!r}, use 'em' or 'tamed'", "scheme")
@@ -221,8 +219,7 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, columns):
         raise ConfigError(f"need at least one path, got {len(ids)}", "n_paths")
     x0s = [np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in x0s]
     d = len(x0s[0])
-    width = sum(math.prod(shape) for shape, _ in columns.values())
-    n = _chunk_size(grid, d, 1 + width // (grid.n_steps * d))
+    n = _chunk_size(grid, d)
     parts = _part_count(len(ids), len(ids) * grid.n_steps * len(fns))
     zeros = np.zeros if parts == 1 else _shared_zeros
     store = {name: zeros((len(ids),) + shape) for name, (shape, _) in columns.items()}
@@ -238,7 +235,7 @@ def _path_chunks(fns, x0s, grid, seed, ids, scheme, columns):
 
         on_step(-1, 0.0, xs)
         try:
-            run_em(fns, xs, grid, dw, scheme == "tamed", on_step)
+            run_em(fns, xs, grid, dw, on_step, scheme == "tamed")
         except BlowupError as e:
             return e
 
@@ -364,10 +361,11 @@ def ensemble_reduce(model, x0, grid, seed, n_paths, step, shape=None,
                     scheme="em", path_id0=0):
     """Stream ``step(acc, k, t, x)`` over the paths; return ``acc`` of all paths.
 
-    Per chunk of n paths, ``acc`` is a zeroed (n,) + ``shape`` array and
-    ``step`` sees the start states x (n, d) at k = -1, t = 0, then the
-    states after each step k at time t.  A path holds its increments and
-    its row of ``acc``, never its states.  Without ``shape``, ``step`` is
+    ``acc`` is one zeroed (n_paths,) + ``shape`` array for the whole run;
+    per chunk of n paths, ``step`` fills the chunk's (n,) + ``shape`` rows
+    of it in place from the start states x (n, d) at k = -1, t = 0, then
+    from the states after each step k at time t.  A chunk holds its
+    increments, never its states.  Without ``shape``, ``step`` is
     instead a function of the full (n_paths, n_steps + 1, d) states, the
     earlier contract, and the whole run holds its states.
     """

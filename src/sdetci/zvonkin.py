@@ -147,13 +147,7 @@ class GridFunction:
 
     def gradient_values(self):
         """Central-difference Jacobians, shape (..., d_space, d_comp)."""
-        dx = self.grid.dx
-        d = self.grid.d
-        offset = 0 if self.times is None else 1
-        grads = [
-            np.gradient(self.values, dx, axis=offset + ax) for ax in range(d)
-        ]
-        return np.stack(grads, axis=-2)
+        return _jacobians(self.values, self.grid.dx, self.grid.d)
 
     def sup_norm(self):
         return float(np.linalg.norm(self.values, axis=-1).max())
@@ -180,6 +174,13 @@ class GridFunction:
             for q in (s2[..., :-1, :, :], s2[..., 1:, :, :])  # at x1 = lower, upper node
         ]
         return float(max(n.max() for n in norms) / 2)
+
+
+def _jacobians(values, dx, d):
+    """Jacobians (..., *space, d, k) of ``values`` (..., *space, k) by
+    ``np.gradient`` along the d space axes before the component axis:
+    central differences inside the box, one-sided at its faces."""
+    return np.stack([np.gradient(values, dx, axis=ax - d - 1) for ax in range(d)], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +385,10 @@ def _parabolic_map(model, lam, sgrid, times):
     """The resolvent integral map u -> M(u) on the space-time grid.
 
     One backward Crank-Nicolson sweep of the reference semigroup with
-    source grad_b u + b, using exact exponential weights for the resolvent
-    factor.  Each step solves with node j's one factor of I - cL, c = h/2,
-    as (I - cL)^{-1} (I + cL) r = 2 (I - cL)^{-1} r - r.  A time node
+    source grad_b u + b, b contracted against the ``_jacobians`` of u,
+    using exact exponential weights for the resolvent factor.  Each step
+    solves with node j's one factor of I - cL, c = h/2, as
+    (I - cL)^{-1} (I + cL) r = 2 (I - cL)^{-1} r - r.  A time node
     reuses the previous node's factor while ``sigma sigma*`` and ``B``
     take the same values there, so an autonomous reference equation is
     factored once.  ``u`` and ``M(u)`` have shape ``(len(times), M, d)``.
@@ -411,9 +413,11 @@ def _parabolic_map(model, lam, sgrid, times):
             coeffs = a_vals, B_vals
         steps.append(step)
     b_grid = np.stack([model.b(t, pts) for t in times])
+    d = sgrid.d
 
     def apply(u):
-        G = b_grid + _grad_b_u(u, b_grid, sgrid)
+        jac = _jacobians(u.reshape(-1, *sgrid.shape, d), sgrid.dx, d)
+        G = b_grid + np.einsum("tmi,tmij->tmj", b_grid, jac.reshape(u.shape + (d,)))
         out = np.zeros_like(u)
         for j in range(n_time - 1, -1, -1):
             rhs = ehl * out[j + 1] + w1 * G[j + 1]
@@ -522,21 +526,6 @@ def solve_u_elliptic(model, lam, sgrid):
     if not np.isfinite(u).all():
         raise EllipticSolverError("elliptic solution is non-finite")
     return GridFunction(sgrid, u.reshape(*sgrid.shape, sgrid.d))
-
-
-def _grad_b_u(u, b_vals, sgrid):
-    """grad_b u = sum_i b_i d_i u by central differences in space.
-
-    ``u`` has shape ``(..., M, d)`` and ``b_vals`` broadcasts against it;
-    leading (time) axes pass through.
-    """
-    lead = u.shape[:-2]
-    shaped = u.reshape(*lead, *sgrid.shape, u.shape[-1])
-    out = np.zeros_like(u)
-    for ax in range(sgrid.d):
-        du = np.gradient(shaped, sgrid.dx, axis=len(lead) + ax).reshape(u.shape)
-        out += b_vals[..., ax : ax + 1] * du
-    return out
 
 
 # ---------------------------------------------------------------------------

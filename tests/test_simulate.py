@@ -49,7 +49,7 @@ def _sin_transformed(model):
 def _chunked(chunk, run):
     """``run()`` with every chunk of the shared path loop set to ``chunk`` paths."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_chunk_size", lambda grid, d, held: chunk)
+        mp.setattr(simulate, "_chunk_size", lambda grid, d: chunk)
         return run()
 
 

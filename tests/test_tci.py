@@ -164,6 +164,16 @@ class TestGaussianTail:
         )
         assert not sweep["stable"]
 
+    def test_rows_that_disagree_make_the_sweep_unstable(self):
+        # 256 zero exponents, then 65 280 ones: each row is stable alone, but
+        # the rows' log-estimates, 0 and log((256 + 65280 e) / 65536), differ
+        # by more than log 1.5, so the sweep is not stable
+        sweep = tci._sweep(1.0, [256, 65536], np.r_[np.zeros(256), np.ones(65280)])
+        assert all(row["stable"] for row in sweep["rows"])
+        assert sweep["log_spread"] == pytest.approx(
+            math.log((256 + 65280 * math.e) / 65536), rel=1e-12)
+        assert not sweep["stable"]
+
     def test_sweep_simulates_each_path_once(self, monkeypatch):
         # a run of n paths is a prefix of the largest run, so only that one runs
         model, g = self._ou(), TimeGrid(1.0, 16)
@@ -230,6 +240,19 @@ class TestT2Check:
             assert row["entropy"] == pytest.approx(0.5 * h**2, rel=1e-12)
             assert row["ratio"] == pytest.approx(0.80097, abs=1e-5)
 
+    def test_sup_gap_peaks_before_the_horizon(self):
+        # drift -c(t) x, c = 0 before t = 1/2 and 50 from then on, under unit
+        # noise: the coupled gap of the shift h is deterministic, h t up to
+        # t = 1/2, then decaying to h / 50, so its sup h / 2 is not its last value
+        model = CallableModel(1, lambda t, x: -(50.0 if t >= 0.5 else 0.0) * x,
+                              lambda t, x: np.ones((len(x), 1, 1)))
+        g, h, n = TimeGrid(1.0, 64), 0.3, 16
+        twin = with_drift_shift(model, lambda t, x: h * np.ones_like(x))
+        sup = coupled_sup_distances(model, twin, [0.0], [0.0], g, 0, n)
+        np.testing.assert_allclose(sup, 0.15, rtol=1e-9)
+        row, = t2_check(model, [0.0], g, [h], n)["rows"]
+        assert row["w2_sq_bound"] == pytest.approx(0.0225, rel=1e-9)
+
     def test_empty_shifts_is_config_error(self):
         model = model_from_config(ou_singular_config(kappa=1.0))
         with pytest.raises(ConfigError) as err:
@@ -283,7 +306,7 @@ class TestT2Check:
         assert sum(states) == (len(shifts) + 1) * n
         self._assert_rows(model, x0, g, shifts, n, seed, res)
         # chunks of 1000 paths, the last one short
-        monkeypatch.setattr(simulate, "_chunk_size", lambda grid, d, held: 1000)
+        monkeypatch.setattr(simulate, "_chunk_size", lambda grid, d: 1000)
         assert t2_check(model, x0, g, shifts, n, seed) == res
 
 

@@ -485,7 +485,10 @@ class TestScipyReference:
         ehl = math.exp(-lam * h)
         i0, i1 = (1.0 - ehl) / lam, (1.0 - ehl * (1.0 + lam * h)) / lam**2
         b_grid = np.stack([model.b(t, pts) for t in times])
-        G = b_grid + zvonkin._grad_b_u(u, b_grid, sg)
+        shaped = u.reshape(len(times), *sg.shape, d)
+        G = b_grid + sum(b_grid[..., ax:ax + 1]
+                         * np.gradient(shaped, sg.dx, axis=1 + ax).reshape(u.shape)
+                         for ax in range(d))
         eye = sparse.eye(m**d, format="csc")
         want = np.zeros_like(u)
         for j in range(n_time - 1, -1, -1):
@@ -776,7 +779,7 @@ class TestSemigroupMonteCarlo:
             return run(fns, x0s, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "run_em", counted)
-        monkeypatch.setattr(simulate, "_chunk_size", lambda grid, d, held: 400)
+        monkeypatch.setattr(simulate, "_chunk_size", lambda grid, d: 400)
         n, gaps = 1000, [0.1, 0.2]
         res = check_gradient_estimate(self._bm(), lambda x: x[:, 0] > 0, [0.0],
                                       gaps, n=n, seed=5, n_steps=4)
