@@ -6,11 +6,10 @@ pytest ids of the tests that must fail once the fragment is replaced.  A killer 
 check something the code does not compute itself: a closed form, an Ito
 identity, an inequality of the paper or an oracle built another way.
 
-To run a mutant, export the tree (``git archive HEAD | tar -x -C DIR``),
-replace its fragment in the export's file and run ``python -m pytest`` on
-its killers there, with the export's ``src`` on ``PYTHONPATH``: every
-killer must fail.  ``tests/test_mutants.py`` checks in tier-1 that each
-fragment still occurs once and each killer still exists.
+``mutants/run.py`` runs the census: it applies each mutant to an export of
+HEAD and runs the mutant's killers there; a mutant that no killer fails
+survives.  ``tests/test_mutants.py`` checks in tier-1 that each fragment
+still occurs once and each killer still exists.
 """
 
 from typing import NamedTuple
@@ -46,5 +45,26 @@ MUTANTS = (
         "np.maximum(sup, np.stack([dist(t, xs[0], x) for x in xs[1:]], axis=1), out=sup)",
         "sup[:] = np.stack([dist(t, xs[0], x) for x in xs[1:]], axis=1)",
         ("tests/test_tci.py::TestT2Check::test_sup_gap_peaks_before_the_horizon",),
+    ),
+    # the elliptic Zvonkin source is -b1, not b1
+    Mutant(
+        "M13", "src/sdetci/zvonkin.py",
+        "u = splu(_shifted(L, -1.0, lam)).solve(b1)",
+        "u = splu(_shifted(L, -1.0, lam)).solve(-b1)",
+        ("tests/test_zvonkin.py::TestEllipticSolver::test_image_paths_follow_phi",
+         "tests/test_zvonkin.py::TestEllipticSolver::test_matches_dense_reference"),
+    ),
+    # the Monte Carlo standard error divides by n, not n - 1
+    Mutant(
+        "M14", "src/sdetci/simulate.py",
+        "ddof=min(n - 1, 1)", "ddof=0",
+        ("tests/test_zvonkin.py::TestSemigroupMonteCarlo"
+         "::test_estimate_P0_stderr_counts_the_paths_drawn",),
+    ),
+    # the batched LP certificate checks the duality gap but not the dual slack
+    Mutant(
+        "M15", "src/sdetci/transport.py",
+        "np.maximum(np.maximum.reduceat(slack, np.cumsum(sizes) - sizes), gap)", "gap",
+        ("tests/test_transport.py::TestBatchedLp::test_only_the_perturbed_block_is_blamed",),
     ),
 )

@@ -66,6 +66,39 @@ class TestModulus:
         )
         assert mod.validate().passed
 
+    def test_custom_table_with_uneven_nodes(self):
+        # the slopes of phi^2 between the nodes, 1.6, 1.2 and 0.72, fall
+        mod = ModulusSpec("custom_table", table_s=(0, 0.1, 0.5, 1), table_phi=(0, 0.4, 0.8, 1))
+        rep = mod.validate()
+        assert rep.passed, rep.as_dict()
+        assert rep.margin("phi_sq_concave") == pytest.approx(0.4, rel=1e-12)
+
+    def test_custom_table_whose_square_slopes_rise_fails(self):
+        # phi^2 = 0, 0.4, 0.5, 0.55 rises by less over each node gap, but its
+        # slopes 0.5, 1.0, 0.5 rise at s = 0.8: not concave
+        mod = ModulusSpec("custom_table", table_s=(0, 0.8, 0.9, 1),
+                          table_phi=tuple(np.sqrt([0, 0.4, 0.5, 0.55])))
+        rep = mod.validate()
+        assert not rep.passed
+        assert rep.margin("phi_sq_concave") == pytest.approx(-0.5, rel=1e-12)
+        assert rep.margin("phi_nondecreasing") > 0
+
+    @pytest.mark.parametrize("spec, margin", [
+        (ModulusSpec("holder", alpha=0.25, L=2.0), 2.38826583398577e-07),
+        (ModulusSpec("holder", alpha=0.5, L=2.0), -2.220446049250313e-15),
+        (ModulusSpec("holder", alpha=0.8, L=2.0), -2.220446049250313e-15),
+        (ModulusSpec("lipschitz", L=3.0), -7.105427357601002e-15),
+        (ModulusSpec("log_square", scale=7.0), -0.0),
+    ])
+    def test_sampled_family_concavity_margin(self, spec, margin):
+        # the second differences of phi^2 on 2 048 even nodes, bit for bit
+        assert spec.validate().margin("phi_sq_concave") == margin
+
+    @pytest.mark.parametrize("nodes", [(0, 0.5, 0.5, 1), (0, 0.5, 0.3, 1)])
+    def test_custom_table_nodes_must_increase(self, nodes):
+        with pytest.raises(ConfigError, match="increase strictly"):
+            ModulusSpec("custom_table", table_s=nodes, table_phi=(0, 0.5, 0.6, 1))
+
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             ModulusSpec("fancy")(0.5)

@@ -199,7 +199,8 @@ class TestSolverSelection:
         arrays = transport._block_incidence([(n, m)])
         A_eq = _csc(arrays)
         res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                      options={"dual_feasibility_tolerance": transport.LP_DUAL_FEASIBILITY_TOL})
+                      options={"dual_feasibility_tolerance": transport.LP_DUAL_FEASIBILITY_TOL,
+                               "presolve": False})
         assert res.success
         # the plain arrays and the scipy matrix reach HiGHS alike
         for A in (arrays, A_eq):
@@ -258,6 +259,14 @@ class TestSolverSelection:
             exact_wp_many([(mu, nu, None), (mu, nu, np.ones((4, 3))), (nu, mu, None)])
         assert solves == []
 
+    def test_refused_model_fails(self):
+        # a row index past the LP's rows: HiGHS refuses the model, and no
+        # solve of an empty model passes for a solution
+        A = transport._block_incidence([(2, 2)])
+        bad = A._replace(indices=A.indices + 4)
+        with pytest.raises(RuntimeError, match="transport LP failed: HiGHS refused"):
+            transport.linprog(np.ones(4), A_eq=bad, b_eq=np.full(4, 0.5))
+
     def test_inconsistent_marginals_fail(self):
         cost = euclidean_cost(np.arange(3.0)[:, None], np.arange(2.0)[:, None])
         with pytest.raises(RuntimeError, match="transport LP failed: Infeasible"):
@@ -306,6 +315,35 @@ class TestBatchedLp:
         with pytest.raises(RuntimeError, match="dual certificate"):
             exact_wp_many([(far, far_nu, None), (mu, nu, None)], 2.0)
         assert solves == [(10, 12)]
+
+    @pytest.mark.parametrize("violated", ["slack", "gap"])
+    def test_only_the_perturbed_block_is_blamed(self, monkeypatch, violated):
+        # three pairs share one solve; the duals of the middle block (rows
+        # 5..9: f at 5..7, g at 8..9) are perturbed in its solved units.
+        # "slack" raises f_5 and lowers f_6 so that f . mu keeps its value:
+        # a tight cell of row 5 exceeds its cost by 1e-3, the gap stays 0.
+        # "gap" lowers every f: still feasible, but the gap reads 1e-3.
+        rng = np.random.default_rng(12)
+        pairs = [(_random_measure(rng, n, 1), _random_measure(rng, m, 1), None)
+                 for n, m in ((2, 3), (3, 2), (2, 2))]
+        solves = []
+        real = transport.linprog
+
+        def perturbed(c, A_eq, b_eq):
+            fun, x, duals = real(c, A_eq=A_eq, b_eq=b_eq)
+            solves.append(A_eq.shape)
+            duals = duals.copy()
+            if violated == "slack":
+                duals[5] += 1e-3
+                duals[6] -= 1e-3 * b_eq[5] / b_eq[6]
+            else:
+                duals[5:8] -= 1e-3
+            return fun, x, duals
+
+        monkeypatch.setattr(transport, "linprog", perturbed)
+        with pytest.raises(RuntimeError, match=r"dual certificate .* by pairs \[1\]$"):
+            exact_wp_many(pairs, 2.0)
+        assert solves == [(14, 16)]
 
 
 class TestSinkhorn:
