@@ -60,9 +60,16 @@ class ModulusSpec:
             raise ConfigError(f"unknown modulus family {self.family!r}", "family")
         if self.family == "holder" and not self.alpha > 0:
             raise ConfigError(f"need a holder alpha > 0, got {self.alpha}", "alpha")
-        if self.family == "custom_table" and not (np.diff(self.table_s) > 0).all():
+        if self.family != "custom_table":
+            return
+        if not (np.diff(self.table_s) > 0).all():
             # concavity is tested on the slopes between nodes
             raise ConfigError(f"need table nodes that increase strictly, got {self.table_s}", "s")
+        if len(self.table_phi) != len(self.table_s):
+            raise ConfigError(f"need {len(self.table_s)} values, one per node of s", "phi")
+        phi0 = float(np.interp(0.0, self.table_s, self.table_phi))
+        if phi0 != 0:
+            raise ConfigError(f"need a table that reads 0 at s = 0, got {phi0}", "phi")
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -87,24 +94,6 @@ class ModulusSpec:
             return ModulusSpec("holder", alpha=_HOLDER_CAP, L=self.L, scale=self.scale)
         return self
 
-    def dini_tail(self, t1, t2):
-        """Tail mass of the Dini integral between s = e^{-t2} and e^{-t1}.
-
-        Written in the substituted variable t = log(1/s), where the
-        integrand is just phi(e^{-t}); a summable tail vanishes as t1 grows
-        while a barely-divergent modulus keeps contributing.  e^{-t}
-        underflows to 0 beyond t ~ 745, where the integrand reads phi(0);
-        ``log_square`` decays only as t^{-2}, so it keeps its closed form
-        scale * max(t, log 1/cutoff)^{-2}.
-        """
-        t = np.geomspace(t1, t2, 4096)
-        if self.family == "log_square":
-            phi = self.scale * np.maximum(t, -math.log(self.cutoff)) ** -2.0
-        else:
-            with np.errstate(under="ignore"):
-                phi = self(np.exp(-t))
-        return float(np.trapezoid(phi, t))
-
     def validate(self):
         """Run the admissibility checks on a sample grid.
 
@@ -115,6 +104,11 @@ class ModulusSpec:
         difference of phi^2.  A custom table is tested at its own nodes,
         whatever their spacing, and its margin is minus the largest rise of
         the slopes of phi^2 between them, in units of phi^2 per unit s.
+
+        phi(0) = 0 and the Dini condition, int_0 phi(s)/s ds < oo, are not
+        sampled: the Holder, Lipschitz and log-square families meet both in
+        closed form, and a table is built only if it reads 0 at s = 0, so
+        its phi(s)/s stays bounded near 0.
         """
         if self.family == "custom_table":
             # between nodes the interpolant is linear (its square convex),
@@ -124,19 +118,11 @@ class ModulusSpec:
         else:
             grid = np.linspace(0.0, 1.0, 2048)
             spacing = 1.0
-        phi = self(grid)
-        checks = []
-        checks.append(CheckResult("phi_zero_at_zero", -abs(float(self(0.0))), None))
-        incr = np.diff(phi)
-        checks.append(CheckResult("phi_nondecreasing", float(incr.min()), None))
-        env = self.envelope()
-        slopes = np.diff(env(grid) ** 2) / spacing
-        checks.append(CheckResult("phi_sq_concave", float(-np.diff(slopes).max()), None))
-        # far-tail contribution of the Dini integral must die out,
-        # measured relative to the overall size of the modulus
-        tail = self.dini_tail(1e8, 1e9) / max(1.0, float(self(1.0)))
-        checks.append(CheckResult("dini_integral_cauchy", float(1e-6 - tail), None))
-        return ValidationReport(checks, tol=1e-9)
+        slopes = np.diff(self.envelope()(grid) ** 2) / spacing
+        return ValidationReport([
+            CheckResult("phi_nondecreasing", float(np.diff(self(grid)).min())),
+            CheckResult("phi_sq_concave", float(-np.diff(slopes).max())),
+        ], tol=1e-9)
 
 
 def _log_square(s, cutoff):

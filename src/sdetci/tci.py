@@ -410,9 +410,11 @@ def invariance_suite(n_trials=1000, seed=0):
     Per trial, on random discrete measures and a random invertible affine
     map Phi: (a) the transported-cost W2 value after pushing both
     measures forward equals the original value; (b) discrete relative
-    entropy is unchanged by an injective pushforward; (c) with the ambient
-    metric kept fixed, the pushed distance sits in the bi-Lipschitz
-    sandwich.  Returns worst errors across trials.
+    entropy is unchanged by an injective pushforward, which holds by
+    construction: ``relative_entropy_discrete`` reads only the weights, so
+    the error is exactly 0 for any map; (c) with the ambient metric kept
+    fixed, the pushed distance sits in the bi-Lipschitz sandwich.  Returns
+    worst errors across trials.
     """
     if n_trials < 1:
         raise ConfigError(f"need at least one trial, got {n_trials}", "n_trials")

@@ -173,6 +173,13 @@ class TestExitCodes:
         # a file is refused before the run when its directory is missing
         ("invariance", {"output": "no/such/dir/r.json"}, "output"),
         ("simulate", {"csv": "no/such/dir/a.csv"}, "csv"),
+        # a table with one value more than nodes, or one that does not read
+        # 0 at s = 0, however small
+        *[(command, {"model": {**_dini_cfg(), "modulus": {
+            "family": "custom_table", "s": s, "phi": phi}}}, "model.modulus.phi")
+          for command in ("validate", "zvonkin")
+          for s, phi in [([0, 0.5, 1], [0, 0.4, 0.8, 1]), ([0, 0.25, 1], [1e-17, 0.6, 1]),
+                         ([0, 0.25, 1], [-1e-12, 0.6, 1]), ([0, 0.25, 1], [1e-12, 0.6, 1])]],
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command,
                                                 cfg, key):

@@ -44,12 +44,6 @@ class TestModulus:
         np.testing.assert_allclose(scaled(s), 7.0 * base(s))
         assert scaled.validate().passed
 
-    def test_dini_tail_vanishes_for_log_square(self):
-        phi = ModulusSpec("log_square")
-        # tail of the Dini integral in log scale: ~1/t1 for this family
-        assert phi.dini_tail(1e7, 1e8) < 1e-6
-        assert phi.dini_tail(1e3, 1e8) > 1e-4
-
     def test_no_holder_fit_below_any_alpha(self):
         # phi / s^alpha diverges as s -> 0, albeit only at log speed
         phi = ModulusSpec("log_square")
@@ -98,6 +92,22 @@ class TestModulus:
     def test_custom_table_nodes_must_increase(self, nodes):
         with pytest.raises(ConfigError, match="increase strictly"):
             ModulusSpec("custom_table", table_s=nodes, table_phi=(0, 0.5, 0.6, 1))
+
+    @pytest.mark.parametrize("s, phi, match", [
+        ((0, 0.5, 1), (0, 0.4, 0.8, 1), "one per node of s"),
+        ((0, 0.5, 1), (0, 0.4), "one per node of s"),
+        # a table that reads 0 at s = 0 has phi(s)/s bounded near 0, so it is
+        # Dini; any other phi(0), however small, is refused
+        ((0, 0.25, 1), (1e-17, 0.6, 1), "reads 0 at s = 0"),
+        ((0, 0.25, 1), (-1e-12, 0.6, 1), "reads 0 at s = 0"),
+        ((0, 0.25, 1), (1e-12, 0.6, 1), "reads 0 at s = 0"),
+        # below its first node a table reads its first value
+        ((0.5, 1), (0.1, 1), "reads 0 at s = 0"),
+    ])
+    def test_malformed_table_is_refused_at_phi(self, s, phi, match):
+        with pytest.raises(ConfigError, match=match) as e:
+            ModulusSpec("custom_table", table_s=s, table_phi=phi)
+        assert e.value.key_path == "phi"
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError):

@@ -606,6 +606,41 @@ class TestParabolicSolver:
         assert len(failures) == 10 and err.value is failures[-1]
         assert err.value.grad_bound == 8.0 * 2**9
 
+    def test_manufactured_solution_converges_at_second_order(self):
+        # u*(t, x) = (1 - e^{-(T - t)}) cos(x) / 4 on [-pi, pi] has u*(T) = 0
+        # and zero slope at the box edge; with B = 0, sigma = 1 it is the
+        # fixed point of the map for the drift b = (lam u* - du*/dt - u*''/2)
+        # / (1 + u*'), since the map's source is b (1 + u').  The modulus,
+        # b_sup and bounds are not read by the solve.  Errors are the sup
+        # over every space-time node: 9.06e-4, 2.21e-4 and 5.52e-5 at
+        # h/dx^2 ~ 2.5, and 1.14e-3 at h/dx^2 ~ 5.  Swapped trapezoid
+        # weights read 1.23e-3, 1.59e-4, 5.15e-5 and 4.14e-3; a flipped
+        # source sign reads 0.316.  This pins the Crank-Nicolson regime
+        # h/dx^2 <= 5 (ROADMAP F14) and must change with the time scheme.
+        T, lam = 1.0, 8.0
+        ramp = lambda t: 1.0 - np.exp(-(T - t))
+        u_star = lambda t, x: 0.25 * ramp(t) * np.cos(x)
+
+        def b(t, x):
+            u_t = -0.25 * np.exp(-(T - t)) * np.cos(x)
+            return (lam * u_star(t, x) - u_t + 0.5 * u_star(t, x)) / (
+                1.0 - 0.25 * ramp(t) * np.sin(x))
+
+        model = DiniModelSpec(d=1, T=T, B=lambda t, x: np.zeros_like(x), b=b,
+                              sigma=lambda t, x: np.ones((len(x), 1, 1)),
+                              modulus=ModulusSpec("lipschitz"), b_sup=1.0, bounds={})
+
+        def error(m, n_time):
+            sg = SpaceGrid(math.pi, m, 1)
+            u, _ = solve_u_parabolic(model, lam, sg, n_time=n_time, tol=1e-12)
+            want = u_star(u.times[:, None], sg.axes[0][None, :])
+            return np.abs(u.values[..., 0] - want).max()
+
+        errs = np.array([error(41, 16), error(81, 64), error(161, 256)])
+        orders = np.log2(errs[:-1] / errs[1:])
+        assert ((1.8 <= orders) & (orders <= 2.2)).all(), (errs, orders)
+        assert error(41, 8) < 2e-3
+
     def test_zero_drift_gives_zero_u(self):
         cfg = dini_benchmark_config(sup=1.0)
         cfg["b"] = {"family": "zero"}
@@ -682,6 +717,37 @@ class TestEllipticSolver:
         want = np.linalg.solve(4.0 * np.eye(len(pts)) - L, b1)
         got = solve_u_elliptic(model, 4.0, sg).values.reshape(-1, d)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("b1, B1, orders, err_max", [
+        ({"family": "bounded_sin", "amplitude": 0.3},
+         lambda s: 0.3 * (1.0 - np.cos(s)), (1.8, 2.2), 5e-5),
+        ({"family": "radial_singularity", "c": 0.3, "gamma": 0.4},
+         lambda s: 0.3 * np.minimum(np.abs(s), 1.0) ** 0.6 / 0.6, (0.85, 1.15), 7e-3),
+    ], ids=["smooth", "singular"])
+    def test_scale_function_oracle(self, b1, B1, orders, err_max):
+        # at lam = 0 in d = 1, u''/2 + b1 (1 + u') = 0 integrates in closed
+        # form: 1 + u' = C exp(-2 B1), B1 the primitive of b1, and the zero
+        # ghost nodes at +-L, L = R + dx, fix u(-L) = u(L) = 0, so
+        # u(x) = C int_{-L}^x exp(-2 B1) - (x + L) with C = 2L / int_{-L}^L.
+        # Errors at m = 61, 121, 241: 6.01e-4, 1.46e-4, 3.61e-5 for the
+        # smooth b1, and 2.00e-2, 1.03e-2, 5.23e-3 at the singularity.  A
+        # source of -b1 gives -u, about 2 sup|u| away (1.1 for the smooth b1)
+        cfg = ou_singular_config(kappa=1.0)
+        cfg["b1"] = b1
+        model = model_from_config(cfg)
+        errs = []
+        for m in (61, 121, 241):
+            sg = SpaceGrid(3.0, m, 1)
+            L = sg.R + sg.dx
+            s = np.linspace(-L, L, 400_001)
+            w = np.exp(-2.0 * B1(s))
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(s))])
+            want = np.interp(sg.axes[0], s, 2.0 * L * cum / cum[-1] - (s + L))
+            u = solve_u_elliptic(model, 0.0, sg).values[:, 0]
+            errs.append(np.abs(u - want).max())
+        got = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert ((orders[0] <= got) & (got <= orders[1])).all(), (errs, got)
+        assert errs[-1] < err_max
 
     def test_image_paths_follow_phi(self):
         # Ito's formula: Phi(X) has drift lam u + (I + grad u) b2, the image
